@@ -22,9 +22,7 @@ from .learner import (BaseLearner, ExpGradHP, LearnerHP, MomentConstraint,
                       ReducedModel, compile_constraints,
                       exponentiated_gradient, fit_base, load_model, save_model)
 from .notions import (EffortWeighting, GroupTerms, NotionConfig,
-                      ViolationReport, cdp_violation, csep_violation,
-                      dp_violation, ep_violation, sep_relaxed, sep_violation,
-                      violation)
+                      ViolationReport, violation)
 from .privilege import (ImportanceTable, PSweepResult,
                         extract_privilege_attribute, permutation_importance,
                         select_p)
@@ -39,12 +37,10 @@ __all__ = [
     "NotionConfig", "PSweepResult", "ParseError", "Predicate",
     "PredicateError", "ReducedModel", "Schema", "SchemaError",
     "SubgroupFrame", "Table", "Thresholds", "ViolationReport",
-    "adult_schema_path", "as_scores", "cdp_violation", "compile_constraints",
-    "csep_violation", "dp_violation", "effort_threshold", "encode_features",
-    "ep_violation", "exponentiated_gradient", "extract_privilege_attribute",
-    "fixture_path", "fit_base", "load_csv", "load_model", "mask",
-    "permutation_importance", "positive_scores", "privilege_threshold",
-    "resolve_thresholds", "save_model", "select_p", "sep_relaxed",
-    "sep_violation", "stats", "stratified_split", "toy8_paths", "violation",
-    "write_csv",
+    "adult_schema_path", "as_scores", "compile_constraints",
+    "effort_threshold", "encode_features", "exponentiated_gradient",
+    "extract_privilege_attribute", "fixture_path", "fit_base", "load_csv",
+    "load_model", "mask", "permutation_importance", "positive_scores",
+    "privilege_threshold", "resolve_thresholds", "save_model", "select_p",
+    "stats", "stratified_split", "toy8_paths", "violation", "write_csv",
 ]

@@ -214,7 +214,13 @@ def _stats_rows(table: Table, predictions, ncfg: NotionConfig,
 
 
 def _sep_extra_rows(table: Table, h: np.ndarray, ncfg: NotionConfig, thresholds):
-    """Descriptive privileged/effort segment stats + equal-width effort bins."""
+    """Descriptive privileged/effort segment stats + equal-width effort bins.
+
+    The high/low effort split is the audit's own: each row is compared with
+    the effort threshold of its cell, looked up per row (one mask per cell
+    would cost a string compare per cell).  SEP_relaxed resolves no effort
+    thresholds, so it splits at the per-group mean.
+    """
     xp = table.column(ncfg.privilege_column)
     groups_col = table.column(ncfg.protected)
     privileged = xp >= thresholds.privilege_cutoff
@@ -224,14 +230,17 @@ def _sep_extra_rows(table: Table, h: np.ndarray, ncfg: NotionConfig, thresholds)
     if ncfg.effort_column is None:
         return segments, bins
     xe = table.column(ncfg.effort_column)
-    per_group = effort_threshold(table, "per_group", ncfg.effort_column)
+    if ncfg.kind == "SEP_relaxed":
+        thresholds = effort_threshold(table, "per_group", ncfg.effort_column)
+    keys = (zip(table.column(ncfg.conditional), groups_col) if ncfg.kind == "CSEP"
+            else zip(groups_col))
+    high = xe >= np.fromiter(map(thresholds.effort_at, keys), np.float64, table.rows)
     for g in table.levels(ncfg.protected):
         in_group = groups_col == g
-        e_g = per_group.effort_at((g,))
         cells = (
             ("privileged", in_group & privileged),
-            ("under_high", in_group & ~privileged & (xe >= e_g)),
-            ("under_low", in_group & ~privileged & (xe < e_g)),
+            ("under_high", in_group & ~privileged & high),
+            ("under_low", in_group & ~privileged & ~high),
         )
         for name, cell in cells:
             n = int(cell.sum())

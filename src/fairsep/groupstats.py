@@ -107,6 +107,8 @@ def as_scores(predictions: np.ndarray, table: Table) -> np.ndarray:
         raise AlignmentError(
             f"predictions length {arr.shape} does not match {table.rows} rows"
         )
+    if not np.isfinite(arr).all():
+        raise AlignmentError("predictions must be finite")
     if len(arr) and (arr.min() < 0.0 or arr.max() > 1.0):
         raise AlignmentError("predictions must lie in [0, 1]")
     return arr

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import FeatureEncoder, Table, Thresholds, encode_features
 from .errors import ConfigError, EncodingError
-from .notions import NotionConfig
+from .notions import SEP_FAMILY, NotionConfig, cells
 
 log = logging.getLogger(__name__)
 
@@ -196,152 +196,38 @@ class MomentConstraint:
         return self.value(scores) - self.slack
 
 
-def _parity_pair(name: str, cell: np.ndarray, base: np.ndarray, slack: float):
-    """Two <= constraints encoding |E[h|cell] - E[h|base]| <= slack."""
-    w = cell.astype(np.float64) / cell.sum() - base.astype(np.float64) / base.sum()
-    return [
-        MomentConstraint(f"{name}/+", w, 0.0, slack),
-        MomentConstraint(f"{name}/-", -w, 0.0, slack),
-    ]
-
-
-def _sep_cell_constraints(
-    name: str,
-    underpriv: np.ndarray,
-    privileged: np.ndarray,
-    base: np.ndarray,
-    group_cell: np.ndarray,
-    efforts: np.ndarray,
-    threshold: float,
-    y: np.ndarray,
-    cfg: NotionConfig,
-    slack: float,
-    dropped: list[str],
-) -> list[MomentConstraint]:
-    """Constraint set for one (category slice, group) cell.
-
-    Mirrors the violation terms: a parity pair on the underprivileged
-    subgroup, a one-sided effort constraint (weighted high-effort positive
-    rate must reach the low-effort rate), and a one-sided cap keeping the
-    privileged false-positive rate at or below the weighted high-effort
-    underprivileged one.
-    """
-    out: list[MomentConstraint] = []
-    if not underpriv.any():
-        dropped.append(f"{name}: no underprivileged rows; all constraints dropped")
-        return out
-    out.extend(_parity_pair(f"{name}/parity", underpriv, base, slack))
-
-    cell_max = float(np.max(efforts[group_cell]))
-    zeta = cfg.weighting.weights(efforts, threshold, cell_max, cell=group_cell)
-    low = underpriv & (efforts < threshold)
-    high = underpriv & (efforts >= threshold)
-    if low.any() and high.any():
-        w = low.astype(np.float64) / low.sum()
-        w -= zeta * high / float(np.sum(zeta[high]))
-        out.append(MomentConstraint(f"{name}/effort", w, 0.0, slack))
-    else:
-        dropped.append(f"{name}: effort constraint dropped (one-sided split empty)")
-
-    priv_neg = privileged & (y == 0)
-    high_neg = high & (y == 0)
-    if priv_neg.any() and high_neg.any():
-        b_norm = float(np.sum(zeta[high])) if cfg.t3_literal_b else float(np.sum(zeta[high_neg]))
-        w = priv_neg.astype(np.float64) / priv_neg.sum()
-        w -= zeta * high_neg / b_norm
-        out.append(MomentConstraint(f"{name}/fpr_cap", w, 0.0, slack))
-    else:
-        dropped.append(f"{name}: FPR cap dropped (no privileged negatives or no "
-                       f"high-effort underprivileged negatives)")
-    return out
-
-
 def compile_constraints(
     table: Table,
     cfg: NotionConfig,
     eps_train: float = 0.02,
     thresholds: Thresholds | None = None,
 ) -> list[MomentConstraint]:
-    """Translate a notion into linear moment constraints over score vectors."""
-    y = table.target
-    groups_col = table.column(cfg.protected)
-    group_names = (list(cfg.groups) if cfg.groups is not None
-                   else table.levels(cfg.protected))
-    all_rows = np.ones(table.rows, dtype=bool)
+    """Turn the notion's audit terms into linear moment constraints on scores.
+
+    A T1 term becomes a two-sided ``/+`` ``/-`` pair with weight row
+    left - right.  T2 (``/effort``) and T3 (``/fpr_cap``) are taken over
+    1 - h, so each becomes one one-sided constraint with that weight row and
+    offset mass(right) - mass(left), a side's mass being its mean of 1.  The
+    offset is 0 except for T3 under literal B, where it is B0/B - 1.  At any
+    score vector |value| equals the audited term.
+    """
+    if thresholds is None and cfg.kind in SEP_FAMILY:
+        thresholds = cfg.resolve_thresholds(table)
+    ones = np.ones(table.rows)
     out: list[MomentConstraint] = []
-    dropped: list[str] = []
-
-    if cfg.kind == "DP":
-        for s in group_names:
-            cell = groups_col == s
-            if not cell.any():
-                dropped.append(f"DP/{s}: empty group")
-                continue
-            out.extend(_parity_pair(f"DP/{s}", cell, all_rows, eps_train))
-    elif cfg.kind == "EP":
-        pos = y == 1
-        if not pos.any():
-            dropped.append("EP: no ground-truth positives; nothing to constrain")
-        else:
-            for s in group_names:
-                cell = pos & (groups_col == s)
-                if not cell.any():
-                    dropped.append(f"EP/{s}: no positives in group")
-                    continue
-                out.extend(_parity_pair(f"EP/{s}", cell, pos, eps_train))
-    elif cfg.kind == "CDP":
-        cats = table.column(cfg.conditional)
-        for a in table.levels(cfg.conditional):
-            in_cat = cats == a
-            for s in group_names:
-                cell = in_cat & (groups_col == s)
-                if not cell.any():
-                    dropped.append(f"CDP/({a},{s}): empty cell")
-                    continue
-                out.extend(_parity_pair(f"CDP/({a},{s})", cell, in_cat, eps_train))
-    elif cfg.kind in ("SEP", "SEP_relaxed"):
-        if thresholds is None:
-            thresholds = cfg.resolve_thresholds(table)
-        xp = table.column(cfg.privilege_column)
-        privileged = xp >= thresholds.privilege_cutoff
-        for s in group_names:
-            in_group = groups_col == s
-            underpriv = in_group & ~privileged
-            if cfg.kind == "SEP_relaxed":
-                if not underpriv.any():
-                    dropped.append(f"SEP_relaxed/{s}: no underprivileged rows")
-                    continue
-                out.extend(_parity_pair(f"SEP_relaxed/{s}", underpriv, all_rows, eps_train))
-                continue
-            efforts = table.column(cfg.effort_column)
-            out.extend(_sep_cell_constraints(
-                f"SEP/{s}", underpriv, privileged, all_rows, in_group, efforts,
-                thresholds.effort_at((s,)), y, cfg, eps_train, dropped,
-            ))
-    elif cfg.kind == "CSEP":
-        if thresholds is None:
-            thresholds = cfg.resolve_thresholds(table)
-        xp = table.column(cfg.privilege_column)
-        efforts = table.column(cfg.effort_column)
-        cats = table.column(cfg.conditional)
-        privileged_all = xp >= thresholds.privilege_cutoff
-        for a in table.levels(cfg.conditional):
-            in_cat = cats == a
-            for s in group_names:
-                cell = in_cat & (groups_col == s)
-                if not cell.any():
-                    dropped.append(f"CSEP/({a},{s}): empty cell")
-                    continue
-                out.extend(_sep_cell_constraints(
-                    f"CSEP/({a},{s})", cell & ~privileged_all,
-                    in_cat & privileged_all, in_cat, cell, efforts,
-                    thresholds.effort_at((a, s)), y, cfg, eps_train, dropped,
-                ))
-    else:  # pragma: no cover - NotionConfig already validates the kind
-        raise ConfigError(f"cannot compile constraints for notion {cfg.kind!r}")
-
-    for msg in dropped:
-        log.info("constraint compile: %s", msg)
+    for cell in cells(table, cfg, thresholds):
+        for msg in cell.skipped:
+            log.info("constraint compile: %s", msg)
+        for term in cell.terms:
+            w = term.left.weights() - term.right.weights()
+            if term.key == "T1":
+                name = f"{cell.label}/parity" if cfg.kind in ("SEP", "CSEP") else cell.label
+                out.append(MomentConstraint(f"{name}/+", w, 0.0, eps_train))
+                out.append(MomentConstraint(f"{name}/-", -w, 0.0, eps_train))
+            else:
+                offset = term.right.mean(ones) - term.left.mean(ones)
+                suffix = "effort" if term.key == "T2" else "fpr_cap"
+                out.append(MomentConstraint(f"{cell.label}/{suffix}", w, offset, eps_train))
     return out
 
 

@@ -15,6 +15,10 @@ a per-group term decomposition:
 EP/DP/CDP and the relaxed measure populate T1 only.  The aggregate is the
 worst (maximum) per-group total; a report passes when the aggregate stays
 within the configured tolerance.
+
+``cells`` is the one place that decides which rows and weights make up each
+term of each cell; ``violation`` evaluates those terms and
+``learner.compile_constraints`` turns the same terms into constraints.
 """
 
 from __future__ import annotations
@@ -228,318 +232,201 @@ class ViolationReport:
         return doc
 
 
-def _finish(notion, cfg, groups, categories, weights, skipped, mode, thresholds) -> ViolationReport:
-    """Aggregate per-cell totals (max decides pass/fail, weighted mean reported)."""
-    totals, supports = [], []
-    if categories is None:
-        cells = [(t, None) for t in groups.values()]
+# ---------------------------------------------------------------------------
+# Cells and terms: the one definition the audit and the trainer share
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Side:
+    """One side of a term: mean(v) = sum of (zeta *) v over ``rows``, / ``norm``.
+
+    ``norm`` is the row count or the rows' effort-weight sum; under the
+    literal-B T3 variant it is the weight of a larger row set.
+    """
+
+    rows: np.ndarray
+    norm: float
+    zeta: np.ndarray | None = None
+
+    def mean(self, v: np.ndarray) -> float:
+        vals = v[self.rows]
+        if self.zeta is not None:
+            vals = self.zeta[self.rows] * vals
+        return float(np.sum(vals)) / self.norm
+
+    def weights(self) -> np.ndarray:
+        """Row weights w with ``w @ v == mean(v)`` up to rounding."""
+        w = self.rows.astype(np.float64) if self.zeta is None else self.zeta * self.rows
+        return w / self.norm
+
+
+@dataclass(frozen=True)
+class Term:
+    """|mean(left) - mean(right)|, taken over h for T1 and over 1 - h for T2, T3."""
+
+    key: str
+    left: Side
+    right: Side
+
+    def gap(self, v: np.ndarray) -> float:
+        return abs(self.left.mean(v) - self.right.mean(v))
+
+
+@dataclass
+class Cell:
+    """One (category, group) cell of a notion: its defined terms and why others are not.
+
+    ``support`` weighs the cell's total in the CDP/CSEP weighted mean.
+    """
+
+    label: str
+    key: tuple
+    terms: list[Term] = field(default_factory=list)
+    skipped: list[str] = field(default_factory=list)
+    denominators: dict = field(default_factory=dict)
+    support: int = 0
+
+
+_T1_DENOMINATORS = {"EP": ("n_group", "n"), "DP": ("n_group", "n"),
+                    "CDP": ("n_cell", "n_category"),
+                    "SEP_relaxed": ("n_underprivileged",)}
+
+
+def cells(table: Table, cfg: NotionConfig, thresholds: Thresholds | None = None):
+    """Yield the notion's cells one at a time, by category, then by group.
+
+    Each cell is built only when asked for, so one cell's masks and effort
+    weights are alive at a time.  The SEP family needs ``thresholds``.
+    """
+    kind = cfg.kind
+    groups_col = table.column(cfg.protected)
+    group_names = list(cfg.groups) if cfg.groups is not None else table.levels(cfg.protected)
+    if kind in SEP_FAMILY:
+        privileged = table.column(cfg.privilege_column) >= thresholds.privilege_cutoff
+    if kind in ("CDP", "CSEP"):
+        cats = table.column(cfg.conditional)
+        slices = ((a, cats == a) for a in table.levels(cfg.conditional))
     else:
-        cells = [(t, a) for a, by_group in categories.items() for t in by_group.values()]
-    for terms, _ in cells:
-        if terms.computed:
-            totals.append(terms.total)
-            supports.append(weights.get(id(terms), 0))
-    aggregate = max(totals) if totals else 0.0
-    weighted_mean = None
-    if categories is not None and totals and sum(supports) > 0:
-        weighted_mean = float(np.dot(totals, supports) / sum(supports))
-    if not totals:
-        skipped = skipped + ["no cell produced a defined term; aggregate defaults to 0"]
-    return ViolationReport(
-        notion=notion, epsilon=cfg.epsilon, aggregate=aggregate,
-        passed=aggregate <= cfg.epsilon, groups=groups, categories=categories,
-        weighted_mean=weighted_mean, skipped=skipped, mode=mode, thresholds=thresholds,
-    )
-
-
-def _observed_groups(table: Table, cfg: NotionConfig) -> list[str]:
-    if cfg.groups is not None:
-        return list(cfg.groups)
-    return table.levels(cfg.protected)
-
-
-def _rate_gap_report(table, h, cfg, notion, condition=None) -> ViolationReport:
-    """Shared body of EP and DP: |rate_overall - rate_group| per group.
-
-    ``condition`` restricts the comparison to a row subset (y=1 for EP).
-    """
-    base_mask = np.ones(table.rows, dtype=bool) if condition is None else condition
-    groups_col = table.column(cfg.protected)
-    groups: dict[str, GroupTerms] = {}
-    skipped: list[str] = []
-    if not base_mask.any():
-        for s in _observed_groups(table, cfg):
-            groups[s] = GroupTerms()
-            skipped.append(f"{notion}/{s}: conditioning event empty")
-        return _finish(notion, cfg, groups, None, {}, skipped, "", None)
-    baseline = float(np.mean(h[base_mask]))
-    for s in _observed_groups(table, cfg):
-        cell = base_mask & (groups_col == s)
-        if not cell.any():
-            groups[s] = GroupTerms()
-            skipped.append(f"{notion}/{s}: no rows in conditioning event")
-            continue
-        gap = abs(baseline - float(np.mean(h[cell])))
-        groups[s] = GroupTerms(t1=gap, computed=("T1",),
-                               denominators={"n_group": int(cell.sum()),
-                                             "n": int(base_mask.sum())})
-    return _finish(notion, cfg, groups, None, {}, skipped, "", None)
-
-
-def ep_violation(table: Table, predictions, cfg: NotionConfig,
-                 mode: str = "hard", cutoff: float = 0.5) -> ViolationReport:
-    """Equal-opportunity gaps: positive-decision rates among ground-truth positives."""
-    h = positive_scores(predictions, table, mode, cutoff)
-    rep = _rate_gap_report(table, h, cfg, "EP", condition=table.target == 1)
-    rep.mode = mode
-    return rep
-
-
-def dp_violation(table: Table, predictions, cfg: NotionConfig,
-                 mode: str = "hard", cutoff: float = 0.5) -> ViolationReport:
-    """Demographic-parity gaps: per-group positive-decision rate vs. the population."""
-    h = positive_scores(predictions, table, mode, cutoff)
-    rep = _rate_gap_report(table, h, cfg, "DP")
-    rep.mode = mode
-    return rep
-
-
-def cdp_violation(table: Table, predictions, cfg: NotionConfig,
-                  mode: str = "hard", cutoff: float = 0.5) -> ViolationReport:
-    """DP gaps within each category of the conditional column."""
-    h = positive_scores(predictions, table, mode, cutoff)
-    cats_col = table.column(cfg.conditional)
-    groups_col = table.column(cfg.protected)
-    categories: dict[str, dict[str, GroupTerms]] = {}
-    weights: dict[int, int] = {}
-    skipped: list[str] = []
-    group_names = _observed_groups(table, cfg)
-    overall: dict[str, GroupTerms] = {s: GroupTerms() for s in group_names}
-    for a in table.levels(cfg.conditional):
-        in_cat = cats_col == a
-        baseline = float(np.mean(h[in_cat]))
-        by_group: dict[str, GroupTerms] = {}
+        slices = [(None, table.target == 1 if kind == "EP"
+                   else np.ones(table.rows, dtype=bool))]
+    for a, base in slices:
         for s in group_names:
-            cell = in_cat & (groups_col == s)
-            if not cell.any():
-                by_group[s] = GroupTerms()
-                skipped.append(f"CDP/({a},{s}): empty cell")
+            key = (s,) if a is None else (a, s)
+            label = f"{kind}/{s}" if a is None else f"{kind}/({a},{s})"
+            rows = base & (groups_col == s)
+            if not base.any():
+                reason = "conditioning event empty"
+            elif a is not None and not rows.any():
+                reason = "empty cell"
+            elif kind in ("SEP", "CSEP"):
+                yield _sep_cell(label, key, rows, base, privileged, table, cfg,
+                                thresholds.effort_at(key))
                 continue
-            gap = abs(baseline - float(np.mean(h[cell])))
-            terms = GroupTerms(t1=gap, computed=("T1",),
-                               denominators={"n_cell": int(cell.sum()),
-                                             "n_category": int(in_cat.sum())})
-            by_group[s] = terms
-            weights[id(terms)] = int(cell.sum())
-        categories[a] = by_group
-    rep = _finish("CDP", cfg, overall, categories, weights, skipped, mode, None)
-    # per-group summary: worst cell for that group across categories
-    for s in group_names:
-        cell_totals = [t.total for a in categories
-                       for g, t in categories[a].items() if g == s and t.computed]
-        if cell_totals:
-            overall[s] = GroupTerms(t1=max(cell_totals), computed=("T1",))
-    return rep
+            else:
+                left = rows & ~privileged if kind == "SEP_relaxed" else rows
+                n_left, n_base = int(left.sum()), int(base.sum())
+                if n_left:
+                    yield Cell(label, key, [Term("T1", Side(left, n_left), Side(base, n_base))],
+                               denominators=dict(zip(_T1_DENOMINATORS[kind], (n_left, n_base))),
+                               support=n_left)
+                    continue
+                reason = ("no underprivileged rows" if kind == "SEP_relaxed"
+                          else "no rows in conditioning event")
+            yield Cell(label, key, skipped=[f"{label}: {reason}"])
 
 
-def _sep_cell_terms(
-    h: np.ndarray,
-    neg: np.ndarray,
-    y: np.ndarray,
-    efforts: np.ndarray,
-    underpriv: np.ndarray,
-    privileged: np.ndarray,
-    baseline: float,
-    group_cell: np.ndarray,
-    threshold: float,
-    weighting: EffortWeighting,
-    t3_literal_b: bool,
-    label: str,
-    skipped: list[str],
-) -> GroupTerms:
-    """T1/T2/T3 for one (category slice, group) cell.
+def _sep_cell(label, key, rows, base, privileged, table, cfg, threshold) -> Cell:
+    """T1/T2/T3 of one SEP cell: ``rows`` is the group's part of the slice ``base``.
 
-    ``underpriv`` masks the group's underprivileged rows inside the slice;
-    ``privileged`` masks the slice's privileged rows (all demographics);
-    ``group_cell`` masks the slice's rows of this group (the weighting cell).
+    T1 compares the underprivileged rows with the slice.  T2 compares their
+    low-effort rows with the effort-weighted high-effort ones.  T3 compares
+    the slice's privileged negatives with the weighted high-effort
+    underprivileged negatives, normalized by B0 (or by B if ``t3_literal_b``).
     """
-    terms = GroupTerms()
-    computed = []
-    denoms: dict[str, float | int | None] = {"A": None, "B": None, "B0": None, "C": None}
-    if not underpriv.any():
-        skipped.append(f"{label}: T1,T2,T3 skipped (no underprivileged rows)")
-        terms.denominators = denoms
-        return terms
-    terms.t1 = abs(baseline - float(np.mean(h[underpriv])))
-    computed.append("T1")
+    under = rows & ~privileged
+    cell = Cell(label, key, denominators={"A": None, "B": None, "B0": None, "C": None},
+                support=int(under.sum()))
+    d = cell.denominators
+    if not cell.support:
+        cell.skipped.append(f"{label}: T1,T2,T3 skipped (no underprivileged rows)")
+        return cell
+    cell.terms.append(Term("T1", Side(under, cell.support), Side(base, int(base.sum()))))
 
-    cell_max = float(np.max(efforts[group_cell]))
-    zeta = weighting.weights(efforts, threshold, cell_max, cell=group_cell)
-    low = underpriv & (efforts < threshold)
-    high = underpriv & (efforts >= threshold)
-    a_count = int(low.sum())
-    denoms["A"] = a_count
+    efforts = table.column(cfg.effort_column)
+    zeta = cfg.weighting.weights(efforts, threshold, float(np.max(efforts[rows])), cell=rows)
+    low = under & (efforts < threshold)
+    high = under & (efforts >= threshold)
+    d["A"] = int(low.sum())
     if high.any():
-        b_sum = float(np.sum(zeta[high]))
-        denoms["B"] = b_sum
-    if a_count == 0 or not high.any():
-        skipped.append(f"{label}: T2 skipped (effort split leaves an empty side)")
+        d["B"] = float(np.sum(zeta[high]))
+    if low.any() and high.any():
+        cell.terms.append(Term("T2", Side(low, d["A"]), Side(high, d["B"], zeta)))
     else:
-        low_avg = float(np.sum(neg[low])) / a_count
-        high_avg = float(np.sum(zeta[high] * neg[high])) / b_sum
-        terms.t2 = abs(low_avg - high_avg)
-        computed.append("T2")
+        cell.skipped.append(f"{label}: T2 skipped (effort split leaves an empty side)")
 
-    priv_neg = privileged & (y == 0)
-    c_count = int(priv_neg.sum())
-    denoms["C"] = c_count
-    high_neg = high & (y == 0)
+    negative = table.target == 0
+    priv_neg = base & privileged & negative
+    high_neg = high & negative
+    d["C"] = int(priv_neg.sum())
     if high_neg.any():
-        b0_sum = float(np.sum(zeta[high_neg]))
-        denoms["B0"] = b0_sum
-    if c_count == 0 or not high_neg.any():
-        skipped.append(f"{label}: T3 skipped (no privileged negatives or no "
-                       f"high-effort underprivileged negatives)")
+        d["B0"] = float(np.sum(zeta[high_neg]))
+    if priv_neg.any() and high_neg.any():
+        norm = d["B"] if cfg.t3_literal_b else d["B0"]
+        cell.terms.append(Term("T3", Side(priv_neg, d["C"]), Side(high_neg, norm, zeta)))
     else:
-        norm = denoms["B"] if t3_literal_b else b0_sum
-        priv_avg = float(np.sum(neg[priv_neg])) / c_count
-        under_avg = float(np.sum(zeta[high_neg] * neg[high_neg])) / norm
-        terms.t3 = abs(priv_avg - under_avg)
-        computed.append("T3")
-
-    terms.denominators = denoms
-    terms.computed = tuple(computed)
-    return terms
-
-
-def sep_violation(table: Table, predictions, cfg: NotionConfig,
-                  thresholds: Thresholds | None = None,
-                  mode: str = "hard", cutoff: float = 0.5) -> ViolationReport:
-    """Full socio-economic parity measure (T1 + T2 + T3 per group)."""
-    h = positive_scores(predictions, table, mode, cutoff)
-    if thresholds is None:
-        thresholds = cfg.resolve_thresholds(table)
-    neg = 1.0 - h
-    y = table.target
-    xp = table.column(cfg.privilege_column)
-    efforts = table.column(cfg.effort_column)
-    groups_col = table.column(cfg.protected)
-    tau = thresholds.privilege_cutoff
-    privileged = xp >= tau
-    baseline = float(np.mean(h))
-    groups: dict[str, GroupTerms] = {}
-    skipped: list[str] = []
-    for s in _observed_groups(table, cfg):
-        in_group = groups_col == s
-        groups[s] = _sep_cell_terms(
-            h, neg, y, efforts,
-            underpriv=in_group & ~privileged,
-            privileged=privileged,
-            baseline=baseline,
-            group_cell=in_group,
-            threshold=thresholds.effort_at((s,)),
-            weighting=cfg.weighting,
-            t3_literal_b=cfg.t3_literal_b,
-            label=f"SEP/{s}",
-            skipped=skipped,
-        )
-    return _finish("SEP", cfg, groups, None, {}, skipped, mode, thresholds)
-
-
-def csep_violation(table: Table, predictions, cfg: NotionConfig,
-                   thresholds: Thresholds | None = None,
-                   mode: str = "hard", cutoff: float = 0.5) -> ViolationReport:
-    """SEP computed within each category of the conditional column."""
-    h = positive_scores(predictions, table, mode, cutoff)
-    if thresholds is None:
-        thresholds = cfg.resolve_thresholds(table)
-    neg = 1.0 - h
-    y = table.target
-    xp = table.column(cfg.privilege_column)
-    efforts = table.column(cfg.effort_column)
-    groups_col = table.column(cfg.protected)
-    cats_col = table.column(cfg.conditional)
-    tau = thresholds.privilege_cutoff
-    privileged_all = xp >= tau
-    group_names = _observed_groups(table, cfg)
-    categories: dict[str, dict[str, GroupTerms]] = {}
-    weights: dict[int, int] = {}
-    skipped: list[str] = []
-    overall: dict[str, GroupTerms] = {s: GroupTerms() for s in group_names}
-    for a in table.levels(cfg.conditional):
-        in_cat = cats_col == a
-        baseline = float(np.mean(h[in_cat]))
-        by_group: dict[str, GroupTerms] = {}
-        for s in group_names:
-            cell = in_cat & (groups_col == s)
-            if not cell.any():
-                by_group[s] = GroupTerms()
-                skipped.append(f"CSEP/({a},{s}): empty cell")
-                continue
-            terms = _sep_cell_terms(
-                h, neg, y, efforts,
-                underpriv=cell & ~privileged_all,
-                privileged=in_cat & privileged_all,
-                baseline=baseline,
-                group_cell=cell,
-                threshold=thresholds.effort_at((a, s)),
-                weighting=cfg.weighting,
-                t3_literal_b=cfg.t3_literal_b,
-                label=f"CSEP/({a},{s})",
-                skipped=skipped,
-            )
-            by_group[s] = terms
-            weights[id(terms)] = int((cell & ~privileged_all).sum())
-        categories[a] = by_group
-    rep = _finish("CSEP", cfg, overall, categories, weights, skipped, mode, thresholds)
-    for s in group_names:
-        cell_totals = [t.total for a in categories
-                       for g, t in categories[a].items() if g == s and t.computed]
-        if cell_totals:
-            overall[s] = GroupTerms(t1=max(cell_totals), computed=("T1",))
-    return rep
-
-
-def sep_relaxed(table: Table, predictions, cfg: NotionConfig,
-                thresholds: Thresholds | None = None,
-                mode: str = "hard", cutoff: float = 0.5) -> ViolationReport:
-    """Relaxed measure: the parity term T1 alone, per group."""
-    h = positive_scores(predictions, table, mode, cutoff)
-    if thresholds is None:
-        thresholds = cfg.resolve_thresholds(table)
-    xp = table.column(cfg.privilege_column)
-    groups_col = table.column(cfg.protected)
-    underpriv_all = xp < thresholds.privilege_cutoff
-    baseline = float(np.mean(h))
-    groups: dict[str, GroupTerms] = {}
-    skipped: list[str] = []
-    for s in _observed_groups(table, cfg):
-        u = underpriv_all & (groups_col == s)
-        if not u.any():
-            groups[s] = GroupTerms()
-            skipped.append(f"SEP_relaxed/{s}: no underprivileged rows")
-            continue
-        gap = abs(baseline - float(np.mean(h[u])))
-        groups[s] = GroupTerms(t1=gap, computed=("T1",),
-                               denominators={"n_underprivileged": int(u.sum())})
-    return _finish("SEP_relaxed", cfg, groups, None, {}, skipped, mode, thresholds)
-
-
-_DISPATCH = {
-    "EP": ep_violation,
-    "DP": dp_violation,
-    "CDP": cdp_violation,
-    "SEP": sep_violation,
-    "CSEP": csep_violation,
-    "SEP_relaxed": sep_relaxed,
-}
+        cell.skipped.append(f"{label}: T3 skipped (no privileged negatives or no "
+                            f"high-effort underprivileged negatives)")
+    return cell
 
 
 def violation(table: Table, predictions, cfg: NotionConfig,
               mode: str = "hard", cutoff: float = 0.5,
               thresholds: Thresholds | None = None) -> ViolationReport:
-    """Evaluate the configured notion; dispatches on ``cfg.kind``."""
-    fn = _DISPATCH[cfg.kind]
-    if cfg.kind in SEP_FAMILY:
-        return fn(table, predictions, cfg, thresholds=thresholds, mode=mode, cutoff=cutoff)
-    return fn(table, predictions, cfg, mode=mode, cutoff=cutoff)
+    """Evaluate the configured notion: every cell's terms, then the worst total.
+
+    CDP and CSEP report each (category, group) cell, a per-group summary
+    (the group's worst cell total) and the support-weighted mean of the cell
+    totals.
+    """
+    h = positive_scores(predictions, table, mode, cutoff)
+    if cfg.kind not in SEP_FAMILY:
+        thresholds = None
+    elif thresholds is None:
+        thresholds = cfg.resolve_thresholds(table)
+    neg = 1.0 - h
+    over = {"T1": h, "T2": neg, "T3": neg}
+    conditional = cfg.kind in ("CDP", "CSEP")
+    groups: dict[str, GroupTerms] = {}
+    categories: dict[str, dict[str, GroupTerms]] | None = {} if conditional else None
+    worst: dict[str, list[float]] = {}
+    skipped: list[str] = []
+    totals, supports = [], []
+    for cell in cells(table, cfg, thresholds):
+        terms = GroupTerms(
+            **{t.key.lower(): t.gap(over[t.key]) for t in cell.terms},
+            denominators=cell.denominators,
+            computed=tuple(t.key for t in cell.terms))
+        skipped.extend(cell.skipped)
+        cell_totals = worst.setdefault(cell.key[-1], [])
+        if terms.computed:
+            totals.append(terms.total)
+            supports.append(cell.support)
+            cell_totals.append(terms.total)
+        if conditional:
+            categories.setdefault(cell.key[0], {})[cell.key[1]] = terms
+        else:
+            groups[cell.key[0]] = terms
+    if conditional:
+        groups = {s: GroupTerms(t1=max(v), computed=("T1",)) if v else GroupTerms()
+                  for s, v in worst.items()}
+    aggregate = max(totals) if totals else 0.0
+    weighted_mean = None
+    if conditional and totals and sum(supports) > 0:
+        weighted_mean = float(np.dot(totals, supports) / sum(supports))
+    if not totals:
+        skipped.append("no cell produced a defined term; aggregate defaults to 0")
+    return ViolationReport(
+        notion=cfg.kind, epsilon=cfg.epsilon, aggregate=aggregate,
+        passed=aggregate <= cfg.epsilon, groups=groups, categories=categories,
+        weighted_mean=weighted_mean, skipped=skipped, mode=mode, thresholds=thresholds,
+    )

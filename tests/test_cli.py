@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import logging
+import random
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from fairsep.bundled import toy8_paths
 from fairsep.cli import main
 from fairsep.dataset import Schema, load_csv
 
-from synth import planted_dp_table, privilege_driven_table
+from conftest import rows_to_table
+from synth import planted_dp_table, privilege_driven_table, random_rows
 
 TOY8_DATA, TOY8_SCHEMA = (str(p) for p in toy8_paths())
 
@@ -317,6 +319,55 @@ def test_wrong_length_predictions_is_runtime_error(tmp_path):
     preds = write_predictions(tmp_path / "preds.csv", HPRED[:5])
     code = main(audit_argv(tmp_path / "run", preds, "--notion", "DP"))
     assert code == 3
+
+
+def test_nan_predictions_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "preds.csv"
+    path.write_text("prediction\n" + "\n".join(["1.0"] * 7 + ["nan"]) + "\n",
+                    encoding="utf-8")
+    code = main(audit_argv(tmp_path / "run", str(path), "--notion", "SEP", "--p", "25"))
+    assert code == 3
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("notion", [
+    {"kind": "CSEP", "conditional": "cat"},
+    {"kind": "SEP", "effort_scope": "global"},
+])
+def test_segment_rows_use_the_audit_effort_split(tmp_path, notion):
+    # with unit weighting the audit's summed A / B per group count exactly
+    # the underprivileged low / high effort rows of the segment stats
+    rng = random.Random(31)
+    checked = 0
+    for i in range(12):
+        rows = random_rows(rng, n=40)
+        table = rows_to_table(rows)
+        root = tmp_path / f"t{i}"
+        root.mkdir()
+        config = root / "config.json"
+        config.write_text(json.dumps({"notion": dict(
+            notion, p=25, zeta={"kind": "unit"})}), encoding="utf-8")
+        out = root / "run"
+        code = main(["audit", "--config", str(config),
+                     "--data", write_table_csv(root / "t.csv", table),
+                     "--schema", write_schema_json(root / "t.json", table),
+                     "--predictions", "ground_truth", "--out", str(out)])
+        if code == 3:  # degenerate privilege cutoff on this draw
+            continue
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        cells = (list(report["groups"].items()) if report["categories"] is None
+                 else [(g, t) for by_group in report["categories"].values()
+                       for g, t in by_group.items()])
+        with (out / "stats.csv").open(encoding="utf-8", newline="") as fh:
+            segments = {(r["category"], r["group"]): int(r["n"])
+                        for r in csv.DictReader(fh) if r["scope"] == "segment"}
+        for g in ("F", "M"):
+            low = sum(t["denominators"].get("A") or 0 for s, t in cells if s == g)
+            high = sum(t["denominators"].get("B") or 0 for s, t in cells if s == g)
+            assert segments[("under_low", g)] == low, (i, g)
+            assert segments[("under_high", g)] == high, (i, g)
+        checked += 1
+    assert checked >= 6
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,17 @@ def test_as_scores_alignment_errors(toy8):
         as_scores(np.array([0.5] * 7 + [-0.1]), toy8)
 
 
+def test_as_scores_rejects_non_finite_predictions(toy8):
+    # NaN slips past min/max range checks, so finiteness is checked first
+    for bad in (np.nan, np.inf, -np.inf):
+        scores = np.array([0.5] * 7 + [bad])
+        with pytest.raises(AlignmentError, match="finite"):
+            as_scores(scores, toy8)
+        for mode in ("hard", "expected"):
+            with pytest.raises(AlignmentError, match="finite"):
+                positive_scores(scores, toy8, mode=mode)
+
+
 def test_hard_mode_thresholds_at_cutoff_inclusive(toy8):
     scores = np.array([0.0, 0.49, 0.5, 0.51, 1.0, 0.5, 0.2, 0.8])
     out = positive_scores(scores, toy8, mode="hard", cutoff=0.5)

@@ -8,6 +8,7 @@ import pytest
 
 from fairsep import (
     ConfigError,
+    DegenerateThresholdError,
     EffortWeighting,
     EncodingError,
     ExpGradHP,
@@ -207,6 +208,56 @@ def test_sep_constraint_values_equal_measured_terms(toy8):
         assert pair == rep.groups[s].t1
         assert abs(by_name[f"SEP/{s}/effort"].value(HPRED)) == rep.groups[s].t2
         assert abs(by_name[f"SEP/{s}/fpr_cap"].value(HPRED)) == rep.groups[s].t3
+
+    # every notion x weighting x T3 normalization on the oracle's random
+    # tables: each compiled term reproduces its audit term, and nothing else
+    # is compiled
+    rng = random.Random(2025)
+    compared = 0
+    for i in range(40):
+        mode = "hard" if i % 2 == 0 else "expected"
+        rows = random_rows(rng, mode=mode)
+        table, scores = rows_to_table(rows), scores_of(rows)
+        h = (scores >= 0.5).astype(np.float64) if mode == "hard" else scores
+        for kind in ("EP", "DP", "CDP", "SEP", "CSEP", "SEP_relaxed"):
+            for weighting in ("unit", "linear_capped"):
+                for literal in (False, True):
+                    cfg = NotionConfig(
+                        kind=kind, protected="group", privilege_column="xp",
+                        effort_column="xe", p=25.0,
+                        conditional="cat" if kind in ("CDP", "CSEP") else None,
+                        weighting=EffortWeighting(weighting), t3_literal_b=literal)
+                    try:
+                        rep = violation(table, scores, cfg, mode=mode)
+                    except DegenerateThresholdError:
+                        continue
+                    compared += _assert_constraints_match_report(
+                        compile_constraints(table, cfg), rep, h)
+    assert compared >= 2000
+
+
+def _assert_constraints_match_report(constraints, rep, h):
+    values = {c.name: c.value(h) for c in constraints}
+    if rep.categories is None:
+        cells = [(f"{rep.notion}/{s}", t) for s, t in rep.groups.items()]
+    else:
+        cells = [(f"{rep.notion}/({a},{s})", t)
+                 for a, by_group in rep.categories.items()
+                 for s, t in by_group.items()]
+    parity = "/parity" if rep.notion in ("SEP", "CSEP") else ""
+    expected = set()
+    for label, terms in cells:
+        for key in terms.computed:
+            if key == "T1":
+                names = [f"{label}{parity}/+", f"{label}{parity}/-"]
+                got = max(values[n] for n in names)
+            else:
+                names = [f"{label}/{'effort' if key == 'T2' else 'fpr_cap'}"]
+                got = abs(values[names[0]])
+            assert abs(got - getattr(terms, key.lower())) <= 1e-12, (names, rep.mode)
+            expected.update(names)
+    assert expected == set(values)
+    return len(expected)
 
 
 def test_compile_drops_empty_cells_with_log(caplog):
