@@ -216,13 +216,13 @@ def _stats_rows(table: Table, predictions, ncfg: NotionConfig,
 def _sep_extra_rows(table: Table, h: np.ndarray, ncfg: NotionConfig, thresholds):
     """Descriptive privileged/effort segment stats + equal-width effort bins.
 
-    The high/low effort split is the audit's own: each row is compared with
-    the effort threshold of its cell, looked up per row (one mask per cell
-    would cost a string compare per cell).  SEP_relaxed resolves no effort
-    thresholds, so it splits at the per-group mean.
+    The high/low effort split is the audit's own, from a per-code array of
+    cell effort thresholds.  SEP_relaxed resolves no effort thresholds, so it
+    splits at the per-group mean.
     """
     xp = table.column(ncfg.privilege_column)
-    groups_col = table.column(ncfg.protected)
+    names = table.levels(ncfg.protected)
+    in_group = {g: table.mask(ncfg.protected, g) for g in names}
     privileged = xp >= thresholds.privilege_cutoff
     y = table.target
     segments: list[list] = []
@@ -232,15 +232,15 @@ def _sep_extra_rows(table: Table, h: np.ndarray, ncfg: NotionConfig, thresholds)
     xe = table.column(ncfg.effort_column)
     if ncfg.kind == "SEP_relaxed":
         thresholds = effort_threshold(table, "per_group", ncfg.effort_column)
-    keys = (zip(table.column(ncfg.conditional), groups_col) if ncfg.kind == "CSEP"
-            else zip(groups_col))
-    high = xe >= np.fromiter(map(thresholds.effort_at, keys), np.float64, table.rows)
-    for g in table.levels(ncfg.protected):
-        in_group = groups_col == g
+    cats = table.levels(ncfg.conditional) if ncfg.kind == "CSEP" else [None]
+    per_code = np.array([[thresholds.effort_at((a, g)) for g in names] for a in cats])
+    cat_codes = table.codes(ncfg.conditional) if ncfg.kind == "CSEP" else 0
+    high = xe >= per_code[cat_codes, table.codes(ncfg.protected)]
+    for g in names:
         cells = (
-            ("privileged", in_group & privileged),
-            ("under_high", in_group & ~privileged & high),
-            ("under_low", in_group & ~privileged & ~high),
+            ("privileged", in_group[g] & privileged),
+            ("under_high", in_group[g] & ~privileged & high),
+            ("under_low", in_group[g] & ~privileged & ~high),
         )
         for name, cell in cells:
             n = int(cell.sum())
@@ -256,13 +256,30 @@ def _sep_extra_rows(table: Table, h: np.ndarray, ncfg: NotionConfig, thresholds)
         in_bin = (xe >= b_lo) & (xe < b_hi) if b < BIN_COUNT - 1 else \
                  (xe >= b_lo) & (xe <= b_hi)
         label = f"[{b_lo:g},{b_hi:g}{')' if b < BIN_COUNT - 1 else ']'}"
-        for g in table.levels(ncfg.protected):
+        for g in names:
             for priv_flag, priv_mask in ((1, privileged), (0, ~privileged)):
-                cell = in_bin & (groups_col == g) & priv_mask
+                cell = in_bin & in_group[g] & priv_mask
                 n = int(cell.sum())
                 ppr = float(np.mean(h[cell])) if n else None
                 bins.append([g, priv_flag, label, b_lo, b_hi, n, ppr])
     return segments, bins
+
+
+def _write_stats(out_dir: Path, table: Table, predictions, ncfg: NotionConfig,
+                 report, cutoff: float, mode: str) -> list[Path]:
+    """Write stats.csv (plus effort_bins.csv for the SEP family); return their paths."""
+    h = positive_scores(predictions, table, mode, cutoff)
+    rows = _stats_rows(table, predictions, ncfg, cutoff, mode)
+    written = [out_dir / "stats.csv"]
+    if ncfg.kind in SEP_FAMILY:
+        thresholds = report.thresholds or ncfg.resolve_thresholds(table)
+        segments, bins = _sep_extra_rows(table, h, ncfg, thresholds)
+        rows.extend(segments)
+        _write_csv(out_dir / "effort_bins.csv",
+                   ("group", "privileged", "bin", "lo", "hi", "n", "ppr"), bins)
+        written.append(out_dir / "effort_bins.csv")
+    _write_csv(out_dir / "stats.csv", STATS_HEADER, rows)
+    return written
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +302,8 @@ def cmd_audit(args) -> int:
     doc["data"] = str(cfg["data"])
     _write_json(out_dir / "report.json", doc)
 
-    h = positive_scores(predictions, table, mode, cutoff)
-    rows = _stats_rows(table, predictions, ncfg, cutoff, mode)
-    written = [out_dir / "report.json", out_dir / "stats.csv"]
-    if ncfg.kind in SEP_FAMILY:
-        thresholds = report.thresholds or ncfg.resolve_thresholds(table)
-        segments, bins = _sep_extra_rows(table, h, ncfg, thresholds)
-        rows.extend(segments)
-        _write_csv(out_dir / "effort_bins.csv",
-                   ("group", "privileged", "bin", "lo", "hi", "n", "ppr"), bins)
-        written.append(out_dir / "effort_bins.csv")
-    _write_csv(out_dir / "stats.csv", STATS_HEADER, rows)
+    written = [out_dir / "report.json"]
+    written += _write_stats(out_dir, table, predictions, ncfg, report, cutoff, mode)
     _update_manifest(out_dir, written, _command_string(args))
     print(f"{ncfg.kind} aggregate={report.aggregate:.6f} epsilon={report.epsilon} "
           f"pass={report.passed}" + (" (partial)" if report.partial else ""))
@@ -348,18 +356,8 @@ def cmd_train(args) -> int:
                        "iterations": len(model.members),
                        "early_stopped": model.early_stopped}
     _write_json(out_dir / "report.json", doc)
-    h = positive_scores(scores, table=test_table, mode=mode, cutoff=cutoff)
-    rows = _stats_rows(test_table, scores, ncfg, cutoff, mode)
-    written = [out_dir / "model.json", out_dir / "trajectory.csv",
-               out_dir / "report.json", out_dir / "stats.csv"]
-    if ncfg.kind in SEP_FAMILY:
-        thresholds = report.thresholds or ncfg.resolve_thresholds(test_table)
-        segments, bins = _sep_extra_rows(test_table, h, ncfg, thresholds)
-        rows.extend(segments)
-        _write_csv(out_dir / "effort_bins.csv",
-                   ("group", "privileged", "bin", "lo", "hi", "n", "ppr"), bins)
-        written.append(out_dir / "effort_bins.csv")
-    _write_csv(out_dir / "stats.csv", STATS_HEADER, rows)
+    written = [out_dir / "model.json", out_dir / "trajectory.csv", out_dir / "report.json"]
+    written += _write_stats(out_dir, test_table, scores, ncfg, report, cutoff, mode)
     _update_manifest(out_dir, written, _command_string(args))
     flag = " EARLY-STOP" if model.early_stopped else ""
     print(f"trained {ncfg.kind}: iters={len(model.members)} "

@@ -15,8 +15,10 @@ column; they mark the columns the socio-economic notions read.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +31,8 @@ log = logging.getLogger(__name__)
 KINDS = ("protected", "categorical", "ordinal", "numerical", "target")
 TAGS = ("privilege", "effort")
 NUMERIC_KINDS = ("ordinal", "numerical")
+CODED_KINDS = ("protected", "categorical")
+CHUNK_ROWS = 4096
 
 # Effort scopes, ordered from coarse to fine; a cell with fewer than
 # MIN_CELL_ROWS rows inherits the mean of its parent scope.
@@ -98,18 +102,12 @@ class Schema:
             raw_cols = doc["columns"]
         except (KeyError, TypeError):
             raise SchemaError("schema document needs a 'columns' list")
-        cols = []
-        for raw in raw_cols:
-            cols.append(
-                ColumnSpec(
-                    name=raw["name"],
-                    kind=raw["kind"],
-                    tags=tuple(raw.get("tags", ())),
-                    positive_label=raw.get("positive_label"),
-                )
-            )
+        cols = tuple(ColumnSpec(name=raw["name"], kind=raw["kind"],
+                                tags=tuple(raw.get("tags", ())),
+                                positive_label=raw.get("positive_label"))
+                     for raw in raw_cols)
         return cls(
-            columns=tuple(cols),
+            columns=cols,
             missing_marker=doc.get("missing_marker", "?"),
             delimiter=doc.get("delimiter", ","),
         )
@@ -121,11 +119,19 @@ class Schema:
 
 
 class Table:
-    """Immutable columnar dataset; numeric columns are float64, target is int64."""
+    """Immutable columnar dataset; numeric columns are float64, target is int64.
 
-    def __init__(self, schema: Schema, columns: dict[str, np.ndarray], dropped_rows: int = 0):
+    Protected and categorical columns are stored as sorted levels plus an
+    int32 code per row (``column`` decodes them).  They are supplied as values,
+    or as int codes into ``levels[name]``, whose entries need be neither sorted
+    nor all in use.
+    """
+
+    def __init__(self, schema: Schema, columns: dict[str, np.ndarray], dropped_rows: int = 0,
+                 levels: dict[str, list] | None = None):
         self.schema = schema
         self._columns = {}
+        self._levels: dict[str, list] = {}
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise SchemaError(f"ragged columns: lengths {sorted(lengths)}")
@@ -140,37 +146,58 @@ class Table:
             elif spec.kind == "target":
                 arr = np.asarray(arr, dtype=np.int64)
             else:
-                arr = np.asarray(arr, dtype=object)
+                lv, arr = (_compact(levels[spec.name], arr) if levels and spec.name in levels else
+                           np.unique(np.asarray(arr, dtype=object), return_inverse=True))
+                self._levels[spec.name], arr = list(lv), arr.astype(np.int32, copy=False)
             arr.setflags(write=False)
             self._columns[spec.name] = arr
-        self._validate()
-
-    def _validate(self):
-        y = self._columns[self.schema.target.name]
-        if self.rows and not np.isin(y, (0, 1)).all():
+        if self.rows and not np.isin(self.target, (0, 1)).all():
             raise SchemaError("target column holds values outside {0, 1}")
         prot = self.schema.protected
-        if prot is not None and self.rows and len(set(self._columns[prot.name])) < 2:
+        if prot is not None and self.rows and len(self._levels[prot.name]) < 2:
             raise SchemaError(f"protected column {prot.name!r} has fewer than 2 distinct values")
 
     def column(self, name: str) -> np.ndarray:
         try:
-            return self._columns[name]
+            arr = self._columns[name]
         except KeyError:
             raise SchemaError(f"no column {name!r} in table")
+        return np.asarray(self._levels[name], dtype=object)[arr] if name in self._levels else arr
 
     @property
     def target(self) -> np.ndarray:
         return self._columns[self.schema.target.name]
 
-    def levels(self, name: str) -> list[str]:
-        """Sorted distinct values of a string column."""
-        return sorted(set(self.column(name)))
+    def levels(self, name: str) -> list:
+        """Sorted distinct values of a column (stored for categorical ones)."""
+        return list(self._levels[name]) if name in self._levels else sorted(set(self.column(name)))
+
+    def codes(self, name: str) -> np.ndarray:
+        """Each row's index into ``levels(name)``."""
+        if name in self._levels:
+            return self._columns[name]
+        return np.unique(self.column(name), return_inverse=True)[1]
+
+    def mask(self, name: str, value) -> np.ndarray:
+        """Rows whose ``name`` column holds ``value``."""
+        levels = self._levels.get(name)
+        if levels is None:
+            return self.column(name) == value
+        return self._columns[name] == (levels.index(value) if value in levels else -1)
 
     def take(self, index: np.ndarray) -> "Table":
-        """New Table holding the rows selected by a boolean mask or index array."""
-        cols = {name: arr[index].copy() for name, arr in self._columns.items()}
-        return Table(self.schema, cols, dropped_rows=0)
+        """New Table of the rows a boolean mask or index array selects; categorical
+        levels shrink to the values those rows hold."""
+        cols = {name: arr[index] for name, arr in self._columns.items()}
+        return Table(self.schema, cols, dropped_rows=0, levels=self._levels)
+
+
+def _compact(levels: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
+    """The levels some code points at, sorted, and the codes renumbered to them."""
+    kept = sorted(np.flatnonzero(np.bincount(codes, minlength=len(levels))), key=levels.__getitem__)
+    renumber = np.zeros(len(levels), dtype=np.int32)
+    renumber[kept] = np.arange(len(kept))
+    return [levels[i] for i in kept], renumber[codes]
 
 
 def load_csv(path: str | Path, schema: Schema) -> Table:
@@ -180,7 +207,10 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
     schema column are dropped and counted.  Fields are stripped of surrounding
     whitespace before use.  Target values are binarized: raw values equal to
     ``positive_label`` map to 1, everything else to 0; without a
-    ``positive_label`` the raw values must already be 0/1.
+    ``positive_label`` the raw values must already be 0/1.  Numeric values
+    must be finite.  Rows are read ``CHUNK_ROWS`` at a time, each column's
+    distinct raw strings in a chunk are parsed once, and the first faulty
+    kept row raises ``ParseError``.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -195,68 +225,74 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
             raise SchemaError(f"{path}: schema columns absent from header: {missing}")
         col_idx = {c.name: header.index(c.name) for c in schema.columns}
 
-        raw: dict[str, list] = {c.name: [] for c in schema.columns}
-        dropped = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        levels: dict[str, dict] = {c.name: {} for c in schema.columns if c.kind in CODED_KINDS}
+        parts: dict[str, list] = {c.name: [np.zeros(0, np.int32)] for c in schema.columns}
+        dropped, lineno = 0, 1
+        while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
+            first, lineno = lineno + 1, lineno + len(chunk)
+            rows = [r for r in chunk if r]
+            if not rows:
                 continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            values = {name: row[i].strip() for name, i in col_idx.items()}
-            if any(v == schema.missing_marker for v in values.values()):
-                dropped += 1
-                continue
+            faults, good = [], rows
+            if set(map(len, rows)) - {len(header)}:
+                short = next(i for i, r in enumerate(rows) if len(r) != len(header))
+                faults.append((short, f"expected {len(header)} fields, got {len(rows[short])}"))
+                good = rows[:short]
+            fields = list(zip(*good)) or [()] * len(header)
+            drop = np.zeros(len(good), dtype=bool)
+            parsed = []
             for spec in schema.columns:
-                v = values[spec.name]
-                if spec.kind in NUMERIC_KINDS:
-                    try:
-                        raw[spec.name].append(float(v))
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{lineno}: column {spec.name!r}: "
-                            f"not a number: {v!r}"
-                        )
-                elif spec.kind == "target":
-                    raw[spec.name].append(_binarize(v, spec, path, lineno))
-                else:
-                    raw[spec.name].append(v)
+                vals = fields[col_idx[spec.name]]
+                distinct = {v: i for i, v in enumerate(dict.fromkeys(vals))}
+                codes = np.fromiter(map(distinct.__getitem__, vals), np.int32, len(vals))
+                stripped = [v.strip() for v in distinct]
+                drop |= np.array([v == schema.missing_marker for v in stripped], dtype=bool)[codes]
+                parsed.append((codes, [_parse_field(spec, v, levels.get(spec.name))
+                                       for v in stripped]))
+            for spec, (codes, values) in zip(schema.columns, parsed):
+                bad = np.array([e is not None for _, e in values], bool)[codes] & ~drop
+                bad = np.flatnonzero(bad)
+                faults += [(bad[0], values[codes[bad[0]]][1])] if bad.size else []
+                parts[spec.name].append(np.array([v for v, _ in values])[codes][~drop])
+            if faults:
+                row, message = min(faults, key=lambda f: f[0])
+                line = [first + i for i, r in enumerate(chunk) if r][row]
+                raise ParseError(f"{path}:{line}: {message}")
+            dropped += int(np.count_nonzero(drop))
 
     if dropped:
         log.info("%s: dropped %d rows containing missing marker %r", path, dropped, schema.missing_marker)
-    cols = {name: np.asarray(vals, dtype=object) for name, vals in raw.items()}
-    return Table(schema, cols, dropped_rows=dropped)
+    cols = {name: np.concatenate(arrs) for name, arrs in parts.items()}
+    return Table(schema, cols, dropped_rows=dropped,
+                 levels={name: list(ids) for name, ids in levels.items()})
 
 
-def _binarize(value: str, spec: ColumnSpec, path, lineno: int) -> int:
-    if spec.positive_label is not None:
-        return 1 if value == spec.positive_label else 0
-    if value in ("0", "1"):
-        return int(value)
-    raise ParseError(
-        f"{path}:{lineno}: target {spec.name!r} value {value!r} is not 0/1 "
-        f"and the schema names no positive_label"
-    )
+def _parse_field(spec: ColumnSpec, value: str, levels: dict | None) -> tuple:
+    """A stripped field's typed value (for categoricals a level index) and its error or None."""
+    if spec.kind in NUMERIC_KINDS:
+        try:
+            x = float(value)
+        except ValueError:
+            return 0, f"column {spec.name!r}: not a number: {value!r}"
+        if not math.isfinite(x):
+            return 0, f"column {spec.name!r}: not a finite number: {value!r}"
+        return x, None
+    if spec.kind != "target":
+        return levels.setdefault(value, len(levels)), None
+    if spec.positive_label is not None or value in ("0", "1"):
+        return int(value == spec.positive_label if spec.positive_label is not None else value), None
+    return 0, (f"target {spec.name!r} value {value!r} is not 0/1 "
+               f"and the schema names no positive_label")
 
 
 def write_csv(table: Table, path: str | Path) -> None:
     """Serialize a Table back to CSV (round-trips with load_csv)."""
-    names = [c.name for c in table.schema.columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=table.schema.delimiter)
-        writer.writerow(names)
-        cols = [table.column(n) for n in names]
-        specs = [table.schema[n] for n in names]
-        for i in range(table.rows):
-            row = []
-            for spec, col in zip(specs, cols):
-                v = col[i]
-                if spec.kind in NUMERIC_KINDS:
-                    row.append(repr(float(v)))
-                else:
-                    row.append(str(v))
-            writer.writerow(row)
+        writer.writerow([c.name for c in table.schema.columns])
+        writer.writerows(zip(*(
+            map(repr, table.column(c.name).tolist()) if c.kind in NUMERIC_KINDS
+            else map(str, table.column(c.name)) for c in table.schema.columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +342,17 @@ def privilege_threshold(table: Table, p: float, column: str | None = None) -> Th
     x = table.column(column)
     if table.rows == 0:
         raise DegenerateThresholdError("empty table")
-    values = np.sort(np.unique(x))
+    values = np.unique(x)
     if len(values) < 2:
         raise DegenerateThresholdError(
             f"column {column!r} is constant; privileged set would be everything"
         )
-    n = table.rows
     xs = np.sort(x)
-    for v in values:
-        tail = n - np.searchsorted(xs, v, side="left")
-        frac = tail / n
-        if frac <= p / 100.0:
-            return Thresholds(privilege_cutoff=float(v), p=p, realized_fraction=float(frac))
+    fracs = (table.rows - np.searchsorted(xs, values, side="left")) / table.rows
+    hits = np.flatnonzero(fracs <= p / 100.0)
+    if hits.size:
+        return Thresholds(privilege_cutoff=float(values[hits[0]]), p=p,
+                          realized_fraction=float(fracs[hits[0]]))
     raise DegenerateThresholdError(
         f"column {column!r}: no observed cutoff reaches a top fraction <= {p}% "
         f"(smallest attainable tail is {np.mean(xs == values[-1]):.4f})"
@@ -354,32 +389,28 @@ def effort_threshold(
     prot = table.schema.protected
     if prot is None:
         raise SchemaError(f"effort scope {scope!r} needs a protected column")
-    groups = table.column(prot.name)
-    group_means: dict[str, float] = {}
-    for g in table.levels(prot.name):
-        cell = x[groups == g]
-        if len(cell) < MIN_CELL_ROWS:
-            group_means[g] = global_mean
-            out.fallbacks.append(f"group {g!r}: {len(cell)} rows, using global mean")
-        else:
-            group_means[g] = float(np.mean(cell))
+
+    def cell_mean(rows, parent_mean, label, parent):
+        cell = x[rows]
+        if len(cell) >= MIN_CELL_ROWS:
+            return float(np.mean(cell))
+        out.fallbacks.append(f"{label}: {len(cell)} rows, using {parent} mean")
+        return parent_mean
+
+    in_group = {g: table.mask(prot.name, g) for g in table.levels(prot.name)}
+    group_means = {g: cell_mean(rows, global_mean, f"group {g!r}", "global")
+                   for g, rows in in_group.items()}
     if scope == "per_group":
         out.effort = {(g,): m for g, m in group_means.items()}
         return out
 
     if category_column is None:
         raise SchemaError("per_category_group scope needs a category column")
-    cats = table.column(category_column)
     for a in table.levels(category_column):
-        for g in table.levels(prot.name):
-            cell = x[(cats == a) & (groups == g)]
-            if len(cell) < MIN_CELL_ROWS:
-                out.effort[(a, g)] = group_means[g]
-                out.fallbacks.append(
-                    f"cell ({a!r}, {g!r}): {len(cell)} rows, using group mean"
-                )
-            else:
-                out.effort[(a, g)] = float(np.mean(cell))
+        in_category = table.mask(category_column, a)
+        for g, rows in in_group.items():
+            out.effort[(a, g)] = cell_mean(in_category & rows, group_means[g],
+                                           f"cell ({a!r}, {g!r})", "group")
     return out
 
 
@@ -436,8 +467,8 @@ class FeatureEncoder:
                 continue
             if spec.kind == "protected" and not include_protected:
                 continue
-            col = table.column(spec.name)[train_mask]
             if spec.kind in NUMERIC_KINDS:
+                col = table.column(spec.name)[train_mask]
                 mu = float(np.mean(col)) if len(col) else 0.0
                 sd = float(np.std(col)) if len(col) else 0.0
                 if sd == 0.0:
@@ -448,7 +479,8 @@ class FeatureEncoder:
                 sds[spec.name] = sd
                 feature_map.append((spec.name, None))
             else:
-                lv = sorted(set(col))
+                lv = list(map(table.levels(spec.name).__getitem__,
+                              np.unique(table.codes(spec.name)[train_mask])))
                 if len(lv) < 2:
                     log.warning("categorical column %r has %d level(s) on the "
                                 "training split; dropped", spec.name, len(lv))
@@ -462,13 +494,10 @@ class FeatureEncoder:
         n = table.rows if mask is None else int(np.count_nonzero(mask))
         X = np.zeros((n, self.width))
         for j, (name, level) in enumerate(self.feature_map):
-            col = table.column(name)
+            col = table.column(name) if level is None else table.mask(name, level)
             if mask is not None:
                 col = col[mask]
-            if level is None:
-                X[:, j] = (col.astype(np.float64) - self.means[name]) / self.sds[name]
-            else:
-                X[:, j] = (col == level).astype(np.float64)
+            X[:, j] = col if level is not None else (col - self.means[name]) / self.sds[name]
         return X
 
 
@@ -489,14 +518,15 @@ def stratified_split(table: Table, test_fraction: float, seed: int) -> tuple[np.
     prot = table.schema.protected
     y = table.target
     if prot is not None:
-        keys = [f"{g}|{t}" for g, t in zip(table.column(prot.name), y)]
+        names, strata = table.levels(prot.name), table.codes(prot.name) * 2 + y
+        key = lambda s: f"{names[s // 2]}|{s % 2}"  # noqa: E731
     else:
-        keys = [str(t) for t in y]
-    keys = np.asarray(keys, dtype=object)
+        strata, key = y, str
     rng = np.random.default_rng(seed)
     test = np.zeros(table.rows, dtype=bool)
-    for key in sorted(set(keys)):
-        idx = np.flatnonzero(keys == key)
+    # strata are visited in the order of their "group|target" key strings
+    for s in sorted(np.unique(strata).tolist(), key=key):
+        idx = np.flatnonzero(strata == s)
         rng.shuffle(idx)
         n_test = int(round(len(idx) * test_fraction))
         test[idx[:n_test]] = True

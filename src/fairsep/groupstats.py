@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import NUMERIC_KINDS, Table
+from .dataset import CODED_KINDS, NUMERIC_KINDS, Table
 from .errors import AlignmentError, PredicateError
 
 MODES = ("hard", "expected")
@@ -23,19 +23,19 @@ class Clause:
 
     def evaluate(self, table: Table) -> np.ndarray:
         spec = table.schema[self.column]  # raises SchemaError on unknown column
+        if self.op == "==" and spec.kind in CODED_KINDS:
+            if str(self.value) not in table.levels(self.column) and table.rows > 0:
+                raise PredicateError(
+                    f"value {self.value!r} never occurs in column {self.column!r}"
+                )
+            return table.mask(self.column, str(self.value))
         col = table.column(self.column)
         if self.op == "==":
             if spec.kind == "target":
                 if self.value not in (0, 1):
                     raise PredicateError(f"target equality needs 0/1, got {self.value!r}")
                 return col == int(self.value)
-            if spec.kind in NUMERIC_KINDS:
-                return col == float(self.value)
-            if str(self.value) not in set(col) and table.rows > 0:
-                raise PredicateError(
-                    f"value {self.value!r} never occurs in column {self.column!r}"
-                )
-            return col == str(self.value)
+            return col == float(self.value)
         if self.op in (">=", "<"):
             if spec.kind not in NUMERIC_KINDS:
                 raise PredicateError(

@@ -119,6 +119,8 @@ def fit_base(
     if costs is None:
         costs = (1.0 - 2.0 * y) / n
     costs = np.asarray(costs, dtype=np.float64)
+    if not np.isfinite(costs).all():
+        raise ValueError("costs must be finite")
     z = (costs < 0).astype(np.float64)
     u = np.abs(costs)
     total = float(np.sum(u))
@@ -134,15 +136,11 @@ def fit_base(
         smoothness = float(np.max(np.sum(X1 * X1, axis=1))) / 4.0 + hp.l2
         lr = 1.0 / smoothness
 
-    def loss_grad(w):
+    def loss_at(w):
         margin = X1 @ w
-        sig = _sigmoid(margin)
         # numerically stable weighted log-loss
         per_row = np.logaddexp(0.0, margin) - z * margin
-        loss = float(np.dot(p, per_row)) + 0.5 * hp.l2 * float(np.dot(w[:d], w[:d]))
-        grad = X1.T @ (p * (sig - z))
-        grad[:d] += hp.l2 * w[:d]
-        return loss, grad
+        return float(np.dot(p, per_row)) + 0.5 * hp.l2 * float(np.dot(w[:d], w[:d]))
 
     w = np.zeros(d + 1)
     lookahead = w.copy()
@@ -152,11 +150,12 @@ def fit_base(
     epochs_run = 0
     for epoch in range(hp.epochs):
         epochs_run = epoch + 1
-        _, grad = loss_grad(lookahead)
+        grad = X1.T @ (p * (_sigmoid(X1 @ lookahead) - z))
+        grad[:d] += hp.l2 * lookahead[:d]
         w_new = lookahead - lr * grad
         lookahead = w_new + (epoch / (epoch + 3.0)) * (w_new - w)
         w = w_new
-        loss, _ = loss_grad(w)
+        loss = loss_at(w)
         if loss < best_loss:
             best_loss, best_w = loss, w.copy()
         if abs(prev_loss - loss) <= hp.tol * max(1.0, abs(loss)):

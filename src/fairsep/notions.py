@@ -299,13 +299,11 @@ def cells(table: Table, cfg: NotionConfig, thresholds: Thresholds | None = None)
     weights are alive at a time.  The SEP family needs ``thresholds``.
     """
     kind = cfg.kind
-    groups_col = table.column(cfg.protected)
     group_names = list(cfg.groups) if cfg.groups is not None else table.levels(cfg.protected)
     if kind in SEP_FAMILY:
         privileged = table.column(cfg.privilege_column) >= thresholds.privilege_cutoff
     if kind in ("CDP", "CSEP"):
-        cats = table.column(cfg.conditional)
-        slices = ((a, cats == a) for a in table.levels(cfg.conditional))
+        slices = ((a, table.mask(cfg.conditional, a)) for a in table.levels(cfg.conditional))
     else:
         slices = [(None, table.target == 1 if kind == "EP"
                    else np.ones(table.rows, dtype=bool))]
@@ -313,7 +311,7 @@ def cells(table: Table, cfg: NotionConfig, thresholds: Thresholds | None = None)
         for s in group_names:
             key = (s,) if a is None else (a, s)
             label = f"{kind}/{s}" if a is None else f"{kind}/({a},{s})"
-            rows = base & (groups_col == s)
+            rows = base & table.mask(cfg.protected, s)
             if not base.any():
                 reason = "conditioning event empty"
             elif a is not None and not rows.any():

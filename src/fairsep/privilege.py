@@ -100,8 +100,7 @@ def extract_privilege_attribute(
         raise SchemaError("privilege extraction needs a protected column")
     if repeats < 3:
         raise ConfigError(f"repeats must be >= 3, got {repeats}")
-    groups_col = table.column(prot.name)
-    in_group = groups_col == group
+    in_group = table.mask(prot.name, group)
     if not in_group.any():
         raise ExtractionError(f"group {group!r} has no rows")
 
@@ -222,9 +221,9 @@ def select_p(
         column = spec.name
 
     y = table.target
-    groups_col = table.column(prot.name)
     names = table.levels(prot.name)
-    overall = {g: float(np.mean(y[groups_col == g])) for g in names}
+    in_group = {g: table.mask(prot.name, g) for g in names}
+    overall = {g: float(np.mean(y[in_group[g]])) for g in names}
     if advantaged is None:
         advantaged = min(names, key=lambda g: (-overall[g], g))
     elif advantaged not in names:
@@ -246,12 +245,12 @@ def select_p(
         entry["tau"] = thr.privilege_cutoff
         entry["realized_fraction"] = thr.realized_fraction
         top = x >= thr.privilege_cutoff
-        missing = [g for g in names if not (top & (groups_col == g)).any()]
+        missing = [g for g in names if not (top & in_group[g]).any()]
         if missing:
             entry["note"] = f"top slice missing group(s) {missing}"
             result.entries.append(entry)
             continue
-        ppr = {g: float(np.mean(y[top & (groups_col == g)])) for g in names}
+        ppr = {g: float(np.mean(y[top & in_group[g]])) for g in names}
         entry["ppr"] = ppr
         if ppr[advantaged] == 0.0:
             entry["note"] = "advantaged group has zero positive rate in slice"

@@ -330,6 +330,19 @@ def test_nan_predictions_is_runtime_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_data_is_runtime_error(tmp_path, capsys, bad):
+    lines = Path(TOY8_DATA).read_text(encoding="utf-8").splitlines()
+    lines[4] = lines[4].replace(",40,", f",{bad},")  # hours on line 5
+    data = tmp_path / "toy8.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    preds = write_predictions(tmp_path / "preds.csv", HPRED)
+    code = main(["audit", "--data", str(data), "--schema", TOY8_SCHEMA, "--out",
+                 str(tmp_path / "run"), "--predictions", preds, "--notion", "SEP", "--p", "25"])
+    assert code == 3
+    assert f"toy8.csv:5: column 'hours': not a finite number: '{bad}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("notion", [
     {"kind": "CSEP", "conditional": "cat"},
     {"kind": "SEP", "effort_scope": "global"},

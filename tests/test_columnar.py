@@ -1,0 +1,342 @@
+"""Columnar ingest and integer-coded categoricals against row-by-row references.
+
+``load_csv`` reads the file in chunks and parses each distinct raw string once;
+``reference_load`` below reads it one row and one field at a time, the way the
+loader's contract is written.  Both must give the same table, or the same
+error, on every input.  The split and the privilege cutoff are checked the
+same way against string-keyed and brute-force references.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+import os
+import random
+import subprocess
+import sys
+import tempfile
+import textwrap
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import fairsep
+import fairsep.dataset as dataset
+from fairsep import (DegenerateThresholdError, FairsepError, ParseError, Schema,
+                     Table, load_csv, privilege_threshold, stratified_split)
+from conftest import ROW_SCHEMA
+from oracles import brute_privilege_cutoff
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # seeded fallback below
+    given = None
+
+NUMERIC = ("numerical", "ordinal")
+CODED = ("protected", "categorical")
+
+
+def reference_load(path, schema: Schema) -> Table:
+    """One row and one field at a time: strip, drop on the missing marker,
+    parse, and raise on the first faulty field in file order."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ParseError(f"{path}: empty file, header required")
+        idx = {c.name: header.index(c.name) for c in schema.columns}
+        raw: dict[str, list] = {c.name: [] for c in schema.columns}
+        dropped = 0
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            values = {name: row[i].strip() for name, i in idx.items()}
+            if schema.missing_marker in values.values():
+                dropped += 1
+                continue
+            for spec in schema.columns:
+                v = values[spec.name]
+                where = f"{path}:{lineno}: column {spec.name!r}"
+                if spec.kind in NUMERIC:
+                    try:
+                        x = float(v)
+                    except ValueError:
+                        raise ParseError(f"{where}: not a number: {v!r}")
+                    if not math.isfinite(x):
+                        raise ParseError(f"{where}: not a finite number: {v!r}")
+                    raw[spec.name].append(x)
+                elif spec.kind == "target":
+                    if spec.positive_label is not None:
+                        raw[spec.name].append(int(v == spec.positive_label))
+                    elif v in ("0", "1"):
+                        raw[spec.name].append(int(v))
+                    else:
+                        raise ParseError(
+                            f"{path}:{lineno}: target {spec.name!r} value {v!r} is not 0/1 "
+                            f"and the schema names no positive_label")
+                else:
+                    raw[spec.name].append(v)
+    cols = {name: np.asarray(vals, dtype=object) for name, vals in raw.items()}
+    return Table(schema, cols, dropped_rows=dropped)
+
+
+def outcome(loader, path, schema):
+    """What a loader made of the file: the table's content, or its error."""
+    try:
+        t = loader(path, schema)
+    except FairsepError as exc:
+        return type(exc).__name__, str(exc)
+    return (t.rows, t.dropped_rows,
+            {c.name: t.column(c.name).tolist() for c in schema.columns},
+            {c.name: t.levels(c.name) for c in schema.columns if c.kind in CODED})
+
+
+def schema_for(positive_label):
+    return Schema.from_dict({"columns": [
+        {"name": "g", "kind": "protected"},
+        {"name": "x", "kind": "numerical", "tags": ["privilege"]},
+        {"name": "o", "kind": "ordinal", "tags": ["effort"]},
+        {"name": "c", "kind": "categorical"},
+        {"name": "y", "kind": "target", "positive_label": positive_label},
+    ]})
+
+
+POOLS = {
+    "g": ["F", " M ", "A B", "A|B", "x,y", "?"],
+    "x": ["0", " 1.5 ", "10000", "-3", "1e3", "0", "0", " ? ", "nan", "inf", "abc"],
+    "o": ["40", "20 ", " 60", "40", "?", "-inf"],
+    "c": ["a", " a", "b", "c d", "q,r", "ghost", "? "],
+    "junk": ["zzz", "", " 1 ", "?"],
+}
+RARE = {"nan", "inf", "-inf", "abc", "2"}  # each file draws how often these occur
+
+
+def random_csv(rng: random.Random, path: Path) -> Schema:
+    """A small CSV with padding, quoting, blank lines, missing markers and,
+    now and then, a malformed field or row."""
+    positive_label = rng.choice([None, ">50K"])
+    y_pool = [">50K", "<=50K", " >50K ", "?"] if positive_label else ["0", "1", " 1 ", " ?", "2"]
+    pools = dict(POOLS, y=y_pool)
+    names = list(pools)
+    rng.shuffle(names)
+    rare = rng.choice([0.0, 0.03, 0.3])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        for _ in range(rng.randint(0, 30)):
+            if rng.random() < 0.1:
+                fh.write("\n")
+            row = []
+            for name in names:
+                v = rng.choice(pools[name])
+                while v in RARE and rng.random() > rare:
+                    v = rng.choice(pools[name])
+                row.append(v)
+            if rng.random() < 0.01:
+                row = row[:-1]
+            writer.writerow(row)
+    return schema_for(positive_label)
+
+
+def check_loader_matches_reference(seed: int) -> None:
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        schema = random_csv(rng, path)
+        with mock.patch.object(dataset, "CHUNK_ROWS", rng.randint(1, 9)):
+            got = outcome(load_csv, path, schema)
+        assert got == outcome(reference_load, path, schema)
+
+
+if given is not None:
+    test_load_csv_matches_row_reference = settings(
+        max_examples=300, deadline=None, derandomize=True, database=None)(
+        given(st.integers(0, 2**32 - 1))(check_loader_matches_reference))
+else:
+    test_load_csv_matches_row_reference = pytest.mark.parametrize(
+        "seed", range(300))(check_loader_matches_reference)
+
+
+def test_random_csvs_reach_both_tables_and_errors():
+    # the generator must exercise both sides of the comparison above
+    kinds = set()
+    for seed in range(200):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            schema = random_csv(random.Random(seed), path)
+            got = outcome(reference_load, path, schema)
+        kinds.add(got[1].split(": ", 1)[-1][:12] if isinstance(got[0], str) else "table")
+    assert "table" in kinds and len(kinds) >= 4
+
+
+def test_load_csv_edge_cases_match_reference(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text(
+        "junk, g ,x,o,c,y\n"
+        "1, F ,  1.5 ,40,\"a,b\", >50K \n"
+        "\n"
+        "2,M,?,20,ghost,<=50K\n"         # 'ghost' occurs only in a dropped row
+        "3,?,2,20,a,>50K\n"
+        "4,M,3,?,a,x\n"
+        "5,F,4,60,?,<=50K\n"
+        "6,M,5,60,a, ? \n"
+        "\n"
+        "7,\"M\",6,40, a ,other\n",
+        encoding="utf-8")
+    schema = schema_for(">50K")
+    for chunk in (1, 2, 3, 4096):
+        with mock.patch.object(dataset, "CHUNK_ROWS", chunk):
+            assert outcome(load_csv, p, schema) == outcome(reference_load, p, schema)
+    t = load_csv(p, schema)
+    assert t.rows == 2 and t.dropped_rows == 5
+    assert t.levels("c") == ["a", "a,b"]
+    assert t.levels("g") == ["F", "M"]
+    assert t.column("x").tolist() == [1.5, 6.0]
+    assert t.target.tolist() == [1, 0]
+
+
+def test_load_csv_binary_target_without_positive_label(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("g,x,o,c,y\nF,1,2,a, 1\nM,2,3,b,0 \n", encoding="utf-8")
+    schema = schema_for(None)
+    assert outcome(load_csv, p, schema) == outcome(reference_load, p, schema)
+    assert load_csv(p, schema).target.tolist() == [1, 0]
+
+
+def test_load_csv_reports_the_first_faulty_line_across_chunks(tmp_path):
+    p = tmp_path / "d.csv"
+    lines = ["g,x,o,c,y"] + [f"F,{i},1,a,0" for i in range(10)]
+    lines[5] = "M,1,1,a, ? "        # missing marker once stripped: dropped
+    lines[7] = "M,1,inf,a,0"        # non-finite on line 8
+    lines[9] = "M,1,1,a,2"          # bad target on line 10
+    lines.append("M,1,1")           # short row on line 12
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for chunk in (1, 3, 8, 4096):
+        with mock.patch.object(dataset, "CHUNK_ROWS", chunk):
+            with pytest.raises(ParseError, match=r"d\.csv:8: column 'o': not a finite number"):
+                load_csv(p, schema_for(None))
+
+
+def test_header_only_file_gives_an_empty_table(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("g,x,o,c,y\n\n", encoding="utf-8")
+    t = load_csv(p, schema_for(None))
+    assert t.rows == 0 and t.levels("c") == [] and t.column("c").tolist() == []
+
+
+# ---------------------------------------------------------------------------
+# Table codes and levels
+# ---------------------------------------------------------------------------
+
+def _table(groups, cats, levels=None):
+    n = len(groups)
+    return Table(ROW_SCHEMA, {"group": groups, "xp": np.arange(n, dtype=float),
+                              "xe": np.ones(n), "cat": cats, "y": np.zeros(n, int)},
+                 levels=levels)
+
+
+def test_categoricals_are_stored_as_codes_and_decoded_on_demand():
+    t = _table(np.array(["M", "F", "M"], dtype=object), ["b", "a", "b"])
+    assert t.levels("group") == ["F", "M"]
+    assert t.codes("group").dtype == np.int32
+    assert t.codes("group").tolist() == [1, 0, 1]
+    assert t.column("cat").tolist() == ["b", "a", "b"]
+    assert t.mask("cat", "b").tolist() == [True, False, True]
+    assert not t.mask("cat", "absent").any()
+    assert t.mask("xp", 1.0).tolist() == [False, True, False]
+
+
+def test_coded_columns_are_sorted_and_compacted():
+    t = _table(np.array([0, 2, 0]), ["a", "a", "a"], levels={"group": ["M", "unused", "F"]})
+    assert t.levels("group") == ["F", "M"]
+    assert t.column("group").tolist() == ["M", "F", "M"]
+
+
+def test_take_compacts_levels_to_the_rows_kept():
+    t = _table(np.array(["F", "M", "M", "F"], dtype=object), ["a", "b", "c", "b"])
+    picked = t.take(np.array([True, True, False, True]))
+    assert picked.levels("cat") == ["a", "b"]
+    assert picked.column("cat").tolist() == ["a", "b", "b"]
+    assert picked.codes("cat").tolist() == [0, 1, 1]
+    assert picked.take(np.array([1, 2])).levels("cat") == ["b"]
+
+
+# ---------------------------------------------------------------------------
+# Split and privilege cutoff against references
+# ---------------------------------------------------------------------------
+
+def reference_split(table, test_fraction, seed):
+    """Strata keyed by the "group|target" string, visited in string order."""
+    prot = table.schema.protected
+    keys = np.asarray([f"{g}|{t}" for g, t in zip(table.column(prot.name), table.target)],
+                      dtype=object)
+    rng = np.random.default_rng(seed)
+    test = np.zeros(table.rows, dtype=bool)
+    for key in sorted(set(keys)):
+        idx = np.flatnonzero(keys == key)
+        rng.shuffle(idx)
+        test[idx[:int(round(len(idx) * test_fraction))]] = True
+    return ~test, test
+
+
+def test_stratified_split_matches_string_key_reference():
+    # "A B|0" < "A|0" < "A|0|1" < "A|1" as strings, unlike (group, target) order
+    rng = np.random.default_rng(5)
+    groups = rng.choice(["A", "A B", "A|0", "B"], size=200).astype(object)
+    y = rng.integers(0, 2, size=200)
+    t = Table(ROW_SCHEMA, {"group": groups, "xp": np.zeros(200), "xe": np.zeros(200),
+                           "cat": ["a"] * 200, "y": y})
+    for seed in range(5):
+        for got, want in zip(stratified_split(t, 0.3, seed), reference_split(t, 0.3, seed)):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_privilege_threshold_matches_brute_force_under_heavy_ties():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        xp = rng.choice([0.0, 0.0, 0.0, 1.0, 2.5, 7.0], size=n)[:n]
+        xp = np.where(rng.random(n) < 0.2, rng.integers(0, 4, n).astype(float), xp)
+        t = Table(ROW_SCHEMA, {"group": ["F", "M"] * (n // 2) + ["F"] * (n % 2),
+                               "xp": xp, "xe": np.zeros(n), "cat": ["a"] * n,
+                               "y": np.zeros(n, int)})
+        p = float(rng.choice([1, 5, 10, 25, 33.3, 50, 75, 99]))
+        want = brute_privilege_cutoff(xp.tolist(), p)
+        try:
+            th = privilege_threshold(t, p)
+        except DegenerateThresholdError:
+            assert want is None
+            continue
+        assert (th.privilege_cutoff, th.realized_fraction) == want
+
+
+# ---------------------------------------------------------------------------
+# Runtime dependencies
+# ---------------------------------------------------------------------------
+
+def test_cli_audit_imports_only_numpy_among_heavy_modules(tmp_path):
+    script = textwrap.dedent("""
+        import sys
+        from fairsep.bundled import toy8_paths
+        from fairsep.cli import main
+        data, schema = toy8_paths()
+        rc = main(["audit", "--data", str(data), "--schema", str(schema), "--notion", "SEP",
+                   "--p", "25", "--predictions", "ground_truth", "--out", sys.argv[1]])
+        heavy = sorted(m for m in sys.modules
+                       if m.split(".")[0] in ("scipy", "pandas", "pyarrow"))
+        print(rc, heavy)
+    """)
+    src = str(Path(fairsep.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rc, heavy = done.stdout.strip().splitlines()[-1].split(" ", 1)
+    assert rc in ("0", "1") and heavy == "[]"

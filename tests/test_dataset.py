@@ -191,6 +191,21 @@ def test_load_csv_non_numeric_error(tmp_path):
         load_csv(p, ROW_SCHEMA)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", " NaN ", "1e999"])
+def test_load_csv_rejects_non_finite_numbers(tmp_path, bad):
+    p = tmp_path / "d.csv"
+    p.write_text(f"group,xp,xe,cat,y\nF,1,10,A,0\nM,2,{bad},B,1\nF,3,{bad},A,0\n")
+    with pytest.raises(ParseError, match=rf"d\.csv:3: column 'xe': not a finite number: '{bad.strip()}'"):
+        load_csv(p, ROW_SCHEMA)
+
+
+def test_load_csv_ignores_non_finite_numbers_in_dropped_rows(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("group,xp,xe,cat,y\nF,1,10,A,0\nM,nan,20,?,1\nM,4,40,B,1\n")
+    t = load_csv(p, ROW_SCHEMA)
+    assert t.rows == 2 and t.dropped_rows == 1
+
+
 def test_load_csv_header_must_cover_schema(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("group,xp,cat,y\nF,1,A,0\n")

@@ -101,6 +101,13 @@ def test_fit_base_rejects_non_finite_features():
         fit_base(X, np.array([0, 1]))
 
 
+def test_fit_base_rejects_non_finite_costs():
+    X = np.array([[0.0], [1.0], [2.0]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="costs must be finite"):
+            fit_base(X, np.array([0, 1, 1]), np.array([0.1, bad, -0.1]))
+
+
 def test_learner_hp_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown learner option"):
         LearnerHP.from_dict({"epochs": 10, "momentum": 0.9})
