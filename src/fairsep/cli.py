@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import shlex
@@ -26,7 +27,8 @@ from . import charts
 from .dataset import (Schema, Table, effort_threshold, encode_features,
                       load_csv, stratified_split)
 from .errors import ConfigError, FairsepError, SchemaError
-from .groupstats import Predicate, mask as subgroup_mask, positive_scores, stats
+# subgroup_mask has no caller here; perfbench/spans.py traces this module's name for it
+from .groupstats import Predicate, mask as subgroup_mask, positive_scores, stats  # noqa: F401
 from .learner import ExpGradHP, exponentiated_gradient, load_model, save_model
 from .notions import SEP_FAMILY, NotionConfig, violation
 from .privilege import extract_privilege_attribute, select_p
@@ -178,9 +180,7 @@ def _command_string(args) -> str:
 
 def _stats_row(scope, category, group, table, predictions, pred, cutoff, mode):
     frame = stats(table, predictions, pred, cutoff=cutoff, mode=mode)
-    rows_in = np.ones(table.rows, dtype=bool) if pred is None else subgroup_mask(table, pred)
-    positives = int((table.target[rows_in] == 1).sum())
-    return [scope, category, group, frame.n, positives, frame.tp, frame.fp,
+    return [scope, category, group, frame.n, frame.positives, frame.tp, frame.fp,
             frame.tn, frame.fn, frame.ppr, frame.tpr, frame.fpr]
 
 
@@ -200,16 +200,11 @@ def _stats_rows(table: Table, predictions, ncfg: NotionConfig,
                                     (ncfg.protected, "==", g))
                 rows.append(_stats_row("category_group", a, g, table,
                                        predictions, pred, cutoff, mode))
-    names = table.levels(ncfg.protected)
-    for g1 in names:
-        for g2 in names:
-            if g1 == g2:
-                continue
-            ratio = None
-            if group_ppr[g1] is not None and group_ppr[g2]:
-                ratio = group_ppr[g1] / group_ppr[g2]
-            rows.append(["ratio", "", f"{g1}/{g2}", None, None, None, None,
-                         None, None, ratio, None, None])
+    for g1, g2 in itertools.permutations(table.levels(ncfg.protected), 2):
+        ppr1, ppr2 = group_ppr[g1], group_ppr[g2]
+        ratio = ppr1 / ppr2 if ppr1 is not None and ppr2 else None
+        rows.append(["ratio", "", f"{g1}/{g2}", None, None, None, None,
+                     None, None, ratio, None, None])
     return rows
 
 

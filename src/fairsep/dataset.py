@@ -15,11 +15,14 @@ column; they mark the columns the socio-economic notions read.
 from __future__ import annotations
 
 import csv
+import gc
 import itertools
 import json
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +35,7 @@ KINDS = ("protected", "categorical", "ordinal", "numerical", "target")
 TAGS = ("privilege", "effort")
 NUMERIC_KINDS = ("ordinal", "numerical")
 CODED_KINDS = ("protected", "categorical")
-CHUNK_ROWS = 4096
+CHUNK_ROWS = 1024
 
 # Effort scopes, ordered from coarse to fine; a cell with fewer than
 # MIN_CELL_ROWS rows inherits the mean of its parent scope.
@@ -208,9 +211,10 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
     whitespace before use.  Target values are binarized: raw values equal to
     ``positive_label`` map to 1, everything else to 0; without a
     ``positive_label`` the raw values must already be 0/1.  Numeric values
-    must be finite.  Rows are read ``CHUNK_ROWS`` at a time, each column's
-    distinct raw strings in a chunk are parsed once, and the first faulty
-    kept row raises ``ParseError``.
+    must be finite.  Rows are read ``CHUNK_ROWS`` at a time and each field is
+    coded by its raw string; each column's distinct raw strings are parsed
+    once per file.  The first faulty kept row or short/long row raises
+    ``ParseError`` naming the physical line the row starts on.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -223,46 +227,50 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
         missing = [c.name for c in schema.columns if c.name not in header]
         if missing:
             raise SchemaError(f"{path}: schema columns absent from header: {missing}")
-        col_idx = {c.name: header.index(c.name) for c in schema.columns}
+        getters = [itemgetter(header.index(c.name)) for c in schema.columns]
+        distinct = [defaultdict(itertools.count().__next__) for _ in schema.columns]
+        parts = [[np.zeros(0, np.int32)] for _ in schema.columns]
+        faults, read, collecting = [], 0, gc.isenabled()
+        gc.disable()  # the loop's many acyclic row lists would only trigger collector passes
+        try:
+            while not faults and (chunk := list(itertools.islice(reader, CHUNK_ROWS))):
+                rows = list(filter(None, chunk))
+                if any(map(len(header).__ne__, map(len, rows))):
+                    short = next(i for i, r in enumerate(rows) if len(r) != len(header))
+                    faults.append((read + short,
+                                   f"expected {len(header)} fields, got {len(rows[short])}"))
+                    rows = rows[:short]
+                for get, codes, arrs in zip(getters, distinct, parts):
+                    arrs.append(np.fromiter(map(codes.__getitem__, map(get, rows)),
+                                            np.int32, len(rows)))
+                read += len(rows)
+        finally:
+            if collecting:
+                gc.enable()
 
-        levels: dict[str, dict] = {c.name: {} for c in schema.columns if c.kind in CODED_KINDS}
-        parts: dict[str, list] = {c.name: [np.zeros(0, np.int32)] for c in schema.columns}
-        dropped, lineno = 0, 1
-        while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
-            first, lineno = lineno + 1, lineno + len(chunk)
-            rows = [r for r in chunk if r]
-            if not rows:
-                continue
-            faults, good = [], rows
-            if set(map(len, rows)) - {len(header)}:
-                short = next(i for i, r in enumerate(rows) if len(r) != len(header))
-                faults.append((short, f"expected {len(header)} fields, got {len(rows[short])}"))
-                good = rows[:short]
-            fields = list(zip(*good)) or [()] * len(header)
-            drop = np.zeros(len(good), dtype=bool)
-            parsed = []
-            for spec in schema.columns:
-                vals = fields[col_idx[spec.name]]
-                distinct = {v: i for i, v in enumerate(dict.fromkeys(vals))}
-                codes = np.fromiter(map(distinct.__getitem__, vals), np.int32, len(vals))
-                stripped = [v.strip() for v in distinct]
-                drop |= np.array([v == schema.missing_marker for v in stripped], dtype=bool)[codes]
-                parsed.append((codes, [_parse_field(spec, v, levels.get(spec.name))
-                                       for v in stripped]))
-            for spec, (codes, values) in zip(schema.columns, parsed):
-                bad = np.array([e is not None for _, e in values], bool)[codes] & ~drop
-                bad = np.flatnonzero(bad)
-                faults += [(bad[0], values[codes[bad[0]]][1])] if bad.size else []
-                parts[spec.name].append(np.array([v for v, _ in values])[codes][~drop])
-            if faults:
-                row, message = min(faults, key=lambda f: f[0])
-                line = [first + i for i, r in enumerate(chunk) if r][row]
-                raise ParseError(f"{path}:{line}: {message}")
-            dropped += int(np.count_nonzero(drop))
-
+    levels: dict[str, dict] = {c.name: {} for c in schema.columns if c.kind in CODED_KINDS}
+    raw = [np.concatenate(arrs) for arrs in parts]
+    stripped = [[v.strip() for v in codes] for codes in distinct]
+    drop = np.zeros(read, dtype=bool)
+    for codes, values in zip(raw, stripped):
+        drop |= np.array([v == schema.missing_marker for v in values], dtype=bool)[codes]
+    cols = {}
+    for spec, codes, values in zip(schema.columns, raw, stripped):
+        parsed = [_parse_field(spec, v, levels.get(spec.name)) for v in values]
+        bad = np.flatnonzero(np.array([e is not None for _, e in parsed], bool)[codes] & ~drop)
+        faults += [(bad[0], parsed[codes[bad[0]]][1])] if bad.size else []
+        dtype = float if spec.kind in NUMERIC_KINDS else int
+        cols[spec.name] = np.array([v for v, _ in parsed], dtype)[codes][~drop]
+    if faults:
+        row, message = min(faults, key=lambda f: f[0])
+        with open(path, "r", encoding="utf-8", newline="") as fh:  # re-read for its line
+            reader = csv.reader(fh, delimiter=schema.delimiter)
+            ends = [(reader.line_num, bool(record)) for record in reader]
+        starts = [end + 1 for (end, _), (_, kept) in zip(ends, ends[1:]) if kept]
+        raise ParseError(f"{path}:{starts[row]}: {message}")
+    dropped = int(np.count_nonzero(drop))
     if dropped:
         log.info("%s: dropped %d rows containing missing marker %r", path, dropped, schema.missing_marker)
-    cols = {name: np.concatenate(arrs) for name, arrs in parts.items()}
     return Table(schema, cols, dropped_rows=dropped,
                  levels={name: list(ids) for name, ids in levels.items()})
 

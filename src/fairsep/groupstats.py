@@ -76,7 +76,8 @@ class SubgroupFrame:
     """Confusion counts and rates over a row subset.
 
     Rates with an empty denominator are None and listed in ``undefined``; in
-    expected mode the counts are fractional (sums of scores).
+    expected mode the counts are fractional (sums of scores).  ``positives``,
+    the number of rows with target 1, is not part of ``to_dict``.
     """
 
     n: int
@@ -88,6 +89,7 @@ class SubgroupFrame:
     tpr: float | None
     fpr: float | None
     undefined: tuple[str, ...] = ()
+    positives: int = 0
 
     @property
     def empty(self) -> bool:
@@ -147,14 +149,8 @@ def stats(table: Table, predictions: np.ndarray, pred: Predicate | None = None,
     fn = float(np.sum(1.0 - hm[pos]))
     fp = float(np.sum(hm[~pos]))
     tn = float(np.sum(1.0 - hm[~pos]))
-    undefined = []
-    ppr = (tp + fp) / n
-    if pos.any():
-        tpr = tp / (tp + fn)
-    else:
-        tpr, undefined = None, undefined + ["tpr"]
-    if (~pos).any():
-        fpr = fp / (fp + tn)
-    else:
-        fpr, undefined = None, undefined + ["fpr"]
-    return SubgroupFrame(n, tp, fp, tn, fn, ppr, tpr, fpr, tuple(undefined))
+    tpr = tp / (tp + fn) if pos.any() else None
+    fpr = fp / (fp + tn) if (~pos).any() else None
+    undefined = tuple(name for name, rate in (("tpr", tpr), ("fpr", fpr)) if rate is None)
+    return SubgroupFrame(n, tp, fp, tn, fn, (tp + fp) / n, tpr, fpr, undefined,
+                         positives=int(np.count_nonzero(pos)))

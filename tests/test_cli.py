@@ -164,6 +164,27 @@ def test_audit_writes_expected_artifacts(tmp_path):
     assert len(bins) > 1
 
 
+def test_stats_rows_build_each_subgroup_mask_once(tmp_path, monkeypatch):
+    import fairsep.cli as cli
+    import fairsep.groupstats as groupstats
+
+    calls, real = [], groupstats.mask
+
+    def counted(table, pred):
+        calls.append(pred)
+        return real(table, pred)
+
+    monkeypatch.setattr(groupstats, "mask", counted)
+    monkeypatch.setattr(cli, "subgroup_mask", counted)
+    preds = write_predictions(tmp_path / "preds.csv", HPRED)
+    out = tmp_path / "run"
+    assert main(audit_argv(out, preds, "--notion", "CDP", "--conditional", "occ")) in (0, 1)
+    with (out / "stats.csv").open(encoding="utf-8", newline="") as fh:
+        subgroups = [r for r in csv.DictReader(fh) if r["scope"] in ("group", "category_group")]
+    assert len(subgroups) == len(calls) == len(set(calls)) > 2
+    assert [r["positives"] for r in subgroups[:2]] == ["1", "1"]
+
+
 def test_audit_manifest_hashes_match_files(tmp_path):
     preds = write_predictions(tmp_path / "preds.csv", HPRED)
     out = tmp_path / "run"

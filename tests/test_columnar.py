@@ -1,15 +1,17 @@
 """Columnar ingest and integer-coded categoricals against row-by-row references.
 
-``load_csv`` reads the file in chunks and parses each distinct raw string once;
-``reference_load`` below reads it one row and one field at a time, the way the
-loader's contract is written.  Both must give the same table, or the same
-error, on every input.  The split and the privilege cutoff are checked the
-same way against string-keyed and brute-force references.
+``load_csv`` reads the file in chunks and parses each distinct raw string once
+per file; ``reference_load`` below reads it one row and one field at a time, the
+way the loader's contract is written, and names each error by the physical line
+its row starts on.  Both must give the same table, or the same error, on every
+input.  The split and the privilege cutoff are checked the same way against
+string-keyed and brute-force references.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import os
 import random
@@ -50,8 +52,9 @@ def reference_load(path, schema: Schema) -> Table:
             raise ParseError(f"{path}: empty file, header required")
         idx = {c.name: header.index(c.name) for c in schema.columns}
         raw: dict[str, list] = {c.name: [] for c in schema.columns}
-        dropped = 0
-        for lineno, row in enumerate(reader, start=2):
+        dropped, before = 0, reader.line_num
+        for row in reader:
+            lineno, before = before + 1, reader.line_num
             if not row:
                 continue
             if len(row) != len(header):
@@ -111,8 +114,8 @@ POOLS = {
     "g": ["F", " M ", "A B", "A|B", "x,y", "?"],
     "x": ["0", " 1.5 ", "10000", "-3", "1e3", "0", "0", " ? ", "nan", "inf", "abc"],
     "o": ["40", "20 ", " 60", "40", "?", "-inf"],
-    "c": ["a", " a", "b", "c d", "q,r", "ghost", "? "],
-    "junk": ["zzz", "", " 1 ", "?"],
+    "c": ["a", " a", "b", "c d", "q,r", "ghost", "? ", "a\nb"],
+    "junk": ["zzz", "", " 1 ", "?", "a\nb"],
 }
 RARE = {"nan", "inf", "-inf", "abc", "2"}  # each file draws how often these occur
 
@@ -221,6 +224,68 @@ def test_load_csv_reports_the_first_faulty_line_across_chunks(tmp_path):
         with mock.patch.object(dataset, "CHUNK_ROWS", chunk):
             with pytest.raises(ParseError, match=r"d\.csv:8: column 'o': not a finite number"):
                 load_csv(p, schema_for(None))
+
+
+def test_load_csv_reports_physical_lines_after_multi_line_fields(tmp_path):
+    p = tmp_path / "d.csv"
+    head = 'g,x,o,c,y\nF,1,2,"a\nb",0\n\nM,2,3,b,1\n'   # record 1 spans lines 2-3
+    for body, want in (("M,x,3,b,1\n", r"d\.csv:6: column 'x': not a number: 'x'"),
+                       ('F,"1\n2",3,b,1\n', r"d\.csv:6: column 'x': not a number: '1\\n2'"),
+                       ("M,2,3\n", r"d\.csv:6: expected 5 fields, got 3"),
+                       ('M,2,3,"c\n\nd",1\nF,2,?,b\n', r"d\.csv:9: expected 5 fields, got 4")):
+        p.write_text(head + body, encoding="utf-8")
+        for chunk in (1, 2, 1024):
+            with mock.patch.object(dataset, "CHUNK_ROWS", chunk):
+                with pytest.raises(ParseError, match=want):
+                    load_csv(p, schema_for(None))
+                assert outcome(load_csv, p, schema_for(None)) == outcome(reference_load, p,
+                                                                        schema_for(None))
+
+
+def test_load_csv_parses_each_distinct_raw_string_once_per_file(tmp_path):
+    p = tmp_path / "d.csv"
+    rng = random.Random(3)
+    pools = [["F", " M ", "M", "A B"], ["0", " 1.5 ", "1.5", "1e3"], ["40", "20 ", " 60"],
+             ["a", " a", "b", "a\nb", "q,r"], ["0", "1", " 1 "]]
+    rows = [[rng.choice(pool) for pool in pools] for _ in range(200)]
+    with open(p, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([list("gxocy")] + rows)
+    distinct = {name: len({r[j] for r in rows}) for j, name in enumerate("gxocy")}
+    assert max(distinct.values()) < len(rows) / 4
+    schema = schema_for(None)
+    for chunk in (1, 3, 1024):
+        calls = []
+
+        def counted(spec, value, levels, parse=dataset._parse_field):
+            calls.append(spec.name)
+            return parse(spec, value, levels)
+
+        with mock.patch.object(dataset, "CHUNK_ROWS", chunk), \
+                mock.patch.object(dataset, "_parse_field", counted):
+            assert load_csv(p, schema).rows == len(rows)
+        assert {name: calls.count(name) for name in distinct} == distinct
+
+
+def test_load_csv_leaves_the_collector_as_it_found_it(tmp_path):
+    good, bad, huge = tmp_path / "good.csv", tmp_path / "bad.csv", tmp_path / "huge.csv"
+    good.write_text("g,x,o,c,y\nF,1,2,a,0\nM,2,3,b,1\n", encoding="utf-8")
+    bad.write_text("g,x,o,c,y\nF,1,2,a,0\nM,x,3,b,1\n", encoding="utf-8")
+    huge.write_text("g,x,o,c,y\nF,1,2," + "a" * (csv.field_size_limit() + 1) + ",0\n",
+                    encoding="utf-8")
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            assert load_csv(good, schema_for(None)).rows == 2
+            assert gc.isenabled() is enabled
+            with pytest.raises(ParseError):
+                load_csv(bad, schema_for(None))
+            assert gc.isenabled() is enabled
+            with pytest.raises((csv.Error, FairsepError)):  # raised inside the read loop
+                load_csv(huge, schema_for(None))
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_header_only_file_gives_an_empty_table(tmp_path):

@@ -185,6 +185,14 @@ def test_stats_to_dict_round_trip_fields(toy8):
     assert d["n"] == 8 and d["ppr"] == 0.5
 
 
+def test_stats_counts_positives_outside_to_dict(toy8):
+    frames = [stats(toy8, HPRED), stats(toy8, HPRED, Predicate.of(("sex", "==", "F"))),
+              stats(toy8, HPRED, Predicate.of(("cap", ">=", 99999.0))),
+              stats(toy8, np.ones(8) * 0.3, Predicate.of(("y", "==", 1)), mode="expected")]
+    assert [f.positives for f in frames] == [2, 1, 0, 2]
+    assert "positives" not in frames[0].to_dict()
+
+
 def test_integer_labels_pass_through_hard_mode(toy8):
     out = positive_scores(np.array([1, 0, 1, 0, 0, 1, 0, 1]), toy8)
     np.testing.assert_array_equal(out, HPRED)
