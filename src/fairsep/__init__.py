@@ -16,8 +16,7 @@ from .dataset import (ColumnSpec, FeatureEncoder, Schema, Table, Thresholds,
 from .errors import (AlignmentError, ConfigError, DegenerateThresholdError,
                      EncodingError, ExtractionError, FairsepError, ParseError,
                      PredicateError, SchemaError)
-from .groupstats import (Clause, Predicate, SubgroupFrame, as_scores, mask,
-                         positive_scores, stats)
+from .groupstats import SubgroupFrame, as_scores, mask, positive_scores, stats
 from .learner import (BaseLearner, ExpGradHP, LearnerHP, MomentConstraint,
                       ReducedModel, compile_constraints,
                       exponentiated_gradient, fit_base, load_model, save_model)
@@ -30,11 +29,11 @@ from .privilege import (ImportanceTable, PSweepResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentError", "BaseLearner", "Clause", "ColumnSpec", "ConfigError",
+    "AlignmentError", "BaseLearner", "ColumnSpec", "ConfigError",
     "DegenerateThresholdError", "EffortWeighting", "EncodingError",
     "ExpGradHP", "ExtractionError", "FairsepError", "FeatureEncoder",
     "GroupTerms", "ImportanceTable", "LearnerHP", "MomentConstraint",
-    "NotionConfig", "PSweepResult", "ParseError", "Predicate",
+    "NotionConfig", "PSweepResult", "ParseError",
     "PredicateError", "ReducedModel", "Schema", "SchemaError",
     "SubgroupFrame", "Table", "Thresholds", "ViolationReport",
     "adult_schema_path", "as_scores", "compile_constraints",

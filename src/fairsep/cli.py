@@ -26,9 +26,8 @@ import numpy as np
 from . import charts
 from .dataset import (Schema, Table, effort_threshold, encode_features,
                       load_csv, stratified_split)
-from .errors import ConfigError, FairsepError, SchemaError
-# subgroup_mask has no caller here; perfbench/spans.py traces this module's name for it
-from .groupstats import Predicate, mask as subgroup_mask, positive_scores, stats  # noqa: F401
+from .errors import ConfigError, FairsepError, ParseError, SchemaError
+from .groupstats import mask as subgroup_mask, positive_scores, stats
 from .learner import ExpGradHP, exponentiated_gradient, load_model, save_model
 from .notions import SEP_FAMILY, NotionConfig, violation
 from .privilege import extract_privilege_attribute, select_p
@@ -104,7 +103,7 @@ def _merged_config(args) -> dict:
             raise ConfigError(f"{args.config}: config must be a JSON object")
     for key in ("data", "schema", "out", "seed", "mode", "cutoff",
                 "predictions", "model", "group", "repeats", "ratio_rule",
-                "test_fraction", "column", "advantaged"):
+                "test_fraction", "column", "advantaged", "grid"):
         v = getattr(args, key.replace("-", "_"), None)
         if v is not None:
             cfg[key] = v
@@ -117,18 +116,37 @@ def _merged_config(args) -> dict:
         notion["epsilon"] = args.epsilon
     if getattr(args, "conditional", None):
         notion["conditional"] = args.conditional
-    if getattr(args, "grid", None):
-        cfg["grid"] = _parse_grid(args.grid)
     return cfg
 
 
-def _parse_grid(text) -> list[float]:
-    if isinstance(text, list):
-        return [float(v) for v in text]
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return [float(p) for p in range(int(lo), int(hi) + 1)]
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_grid(text) -> list[float] | None:
+    """A p grid from a list, a comma list '1,2,5' or an integer range '1:20'."""
+    try:
+        if text is None or isinstance(text, list):
+            return text and [float(v) for v in text]
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return [float(p) for p in range(int(lo), int(hi) + 1)]
+        return [float(v) for v in text.split(",") if v.strip()]
+    except (TypeError, ValueError):
+        raise ConfigError(f"p grid must be numbers, as '1,2,5' or '1:20', got {text!r}") from None
+
+
+def _run_options(cfg: dict) -> tuple[str, float, float]:
+    """The decision mode, the hard-decision cutoff and the held-out fraction, checked."""
+    mode = cfg.get("mode", "hard")
+    if mode not in ("hard", "expected"):
+        raise ConfigError(f"mode must be 'hard' or 'expected', got {mode!r}")
+    try:
+        cutoff = float(cfg.get("cutoff", 0.5))
+        test_fraction = float(cfg.get("test_fraction",
+                                      (cfg.get("train") or {}).get("test_fraction", 0.3)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cutoff and test_fraction must be numbers: {exc}") from None
+    for key, value in (("cutoff", cutoff), ("test_fraction", test_fraction)):
+        if not 0 < value < 1:
+            raise ConfigError(f"{key} must lie in (0, 1), got {value}")
+    return mode, cutoff, test_fraction
 
 
 def _load_table(cfg: dict) -> Table:
@@ -153,11 +171,14 @@ def _resolve_predictions(cfg: dict, table: Table) -> tuple[np.ndarray, str]:
     if spec:
         values = []
         with open(spec, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line == "prediction":
                     continue
-                values.append(float(line))
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise ParseError(f"{spec}:{number}: not a number: {line!r}") from None
         return np.asarray(values, dtype=np.float64), f"file:{spec}"
     if cfg.get("model"):
         model = load_model(cfg["model"])
@@ -178,28 +199,28 @@ def _command_string(args) -> str:
 # stats tables
 # ---------------------------------------------------------------------------
 
-def _stats_row(scope, category, group, table, predictions, pred, cutoff, mode):
-    frame = stats(table, predictions, pred, cutoff=cutoff, mode=mode)
+def _stats_row(scope, category, group, table, predictions, selection, cutoff, mode):
+    rows = subgroup_mask(table, selection) if selection else None
+    frame = stats(table, predictions, rows, cutoff=cutoff, mode=mode)
     return [scope, category, group, frame.n, frame.positives, frame.tp, frame.fp,
             frame.tn, frame.fn, frame.ppr, frame.tpr, frame.fpr]
 
 
 def _stats_rows(table: Table, predictions, ncfg: NotionConfig,
                 cutoff: float, mode: str) -> list[list]:
-    rows = [_stats_row("overall", "", "", table, predictions, None, cutoff, mode)]
+    rows = [_stats_row("overall", "", "", table, predictions, (), cutoff, mode)]
     group_ppr: dict[str, float | None] = {}
     for g in table.levels(ncfg.protected):
-        pred = Predicate.of((ncfg.protected, "==", g))
-        row = _stats_row("group", "", g, table, predictions, pred, cutoff, mode)
+        row = _stats_row("group", "", g, table, predictions,
+                         ((ncfg.protected, g),), cutoff, mode)
         rows.append(row)
         group_ppr[g] = row[9]
     if ncfg.conditional:
         for a in table.levels(ncfg.conditional):
             for g in table.levels(ncfg.protected):
-                pred = Predicate.of((ncfg.conditional, "==", a),
-                                    (ncfg.protected, "==", g))
-                rows.append(_stats_row("category_group", a, g, table,
-                                       predictions, pred, cutoff, mode))
+                rows.append(_stats_row("category_group", a, g, table, predictions,
+                                       ((ncfg.conditional, a), (ncfg.protected, g)),
+                                       cutoff, mode))
     for g1, g2 in itertools.permutations(table.levels(ncfg.protected), 2):
         ppr1, ppr2 = group_ppr[g1], group_ppr[g2]
         ratio = ppr1 / ppr2 if ppr1 is not None and ppr2 else None
@@ -283,10 +304,9 @@ def _write_stats(out_dir: Path, table: Table, predictions, ncfg: NotionConfig,
 
 def cmd_audit(args) -> int:
     cfg = _merged_config(args)
+    mode, cutoff, _ = _run_options(cfg)
     table = _load_table(cfg)
     ncfg = _notion_config(cfg, table)
-    mode = cfg.get("mode", "hard")
-    cutoff = float(cfg.get("cutoff", 0.5))
     predictions, source = _resolve_predictions(cfg, table)
     report = violation(table, predictions, ncfg, mode=mode, cutoff=cutoff)
 
@@ -307,14 +327,12 @@ def cmd_audit(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
+    mode, cutoff, test_fraction = _run_options(cfg)
     table = _load_table(cfg)
     ncfg = _notion_config(cfg, table)
-    mode = cfg.get("mode", "hard")
-    cutoff = float(cfg.get("cutoff", 0.5))
     seed = int(cfg.get("seed", 42))
     train_opts = dict(cfg.get("train", {}))
-    test_fraction = float(cfg.get("test_fraction",
-                                  train_opts.pop("test_fraction", 0.3)))
+    train_opts.pop("test_fraction", None)
     include_protected = bool(train_opts.pop("include_protected", False))
     train_opts.setdefault("base", dict(cfg.get("learner", {})))
     hp = ExpGradHP.from_dict(train_opts)
@@ -393,7 +411,7 @@ def cmd_sweep_p(args) -> int:
     result = select_p(
         table,
         column=cfg.get("column"),
-        grid=cfg.get("grid"),
+        grid=_parse_grid(cfg.get("grid")),
         ratio_rule=float(cfg.get("ratio_rule", 0.8)),
         advantaged=cfg.get("advantaged"),
     )

@@ -172,21 +172,24 @@ class Table:
         return self._columns[self.schema.target.name]
 
     def levels(self, name: str) -> list:
-        """Sorted distinct values of a column (stored for categorical ones)."""
-        return list(self._levels[name]) if name in self._levels else sorted(set(self.column(name)))
+        """Sorted distinct values of a protected or categorical column."""
+        return list(self._coded(name))
 
     def codes(self, name: str) -> np.ndarray:
         """Each row's index into ``levels(name)``."""
-        if name in self._levels:
-            return self._columns[name]
-        return np.unique(self.column(name), return_inverse=True)[1]
+        self._coded(name)
+        return self._columns[name]
 
     def mask(self, name: str, value) -> np.ndarray:
-        """Rows whose ``name`` column holds ``value``."""
-        levels = self._levels.get(name)
-        if levels is None:
-            return self.column(name) == value
+        """Rows whose protected or categorical ``name`` column holds ``value``."""
+        levels = self._coded(name)
         return self._columns[name] == (levels.index(value) if value in levels else -1)
+
+    def _coded(self, name: str) -> list:
+        if name not in self._levels:
+            raise SchemaError(f"column {name!r} is {self.schema[name].kind}; levels, "
+                              f"codes and masks need a protected or categorical column")
+        return self._levels[name]
 
     def take(self, index: np.ndarray) -> "Table":
         """New Table of the rows a boolean mask or index array selects; categorical
@@ -214,26 +217,28 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
     must be finite.  Rows are read ``CHUNK_ROWS`` at a time and each field is
     coded by its raw string; each column's distinct raw strings are parsed
     once per file.  The first faulty kept row or short/long row raises
-    ``ParseError`` naming the physical line the row starts on.
+    ``ParseError`` naming the physical line the row starts on; a record the
+    ``csv`` module cannot read raises it first, naming the line being read.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, header required")
-        header = [h.strip() for h in header]
-        missing = [c.name for c in schema.columns if c.name not in header]
-        if missing:
-            raise SchemaError(f"{path}: schema columns absent from header: {missing}")
-        getters = [itemgetter(header.index(c.name)) for c in schema.columns]
-        distinct = [defaultdict(itertools.count().__next__) for _ in schema.columns]
-        parts = [[np.zeros(0, np.int32)] for _ in schema.columns]
         faults, read, collecting = [], 0, gc.isenabled()
         gc.disable()  # the loop's many acyclic row lists would only trigger collector passes
         try:
-            while not faults and (chunk := list(itertools.islice(reader, CHUNK_ROWS))):
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file, header required")
+            header = [h.strip() for h in header]
+            missing = [c.name for c in schema.columns if c.name not in header]
+            if missing:
+                raise SchemaError(f"{path}: schema columns absent from header: {missing}")
+            getters = [itemgetter(header.index(c.name)) for c in schema.columns]
+            distinct = [defaultdict(itertools.count().__next__) for _ in schema.columns]
+            parts = [[np.zeros(0, np.int32)] for _ in schema.columns]
+            while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
+                if faults:
+                    continue  # read on, so that a record csv cannot read still raises
                 rows = list(filter(None, chunk))
                 if any(map(len(header).__ne__, map(len, rows))):
                     short = next(i for i, r in enumerate(rows) if len(r) != len(header))
@@ -244,6 +249,8 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
                     arrs.append(np.fromiter(map(codes.__getitem__, map(get, rows)),
                                             np.int32, len(rows)))
                 read += len(rows)
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
         finally:
             if collecting:
                 gc.enable()

@@ -14,7 +14,7 @@ class ParseError(FairsepError):
 
 
 class PredicateError(FairsepError):
-    """Predicate references an unknown column or value."""
+    """A subgroup selection names a level that never occurs in its column."""
 
 
 class AlignmentError(FairsepError):

@@ -1,4 +1,4 @@
-"""Subgroup membership masks and confusion statistics (PPR / TPR / FPR)."""
+"""Subgroup row masks (integer-code matches) and confusion statistics (PPR / TPR / FPR)."""
 
 from __future__ import annotations
 
@@ -6,68 +6,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CODED_KINDS, NUMERIC_KINDS, Table
+from .dataset import Table
 from .errors import AlignmentError, PredicateError
 
-MODES = ("hard", "expected")
 
+def mask(table: Table, selection: tuple = ()) -> np.ndarray:
+    """Rows holding every ``(column, level)`` of the selection; ``()`` is all rows.
 
-@dataclass(frozen=True)
-class Clause:
-    """One atomic condition: equality on a string/target column, or a
-    threshold (``>=`` / ``<``) on a numeric column."""
-
-    column: str
-    op: str  # "==", ">=", "<"
-    value: object
-
-    def evaluate(self, table: Table) -> np.ndarray:
-        spec = table.schema[self.column]  # raises SchemaError on unknown column
-        if self.op == "==" and spec.kind in CODED_KINDS:
-            if str(self.value) not in table.levels(self.column) and table.rows > 0:
-                raise PredicateError(
-                    f"value {self.value!r} never occurs in column {self.column!r}"
-                )
-            return table.mask(self.column, str(self.value))
-        col = table.column(self.column)
-        if self.op == "==":
-            if spec.kind == "target":
-                if self.value not in (0, 1):
-                    raise PredicateError(f"target equality needs 0/1, got {self.value!r}")
-                return col == int(self.value)
-            return col == float(self.value)
-        if self.op in (">=", "<"):
-            if spec.kind not in NUMERIC_KINDS:
-                raise PredicateError(
-                    f"threshold clause needs a numeric column, {self.column!r} is {spec.kind}"
-                )
-            t = float(self.value)
-            return col >= t if self.op == ">=" else col < t
-        raise PredicateError(f"unknown operator {self.op!r}")
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """Conjunction of clauses; the empty predicate is all-true."""
-
-    clauses: tuple[Clause, ...] = ()
-
-    @classmethod
-    def of(cls, *clauses: tuple) -> "Predicate":
-        return cls(tuple(Clause(c, op, v) for c, op, v in clauses))
-
-    def and_(self, column: str, op: str, value) -> "Predicate":
-        return Predicate(self.clauses + (Clause(column, op, value),))
-
-
-def mask(table: Table, pred: Predicate) -> np.ndarray:
-    """Boolean row mask: true where every clause holds."""
+    Columns must be protected or categorical; a level that never occurs in a
+    non-empty table raises ``PredicateError``.
+    """
     out = np.ones(table.rows, dtype=bool)
-    for clause in pred.clauses:
-        try:
-            out &= clause.evaluate(table)
-        except (KeyError, ValueError) as exc:
-            raise PredicateError(str(exc))
+    for column, level in selection:
+        if level not in table.levels(column) and table.rows > 0:
+            raise PredicateError(f"value {level!r} never occurs in column {column!r}")
+        out &= table.mask(column, level)
     return out
 
 
@@ -76,8 +29,8 @@ class SubgroupFrame:
     """Confusion counts and rates over a row subset.
 
     Rates with an empty denominator are None and listed in ``undefined``; in
-    expected mode the counts are fractional (sums of scores).  ``positives``,
-    the number of rows with target 1, is not part of ``to_dict``.
+    expected mode the counts are fractional (sums of scores).  ``positives``
+    is the number of rows with target 1.
     """
 
     n: int
@@ -90,16 +43,6 @@ class SubgroupFrame:
     fpr: float | None
     undefined: tuple[str, ...] = ()
     positives: int = 0
-
-    @property
-    def empty(self) -> bool:
-        return self.n == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "ppr": self.ppr, "tpr": self.tpr, "fpr": self.fpr,
-        }
 
 
 def as_scores(predictions: np.ndarray, table: Table) -> np.ndarray:
@@ -133,11 +76,11 @@ def positive_scores(predictions: np.ndarray, table: Table, mode: str = "hard",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def stats(table: Table, predictions: np.ndarray, pred: Predicate | None = None,
+def stats(table: Table, predictions: np.ndarray, rows: np.ndarray | None = None,
           cutoff: float = 0.5, mode: str = "hard") -> SubgroupFrame:
-    """Confusion statistics of the predictions over the rows matching ``pred``."""
+    """Confusion statistics of the predictions over a boolean row mask (default all)."""
     h = positive_scores(predictions, table, mode, cutoff)
-    m = mask(table, pred) if pred is not None else np.ones(table.rows, dtype=bool)
+    m = np.ones(table.rows, dtype=bool) if rows is None else rows
     y = table.target[m]
     hm = h[m]
     n = int(m.sum())

@@ -98,6 +98,8 @@ class NotionConfig:
             raise ConfigError(f"unknown notion {self.kind!r}")
         if self.epsilon < 0:
             raise ConfigError("epsilon must be >= 0")
+        if not 0 < self.p < 100:
+            raise ConfigError(f"p must lie in (0, 100), got {self.p}")
         if self.kind in ("CDP", "CSEP") and not self.conditional:
             raise ConfigError(f"{self.kind} needs a conditional column")
         if self.kind in SEP_FAMILY and not self.privilege_column:

@@ -211,6 +211,9 @@ def select_p(
         raise ConfigError("p grid is empty")
     if sorted(grid) != grid or len(set(grid)) != len(grid):
         raise ConfigError("p grid must be strictly ascending")
+    outside = [p for p in grid if not 0 < p < 100]
+    if outside:
+        raise ConfigError(f"p grid values must lie in (0, 100), got {outside[0]:g}")
     prot = table.schema.protected
     if prot is None:
         raise SchemaError("p selection needs a protected column")

@@ -14,6 +14,7 @@ import logging
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairsep.bundled import toy8_paths
@@ -183,6 +184,60 @@ def test_stats_rows_build_each_subgroup_mask_once(tmp_path, monkeypatch):
         subgroups = [r for r in csv.DictReader(fh) if r["scope"] in ("group", "category_group")]
     assert len(subgroups) == len(calls) == len(set(calls)) > 2
     assert [r["positives"] for r in subgroups[:2]] == ["1", "1"]
+
+
+def brute_stats_row(rows, decisions):
+    """n, positives, tp, fp, tn, fn, ppr, tpr, fpr of a row subset, counted one by one."""
+    n = len(rows)
+    pos = [d for r, d in zip(rows, decisions) if r["y"] == 1]
+    neg = [d for r, d in zip(rows, decisions) if r["y"] == 0]
+    tp, fp = float(sum(pos)), float(sum(neg))
+    fn, tn = float(sum(1.0 - d for d in pos)), float(sum(1.0 - d for d in neg))
+    return [n, len(pos), tp, fp, tn, fn, (tp + fp) / n if n else None,
+            tp / (tp + fn) if pos else None, fp / (fp + tn) if neg else None]
+
+
+@pytest.mark.parametrize("mode", ["hard", "expected"])
+def test_stats_rows_match_a_brute_force_recount(tmp_path, mode):
+    rng = random.Random(47 if mode == "hard" else 48)
+    for i in range(15):
+        rows = random_rows(rng, mode=mode)
+        table = rows_to_table(rows)
+        root = tmp_path / f"t{i}"
+        root.mkdir()
+        out = root / "run"
+        code = main(["audit", "--data", write_table_csv(root / "t.csv", table),
+                     "--schema", write_schema_json(root / "t.json", table),
+                     "--predictions", write_predictions(root / "p.csv", [r["h"] for r in rows]),
+                     "--notion", "CDP", "--conditional", "cat", "--mode", mode,
+                     "--out", str(out)])
+        assert code in (0, 1)
+        decisions = [(r["h"] >= 0.5) * 1.0 if mode == "hard" else r["h"] for r in rows]
+        want = {("overall", "", ""): brute_stats_row(rows, decisions)}
+        for g in sorted({r["group"] for r in rows}):
+            picked = [j for j, r in enumerate(rows) if r["group"] == g]
+            want[("group", "", g)] = brute_stats_row([rows[j] for j in picked],
+                                                     [decisions[j] for j in picked])
+            for a in sorted({r["cat"] for r in rows}):
+                picked = [j for j, r in enumerate(rows) if r["group"] == g and r["cat"] == a]
+                want[("category_group", a, g)] = brute_stats_row(
+                    [rows[j] for j in picked], [decisions[j] for j in picked])
+        with (out / "stats.csv").open(encoding="utf-8", newline="") as fh:
+            got = {(r["scope"], r["category"], r["group"]):
+                   [int(r["n"]), int(r["positives"])] +
+                   [float(r[k]) if r[k] else None
+                    for k in ("tp", "fp", "tn", "fn", "ppr", "tpr", "fpr")]
+                   for r in csv.DictReader(fh) if r["scope"] != "ratio"}
+        assert set(got) == set(want), i
+        for key, values in want.items():
+            if mode == "hard":
+                assert got[key] == values, (i, key)
+            else:
+                assert got[key][:2] == values[:2], (i, key)
+                assert [v is None for v in got[key]] == [v is None for v in values], (i, key)
+                np.testing.assert_allclose([v for v in got[key][2:] if v is not None],
+                                           [v for v in values[2:] if v is not None],
+                                           rtol=0, atol=1e-12, err_msg=f"{i} {key}")
 
 
 def test_audit_manifest_hashes_match_files(tmp_path):
@@ -362,6 +417,73 @@ def test_non_finite_data_is_runtime_error(tmp_path, capsys, bad):
                  str(tmp_path / "run"), "--predictions", preds, "--notion", "SEP", "--p", "25"])
     assert code == 3
     assert f"toy8.csv:5: column 'hours': not a finite number: '{bad}'" in capsys.readouterr().err
+
+
+def toy8_with_age(tmp_path: Path) -> tuple[str, str]:
+    """toy8 plus an ordinal ``age`` column that carries no tag."""
+    lines = Path(TOY8_DATA).read_text(encoding="utf-8").splitlines()
+    data = tmp_path / "toy8age.csv"
+    data.write_text("\n".join([lines[0] + ",age"] + [f"{line},{30 + i}" for i, line
+                                                      in enumerate(lines[1:])]) + "\n",
+                    encoding="utf-8")
+    doc = json.loads(Path(TOY8_SCHEMA).read_text(encoding="utf-8"))
+    doc["columns"].append({"name": "age", "kind": "ordinal"})
+    schema = tmp_path / "toy8age.json"
+    schema.write_text(json.dumps(doc), encoding="utf-8")
+    return str(data), str(schema)
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--notion", "SEP", "--p", "150"],
+    ["audit", "--notion", "SEP", "--p", "0"],
+    ["audit", "--notion", "DP", "--cutoff", "1.5"],
+    ["train", "--notion", "DP", "--test-fraction", "1.5"],
+    ["sweep-p", "--grid", "0:5"],
+    ["sweep-p", "--grid", "1.5:3"],
+    ["sweep-p", "--grid", "a,b"],
+])
+def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, caplog, argv):
+    preds = ["--predictions", write_predictions(tmp_path / "preds.csv", HPRED)]
+    code = main(argv + ["--data", TOY8_DATA, "--schema", TOY8_SCHEMA,
+                        "--out", str(tmp_path / "run")] + (preds if argv[0] == "audit" else []))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert "unhandled error" not in caplog.text
+
+
+@pytest.mark.parametrize("notion", ["CDP", "CSEP"])
+def test_numeric_conditional_is_usage_error(tmp_path, capsys, caplog, notion):
+    data, schema = toy8_with_age(tmp_path)
+    preds = write_predictions(tmp_path / "preds.csv", HPRED)
+    code = main(["audit", "--data", data, "--schema", schema, "--predictions", preds,
+                 "--notion", notion, "--conditional", "age", "--p", "25",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "'age' is ordinal" in capsys.readouterr().err
+    assert "unhandled error" not in caplog.text
+    assert not (tmp_path / "run" / "stats.csv").exists()
+
+
+def test_non_numeric_prediction_is_a_parse_error(tmp_path, capsys, caplog):
+    path = tmp_path / "preds.csv"
+    path.write_text("prediction\n1.0\n\nabc\n" + "0.0\n" * 6, encoding="utf-8")
+    code = main(audit_argv(tmp_path / "run", str(path), "--notion", "DP"))
+    assert code == 3
+    assert "preds.csv:4: not a number: 'abc'" in capsys.readouterr().err
+    assert "unhandled error" not in caplog.text
+
+
+def test_unreadable_csv_record_is_a_parse_error(tmp_path, capsys, caplog):
+    lines = Path(TOY8_DATA).read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3].replace(",B,", "," + "x" * (csv.field_size_limit() + 1) + ",")
+    data = tmp_path / "toy8.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    preds = write_predictions(tmp_path / "preds.csv", HPRED)
+    code = main(["audit", "--data", str(data), "--schema", TOY8_SCHEMA, "--out",
+                 str(tmp_path / "run"), "--predictions", preds, "--notion", "DP"])
+    assert code == 3
+    assert "toy8.csv:4: field larger than field limit" in capsys.readouterr().err
+    assert "unhandled error" not in caplog.text
 
 
 @pytest.mark.parametrize("notion", [

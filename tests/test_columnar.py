@@ -28,7 +28,7 @@ import pytest
 import fairsep
 import fairsep.dataset as dataset
 from fairsep import (DegenerateThresholdError, FairsepError, ParseError, Schema,
-                     Table, load_csv, privilege_threshold, stratified_split)
+                     SchemaError, Table, load_csv, privilege_threshold, stratified_split)
 from conftest import ROW_SCHEMA
 from oracles import brute_privilege_cutoff
 
@@ -288,6 +288,21 @@ def test_load_csv_leaves_the_collector_as_it_found_it(tmp_path):
         gc.enable() if was else gc.disable()
 
 
+def test_load_csv_reports_unreadable_records_with_their_line(tmp_path):
+    p = tmp_path / "d.csv"
+    huge = "a" * (csv.field_size_limit() + 1)  # 131,073 characters by default
+    cases = ((f"g,x,o,c,y\nF,1,2,a,0\n\nM,2,3,{huge},1\n", 4),
+             (f"g,x,o,{huge},y\n", 1),
+             (f"g,x,o,c,y\nM,2,3\nF,x,2,a,0\nM,2,3,{huge},1\n", 4))  # ahead of other faults
+    for text, line in cases:
+        p.write_text(text, encoding="utf-8")
+        want = rf"d\.csv:{line}: field larger than field limit"
+        for chunk in (1, 2, 1024):
+            with mock.patch.object(dataset, "CHUNK_ROWS", chunk):
+                with pytest.raises(ParseError, match=want):
+                    load_csv(p, schema_for(None))
+
+
 def test_header_only_file_gives_an_empty_table(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("g,x,o,c,y\n\n", encoding="utf-8")
@@ -314,7 +329,10 @@ def test_categoricals_are_stored_as_codes_and_decoded_on_demand():
     assert t.column("cat").tolist() == ["b", "a", "b"]
     assert t.mask("cat", "b").tolist() == [True, False, True]
     assert not t.mask("cat", "absent").any()
-    assert t.mask("xp", 1.0).tolist() == [False, True, False]
+    for name in ("xp", "y"):  # numeric and target columns are not coded
+        for read in (t.levels, t.codes, lambda n: t.mask(n, 1.0)):
+            with pytest.raises(SchemaError, match="protected or categorical"):
+                read(name)
 
 
 def test_coded_columns_are_sorted_and_compacted():

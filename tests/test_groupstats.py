@@ -1,11 +1,10 @@
-"""Subgroup predicates and confusion-rate statistics."""
+"""Subgroup selections and confusion-rate statistics."""
 
 import numpy as np
 import pytest
 
 from fairsep import (
     AlignmentError,
-    Predicate,
     PredicateError,
     SchemaError,
     as_scores,
@@ -19,51 +18,35 @@ HPRED = np.array([1, 0, 1, 0, 0, 1, 0, 1], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
-# Predicates and masks
+# Selections and masks
 # ---------------------------------------------------------------------------
 
 def test_empty_predicate_selects_all_rows(toy8):
-    m = mask(toy8, Predicate())
+    m = mask(toy8, ())
     assert m.all() and len(m) == 8
 
 
-def test_equality_and_threshold_clauses(toy8):
-    assert mask(toy8, Predicate.of(("sex", "==", "F"))).sum() == 4
-    assert mask(toy8, Predicate.of(("cap", "==", 10000))).sum() == 2
-    assert mask(toy8, Predicate.of(("hours", ">=", 40))).sum() == 6
-    assert mask(toy8, Predicate.of(("hours", "<", 40))).sum() == 2
-    assert mask(toy8, Predicate.of(("y", "==", 1))).sum() == 2
+def test_selections_need_coded_columns(toy8):
+    assert mask(toy8, (("sex", "F"),)).sum() == 4
+    assert mask(toy8, (("occ", "A"),)).sum() == 4
+    for column in ("cap", "hours", "y"):
+        with pytest.raises(SchemaError, match="protected or categorical"):
+            mask(toy8, ((column, 1),))
+    with pytest.raises(SchemaError, match="no column"):
+        mask(toy8, (("wage", "x"),))
 
 
 def test_predicate_conjunction_and_chaining(toy8):
-    p = Predicate.of(("sex", "==", "M")).and_("hours", ">=", 40)
-    m = mask(toy8, p)
-    # M rows working 40+ hours: the 10000/60/A, 0/40/A and 0/60/B rows
-    assert m.sum() == 3
+    m = mask(toy8, (("sex", "M"), ("occ", "A")))
+    # M rows in occupation A: the 10000/60/A and 0/40/A rows
+    assert m.sum() == 2
     np.testing.assert_array_equal(
-        m, (toy8.column("sex") == "M") & (toy8.column("hours") >= 40.0))
+        m, (toy8.column("sex") == "M") & (toy8.column("occ") == "A"))
 
 
 def test_equality_on_absent_level_is_an_error(toy8):
     with pytest.raises(PredicateError, match="never occurs"):
-        mask(toy8, Predicate.of(("sex", "==", "X")))
-
-
-def test_threshold_needs_numeric_column(toy8):
-    with pytest.raises(PredicateError, match="numeric"):
-        mask(toy8, Predicate.of(("sex", ">=", 1)))
-
-
-def test_target_equality_needs_binary_value(toy8):
-    with pytest.raises(PredicateError, match="0/1"):
-        mask(toy8, Predicate.of(("y", "==", 2)))
-
-
-def test_unknown_operator_and_column(toy8):
-    with pytest.raises(PredicateError, match="unknown operator"):
-        mask(toy8, Predicate.of(("hours", ">", 30)))
-    with pytest.raises(SchemaError, match="no column"):
-        mask(toy8, Predicate.of(("wage", "==", 1)))
+        mask(toy8, (("sex", "X"),))
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +111,13 @@ def test_stats_overall_counts(toy8):
 
 
 def test_stats_per_group_counts(toy8):
-    f = stats(toy8, HPRED, Predicate.of(("sex", "==", "F")))
+    f = stats(toy8, HPRED, mask(toy8, (("sex", "F"),)))
     assert (f.n, f.tp, f.fp, f.tn, f.fn) == (4, 1.0, 1.0, 2.0, 0.0)
     assert f.ppr == 0.5
     assert f.tpr == 1.0
     assert f.fpr == 1.0 / 3.0
 
-    m = stats(toy8, HPRED, Predicate.of(("sex", "==", "M")))
+    m = stats(toy8, HPRED, mask(toy8, (("sex", "M"),)))
     assert (m.n, m.tp, m.fp, m.tn, m.fn) == (4, 0.0, 2.0, 1.0, 1.0)
     assert m.ppr == 0.5
     assert m.tpr == 0.0
@@ -162,35 +145,28 @@ def test_stats_expected_mode_fractional_counts(toy8):
 
 
 def test_stats_empty_subgroup_is_flagged(toy8):
-    f = stats(toy8, HPRED, Predicate.of(("cap", ">=", 99999.0)))
-    assert f.empty and f.n == 0
+    f = stats(toy8, HPRED, np.zeros(8, dtype=bool))
+    assert f.n == 0
     assert f.ppr is None and f.tpr is None and f.fpr is None
     assert f.undefined == ("ppr", "tpr", "fpr")
 
 
 def test_stats_one_sided_subgroups(toy8):
     # all-negative subgroup: TPR has no support
-    f = stats(toy8, HPRED, Predicate.of(("sex", "==", "F"), ("y", "==", 0)))
+    f = stats(toy8, HPRED, toy8.mask("sex", "F") & (toy8.target == 0))
     assert f.tpr is None and f.undefined == ("tpr",)
     assert f.fpr is not None
     # all-positive subgroup: FPR has no support
-    g = stats(toy8, HPRED, Predicate.of(("y", "==", 1)))
+    g = stats(toy8, HPRED, toy8.target == 1)
     assert g.fpr is None and g.undefined == ("fpr",)
     assert g.tpr == 0.5
 
 
-def test_stats_to_dict_round_trip_fields(toy8):
-    d = stats(toy8, HPRED).to_dict()
-    assert set(d) == {"n", "tp", "fp", "tn", "fn", "ppr", "tpr", "fpr"}
-    assert d["n"] == 8 and d["ppr"] == 0.5
-
-
-def test_stats_counts_positives_outside_to_dict(toy8):
-    frames = [stats(toy8, HPRED), stats(toy8, HPRED, Predicate.of(("sex", "==", "F"))),
-              stats(toy8, HPRED, Predicate.of(("cap", ">=", 99999.0))),
-              stats(toy8, np.ones(8) * 0.3, Predicate.of(("y", "==", 1)), mode="expected")]
+def test_stats_counts_positives(toy8):
+    frames = [stats(toy8, HPRED), stats(toy8, HPRED, mask(toy8, (("sex", "F"),))),
+              stats(toy8, HPRED, np.zeros(8, dtype=bool)),
+              stats(toy8, np.ones(8) * 0.3, toy8.target == 1, mode="expected")]
     assert [f.positives for f in frames] == [2, 1, 0, 2]
-    assert "positives" not in frames[0].to_dict()
 
 
 def test_integer_labels_pass_through_hard_mode(toy8):

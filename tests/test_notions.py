@@ -380,6 +380,9 @@ def test_notion_config_validation():
                      privilege_column="cap", effort_column="hours")
     with pytest.raises(ConfigError, match="epsilon"):
         NotionConfig(kind="DP", protected="sex", epsilon=-0.1)
+    for p in (0.0, 100.0, 150.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match=r"p must lie in \(0, 100\)"):
+            NotionConfig(kind="DP", protected="sex", p=p)
     with pytest.raises(ConfigError, match="scope"):
         NotionConfig(kind="SEP", protected="sex", privilege_column="cap",
                      effort_column="hours", effort_scope="per_category_group")

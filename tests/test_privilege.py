@@ -320,6 +320,9 @@ def test_select_p_grid_validation():
         select_p(t, grid=[10.0, 5.0])
     with pytest.raises(ConfigError, match="ascending"):
         select_p(t, grid=[5.0, 5.0, 10.0])
+    for grid in ([0.0, 5.0], [5.0, 100.0], [5.0, float("nan")]):
+        with pytest.raises(ConfigError, match=r"must lie in \(0, 100\)"):
+            select_p(t, grid=grid)
 
 
 def test_select_p_missing_group_in_slice_is_noted():
