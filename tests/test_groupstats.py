@@ -26,14 +26,20 @@ def test_empty_predicate_selects_all_rows(toy8):
     assert m.all() and len(m) == 8
 
 
-def test_selections_need_coded_columns(toy8):
+def test_equality_and_threshold_clauses(toy8):
     assert mask(toy8, (("sex", "F"),)).sum() == 4
     assert mask(toy8, (("occ", "A"),)).sum() == 4
+    # Numeric and target columns are not selectable; there are no thresholds.
     for column in ("cap", "hours", "y"):
         with pytest.raises(SchemaError, match="protected or categorical"):
             mask(toy8, ((column, 1),))
+
+
+def test_unknown_operator_and_column(toy8):
     with pytest.raises(SchemaError, match="no column"):
         mask(toy8, (("wage", "x"),))
+    with pytest.raises(SchemaError, match="no column"):
+        mask(toy8, (("sex", "F"), ("wage", "x")))
 
 
 def test_predicate_conjunction_and_chaining(toy8):
