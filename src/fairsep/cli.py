@@ -61,7 +61,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -328,14 +328,14 @@ def cmd_audit(args) -> int:
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
     mode, cutoff, test_fraction = _run_options(cfg)
-    table = _load_table(cfg)
-    ncfg = _notion_config(cfg, table)
-    seed = int(cfg.get("seed", 42))
     train_opts = dict(cfg.get("train", {}))
     train_opts.pop("test_fraction", None)
     include_protected = bool(train_opts.pop("include_protected", False))
     train_opts.setdefault("base", dict(cfg.get("learner", {})))
     hp = ExpGradHP.from_dict(train_opts)
+    table = _load_table(cfg)
+    ncfg = _notion_config(cfg, table)
+    seed = int(cfg.get("seed", 42))
 
     train_mask, test_mask = stratified_split(table, test_fraction, seed)
     train_table = table.take(train_mask)
@@ -350,11 +350,13 @@ def cmd_train(args) -> int:
     save_model(model, out_dir / "model.json")
     traj_rows = [[t["iter"], t["member_max_violation"], t["mixture_max_violation"],
                   t["member_error"], t["mixture_error"],
-                  max(t["lambda"]) if t["lambda"] else 0.0]
-                 for t in model.trajectory]
+                  max(t["lambda"]) if t["lambda"] else 0.0,
+                  member.epochs_run, member.converged, member.final_loss]
+                 for t, member in zip(model.trajectory, model.members)]
     _write_csv(out_dir / "trajectory.csv",
                ("iter", "member_max_violation", "mixture_max_violation",
-                "member_error", "mixture_error", "lambda_max"), traj_rows)
+                "member_error", "mixture_error", "lambda_max",
+                "fit_steps", "fit_converged", "fit_loss"), traj_rows)
 
     X_test = encoder.transform(test_table)
     scores = model.predict_scores(X_test)

@@ -7,18 +7,22 @@ alternates a multiplicative multiplier update with a cost-sensitive
 best-response fit of the base learner, and returns a mixture over the
 iterates.
 
-The base learner is a from-scratch logistic regression trained by
-deterministic full-batch Nesterov gradient descent (zero init, auto step
-size from the smoothness bound), with optional per-row signed costs: a row
-with negative cost prefers the positive decision and enters the loss with
-weight |cost|.
+The base learner is a from-scratch l2-regularised logistic regression
+(intercept unpenalised) fitted by deterministic Armijo-damped Newton steps
+(IRLS) from zero until the loss stops changing, with optional per-row signed
+costs: a row with negative cost prefers the positive decision and enters the
+loss with weight |cost|.  ``LearnerHP.epochs`` caps the number of Newton
+steps; the retired options ``learning_rate`` and ``seed`` are accepted from
+config and model files with a warning and ignored.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,19 +33,50 @@ from .notions import SEP_FAMILY, NotionConfig, cells
 
 log = logging.getLogger(__name__)
 
+HESSIAN_BLOCK_ROWS = 4096
+ARMIJO = 1e-4  # sufficient-decrease fraction of the predicted decrease
+MIN_STEP = 2.0 ** -40
+# options of the former gradient-descent learner, still read from old
+# configs and model files and ignored
+RETIRED_LEARNER_KEYS = ("learning_rate", "seed")
+
+
+def _check_numbers(owner: str, hp, integers=(), non_negative=(), positive=()) -> None:
+    """Raise ConfigError unless each named field of ``hp`` is in its range.
+
+    ``integers`` must be integers >= 1; ``non_negative`` finite numbers >= 0;
+    ``positive`` finite numbers > 0.
+    """
+    for name in integers + non_negative + positive:
+        v = getattr(hp, name)
+        if name in integers:
+            ok, want = isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1"
+        else:
+            ok = isinstance(v, numbers.Real) and math.isfinite(v) and \
+                (v > 0 if name in positive else v >= 0)
+            want = "a finite number " + ("> 0" if name in positive else ">= 0")
+        if isinstance(v, bool) or not ok:
+            raise ConfigError(f"{owner} option {name} must be {want}, got {v!r}")
+
 
 @dataclass(frozen=True)
 class LearnerHP:
-    """Base-learner hyperparameters; ``learning_rate=None`` auto-tunes from data."""
+    """Base-learner hyperparameters; ``epochs`` caps the Newton steps."""
 
-    learning_rate: float | None = None
     epochs: int = 400
     l2: float = 1e-4
     tol: float = 1e-10
-    seed: int = 0
+
+    def __post_init__(self):
+        _check_numbers("learner", self, integers=("epochs",), non_negative=("l2", "tol"))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LearnerHP":
+        doc = dict(doc)
+        for key in RETIRED_LEARNER_KEYS:
+            if key in doc:
+                log.warning("learner option %r is retired and ignored", key)
+                del doc[key]
         known = {f for f in cls.__dataclass_fields__}
         bad = set(doc) - known
         if bad:
@@ -109,6 +144,12 @@ def fit_base(
     Without costs each row carries weight 1/n toward its own label.  With
     costs, the standard cost-sensitive reduction applies: the row's target is
     1 exactly when its cost is negative, and its loss weight is |cost|.
+
+    The fit is Armijo-damped Newton (IRLS) from zero: each step solves
+    ``H d = g`` with H the Hessian of the p-weighted log-loss plus the l2
+    term (intercept unpenalised) and halves the step until the loss falls by
+    a fixed fraction of the predicted decrease.  H is summed over fixed row
+    blocks, so no n-by-d temporary outlives a block.
     """
     hp = hp or LearnerHP()
     X = np.asarray(features, dtype=np.float64)
@@ -130,49 +171,51 @@ def fit_base(
         p = np.full(n, 1.0 / n)
 
     X1 = np.hstack([X, np.ones((n, 1))])
-    if hp.learning_rate is not None:
-        lr = hp.learning_rate
-    else:
-        smoothness = float(np.max(np.sum(X1 * X1, axis=1))) / 4.0 + hp.l2
-        lr = 1.0 / smoothness
+    ridge = np.append(np.full(d, hp.l2), 0.0)  # the intercept is unpenalised
 
-    def loss_at(w):
-        margin = X1 @ w
+    def loss_at(w, margin):
         # numerically stable weighted log-loss
         per_row = np.logaddexp(0.0, margin) - z * margin
         return float(np.dot(p, per_row)) + 0.5 * hp.l2 * float(np.dot(w[:d], w[:d]))
 
     w = np.zeros(d + 1)
-    lookahead = w.copy()
-    best_loss, best_w = np.inf, w.copy()
-    prev_loss = np.inf
+    margin = np.zeros(n)
+    loss = loss_at(w, margin)
     converged = False
     epochs_run = 0
     for epoch in range(hp.epochs):
         epochs_run = epoch + 1
-        grad = X1.T @ (p * (_sigmoid(X1 @ lookahead) - z))
-        grad[:d] += hp.l2 * lookahead[:d]
-        w_new = lookahead - lr * grad
-        lookahead = w_new + (epoch / (epoch + 3.0)) * (w_new - w)
-        w = w_new
-        loss = loss_at(w)
-        if loss < best_loss:
-            best_loss, best_w = loss, w.copy()
+        q = _sigmoid(margin)
+        grad = X1.T @ (p * (q - z)) + ridge * w
+        root = np.sqrt(p * q * (1.0 - q))
+        hess = np.diag(ridge)
+        for a in range(0, n, HESSIAN_BLOCK_ROWS):
+            block = X1[a:a + HESSIAN_BLOCK_ROWS] * root[a:a + HESSIAN_BLOCK_ROWS, None]
+            hess += block.T @ block
+        # least squares, so a singular H (collinear columns with l2 = 0)
+        # still gives the minimum-norm direction
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        slope = float(np.dot(grad, step))
+        shift = X1 @ step
+        t = 1.0
+        prev_loss = loss
+        while t >= MIN_STEP:
+            w_t, margin_t = w - t * step, margin - t * shift
+            loss_t = loss_at(w_t, margin_t)
+            if loss_t <= prev_loss - ARMIJO * t * slope:
+                w, margin, loss = w_t, margin_t, loss_t
+                break
+            t *= 0.5
+        # no accepted step leaves the loss unchanged, which ends the fit
         if abs(prev_loss - loss) <= hp.tol * max(1.0, abs(loss)):
             converged = True
             break
-        prev_loss = loss
 
     if not converged:
-        log.warning("base learner stopped at epoch cap %d (best loss %.6g); "
-                    "returning best iterate", hp.epochs, best_loss)
-        w = best_w
-        final_loss = best_loss
-    else:
-        final_loss = loss
+        log.warning("base learner stopped at epoch cap %d (loss %.6g)", hp.epochs, loss)
     return BaseLearner(weights=w[:d], intercept=float(w[d]), hp=hp,
                        converged=converged, epochs_run=epochs_run,
-                       final_loss=float(final_loss))
+                       final_loss=loss)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +286,10 @@ class ExpGradHP:
     patience: int = 15
     base: LearnerHP = field(default_factory=LearnerHP)
 
+    def __post_init__(self):
+        _check_numbers("training", self, integers=("max_iter", "patience"),
+                       non_negative=("eps_train",), positive=("eta", "lambda_bound"))
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExpGradHP":
         doc = dict(doc)
@@ -254,16 +301,7 @@ class ExpGradHP:
         return cls(base=base, **doc)
 
     def to_dict(self) -> dict:
-        return {
-            "max_iter": self.max_iter, "eta": self.eta,
-            "lambda_bound": self.lambda_bound, "eps_train": self.eps_train,
-            "patience": self.patience,
-            "base": {
-                "learning_rate": self.base.learning_rate,
-                "epochs": self.base.epochs, "l2": self.base.l2,
-                "tol": self.base.tol, "seed": self.base.seed,
-            },
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -344,7 +382,7 @@ class ReducedModel:
 
 def save_model(model: ReducedModel, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(model.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -24,6 +24,7 @@ term of each cell; ``violation`` evaluates those terms and
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,8 +97,8 @@ class NotionConfig:
     def __post_init__(self):
         if self.kind not in NOTIONS:
             raise ConfigError(f"unknown notion {self.kind!r}")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ConfigError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         if not 0 < self.p < 100:
             raise ConfigError(f"p must lie in (0, 100), got {self.p}")
         if self.kind in ("CDP", "CSEP") and not self.conditional:

@@ -14,6 +14,7 @@ clears the four-fifths rule.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,6 +215,8 @@ def select_p(
     outside = [p for p in grid if not 0 < p < 100]
     if outside:
         raise ConfigError(f"p grid values must lie in (0, 100), got {outside[0]:g}")
+    if not (math.isfinite(ratio_rule) and ratio_rule > 0):
+        raise ConfigError(f"ratio rule must be a finite number > 0, got {ratio_rule}")
     prot = table.schema.protected
     if prot is None:
         raise SchemaError("p selection needs a protected column")

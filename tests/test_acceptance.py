@@ -216,7 +216,7 @@ def test_criterion_04_single_category_collapses_exactly():
 # criteria 5–7 — constrained training on the census dataset
 # ---------------------------------------------------------------------------
 
-ADULT_BASE = {"epochs": 300, "seed": 0}
+ADULT_BASE = {"epochs": 300}
 
 
 def _split_adult(table, seed=42):
@@ -327,12 +327,12 @@ def test_criterion_08_synthetic_end_to_end_under_60s():
                                      table.schema)
 
     base = fit_base(X_train, train_t.target.astype(np.float64), None,
-                    LearnerHP(epochs=200, seed=0))
+                    LearnerHP(epochs=200))
     before = violation(test_t, base.predict_proba(X_test), relaxed)
     assert before.aggregate >= 0.2, f"unconstrained aggregate {before.aggregate:.4f}"
 
     sep = NotionConfig.from_dict({"kind": "SEP", "p": 35.0}, table.schema)
-    hp = ExpGradHP(max_iter=30, eps_train=0.01, base=LearnerHP(epochs=200, seed=0))
+    hp = ExpGradHP(max_iter=30, eps_train=0.01, base=LearnerHP(epochs=200))
     model = exponentiated_gradient(train_t, sep, hp,
                                    features=X_train, encoder=encoder)
     after = violation(test_t, model.predict_scores(X_test), relaxed)

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from fairsep.bundled import toy8_paths
-from fairsep.cli import main
+from fairsep.cli import _write_json, main
 from fairsep.dataset import Schema, load_csv
+from fairsep.learner import ExpGradHP, ReducedModel, save_model
 
 from conftest import rows_to_table
 from synth import planted_dp_table, privilege_driven_table, random_rows
@@ -451,6 +452,59 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, caplog, argv):
     assert "unhandled error" not in caplog.text
 
 
+@pytest.mark.parametrize("config", [
+    {"learner": {"l2": float("nan")}},
+    {"learner": {"l2": -1}},
+    {"learner": {"tol": float("inf")}},
+    {"learner": {"epochs": 0}},
+    {"learner": {"epochs": 2.5}},
+    {"learner": {"epochs": True}},
+    {"train": {"max_iter": 0}},
+    {"train": {"patience": "3"}},
+    {"train": {"eta": "x"}},
+    {"train": {"eta": 0}},
+    {"train": {"lambda_bound": float("inf")}},
+    {"train": {"eps_train": float("nan")}},
+])
+def test_bad_trainer_hyperparameters_are_usage_errors(tmp_path, capsys, caplog, config):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(cfg_path), "--data", TOY8_DATA,
+                 "--schema", TOY8_SCHEMA, "--notion", "DP", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert "unhandled error" not in caplog.text
+    assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--notion", "DP", "--epsilon", "nan"],
+    ["audit", "--notion", "SEP", "--p", "25", "--epsilon", "inf"],
+    ["sweep-p", "--ratio-rule", "nan"],
+    ["sweep-p", "--ratio-rule", "inf"],
+])
+def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, caplog, argv):
+    preds = ["--predictions", write_predictions(tmp_path / "preds.csv", HPRED)]
+    out = tmp_path / "run"
+    code = main(argv + ["--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--out", str(out)]
+                + (preds if argv[0] == "audit" else []))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert "unhandled error" not in caplog.text
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "report.json", {"aggregate": value})
+        model = ReducedModel(members=[], mixture_weights=np.zeros(0), hp=ExpGradHP(),
+                             max_violation=value)
+        with pytest.raises(ValueError):
+            save_model(model, tmp_path / "model.json")
+
+
 @pytest.mark.parametrize("notion", ["CDP", "CSEP"])
 def test_numeric_conditional_is_usage_error(tmp_path, capsys, caplog, notion):
     data, schema = toy8_with_age(tmp_path)
@@ -590,12 +644,36 @@ def test_train_dp_writes_model_and_reports(planted_csv, tmp_path, capsys):
         "member_error",
         "mixture_error",
         "lambda_max",
+        "fit_steps",
+        "fit_converged",
+        "fit_loss",
     ]
     assert len(rows) == training["iterations"] + 1
 
     model = json.loads((out / "model.json").read_text(encoding="utf-8"))
     assert model["notion"] == {"kind": "DP", "protected": "group"}
     assert len(model["members"]) == training["iterations"]
+
+
+def test_trajectory_reports_each_best_response_fit(planted_csv, tmp_path):
+    data, schema = planted_csv
+    out = tmp_path / "fit"
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({"train": {"max_iter": 6}, "learner": {"epochs": 3}}),
+                        encoding="utf-8")
+    assert main(["train", "--config", str(cfg_path), "--data", data, "--schema", schema,
+                 "--out", str(out), "--notion", "DP"]) == 0
+    with (out / "trajectory.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    members = json.loads((out / "model.json").read_text(encoding="utf-8"))["members"]
+    assert len(rows) == len(members) >= 1
+    for row, member in zip(rows, members):
+        assert int(row["fit_steps"]) == member["epochs_run"]
+        assert 1 <= int(row["fit_steps"]) <= 3
+        assert row["fit_converged"] == str(member["converged"])
+        assert float(row["fit_loss"]) == member["final_loss"]
+    # a three-step cap leaves at least one fit unconverged, and the file says so
+    assert "False" in {row["fit_converged"] for row in rows}
 
 
 def test_trained_model_feeds_audit(planted_csv, tmp_path):

@@ -128,6 +128,79 @@ def test_probabilities_stay_strictly_inside_unit_interval():
     assert (proba > 0.0).all() and (proba < 1.0).all()
 
 
+def _regularised_gradient(model, X, costs, l2):
+    """Gradient of the fit's own objective at the model's weights."""
+    z = (costs < 0).astype(np.float64)
+    p = np.abs(costs) / np.sum(np.abs(costs))
+    X1 = np.hstack([X, np.ones((len(X), 1))])
+    q = 1.0 / (1.0 + np.exp(-(X1 @ np.append(model.weights, model.intercept))))
+    grad = X1.T @ (p * (q - z))
+    grad[:-1] += l2 * model.weights
+    return grad
+
+
+def test_fit_base_reaches_the_optimum_with_mixed_costs():
+    rng = np.random.default_rng(20)
+    X = rng.normal(size=(2000, 20))
+    costs = rng.normal(size=2000) + 0.3 * X[:, 0]
+    hp = LearnerHP()
+    model = fit_base(X, np.zeros(2000), costs, hp)
+    assert model.converged
+    assert np.linalg.norm(_regularised_gradient(model, X, costs, hp.l2)) <= 1e-8
+
+
+def test_fit_base_survives_collinear_separable_data_without_l2():
+    # three one-hot columns sum to the intercept column, and the first
+    # column alone separates the labels: H is singular and the optimum is
+    # at infinity
+    levels = np.arange(60) % 3
+    onehot = np.eye(3)[levels]
+    X = np.hstack([onehot, onehot[:, :1] * 2.0])
+    y = (levels == 0).astype(np.int64)
+    model = fit_base(X, y, hp=LearnerHP(l2=0.0))
+    assert np.isfinite(model.weights).all() and np.isfinite(model.intercept)
+    assert np.isfinite(model.final_loss)
+    np.testing.assert_array_equal(model.predict(X), y)
+
+
+def test_fit_base_damps_newton_steps_on_heavy_tailed_features():
+    # undamped Newton overshoots on some of these and its loss blows up
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(5, 60)), int(rng.integers(1, 6))
+        X = rng.standard_cauchy(size=(n, d)) * rng.choice([1, 10, 100])
+        costs = rng.normal(size=n) * rng.choice([1, 100], size=n) + 3 * rng.normal()
+        model = fit_base(X, np.zeros(n), costs, LearnerHP(epochs=60))
+        assert model.converged, seed
+        assert model.final_loss <= np.log(2.0), seed
+
+
+def test_fit_base_converges_in_a_few_newton_steps():
+    table = planted_dp_table(n=600, seed=7)
+    X, _ = encode_features(table)
+    model = fit_base(X, table.target.astype(np.float64))
+    assert model.converged
+    assert model.epochs_run <= 20
+
+
+def test_learner_hp_ignores_retired_keys_with_a_warning(caplog):
+    with caplog.at_level(logging.WARNING):
+        hp = LearnerHP.from_dict({"epochs": 10, "learning_rate": 0.5, "seed": 3})
+    assert hp == LearnerHP(epochs=10)
+    assert sum("retired" in m for m in caplog.messages) == 2
+    with pytest.raises(ConfigError, match="unknown learner option"):
+        LearnerHP.from_dict({"seed": 3, "momentum": 0.9})
+
+
+@pytest.mark.parametrize("kw", [
+    {"epochs": 0}, {"epochs": 2.5}, {"epochs": True}, {"l2": -1e-4},
+    {"l2": float("nan")}, {"tol": float("inf")}, {"tol": "0"},
+])
+def test_learner_hp_rejects_out_of_range_values(kw):
+    with pytest.raises(ConfigError, match="learner option"):
+        LearnerHP(**kw)
+
+
 # ---------------------------------------------------------------------------
 # Moment constraints
 # ---------------------------------------------------------------------------
