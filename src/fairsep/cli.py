@@ -26,7 +26,8 @@ import numpy as np
 from . import charts
 from .dataset import (Schema, Table, effort_threshold, encode_features,
                       load_csv, stratified_split)
-from .errors import ConfigError, FairsepError, ParseError, SchemaError
+from .errors import (ConfigError, FairsepError, ParseError, SchemaError, config_number,
+                     config_object)
 from .groupstats import mask as subgroup_mask, positive_scores, stats
 from .learner import ExpGradHP, exponentiated_gradient, load_model, save_model
 from .notions import SEP_FAMILY, NotionConfig, violation
@@ -107,7 +108,7 @@ def _merged_config(args) -> dict:
         v = getattr(args, key.replace("-", "_"), None)
         if v is not None:
             cfg[key] = v
-    notion = cfg.setdefault("notion", {})
+    notion = cfg["notion"] = config_object(cfg, "notion")
     if getattr(args, "notion", None):
         notion["kind"] = args.notion
     if getattr(args, "p", None) is not None:
@@ -140,7 +141,7 @@ def _run_options(cfg: dict) -> tuple[str, float, float]:
     try:
         cutoff = float(cfg.get("cutoff", 0.5))
         test_fraction = float(cfg.get("test_fraction",
-                                      (cfg.get("train") or {}).get("test_fraction", 0.3)))
+                                      config_object(cfg, "train").get("test_fraction", 0.3)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cutoff and test_fraction must be numbers: {exc}") from None
     for key, value in (("cutoff", cutoff), ("test_fraction", test_fraction)):
@@ -328,14 +329,14 @@ def cmd_audit(args) -> int:
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
     mode, cutoff, test_fraction = _run_options(cfg)
-    train_opts = dict(cfg.get("train", {}))
+    train_opts = dict(config_object(cfg, "train"))
     train_opts.pop("test_fraction", None)
     include_protected = bool(train_opts.pop("include_protected", False))
-    train_opts.setdefault("base", dict(cfg.get("learner", {})))
+    train_opts.setdefault("base", dict(config_object(cfg, "learner")))
     hp = ExpGradHP.from_dict(train_opts)
     table = _load_table(cfg)
     ncfg = _notion_config(cfg, table)
-    seed = int(cfg.get("seed", 42))
+    seed = config_number(cfg, "seed", 42, int)
 
     train_mask, test_mask = stratified_split(table, test_fraction, seed)
     train_table = table.take(train_mask)
@@ -389,8 +390,8 @@ def cmd_extract_privilege(args) -> int:
         raise ConfigError("extract-privilege needs --group")
     result = extract_privilege_attribute(
         table, group,
-        repeats=int(cfg.get("repeats", 10)),
-        seed=int(cfg.get("seed", 42)),
+        repeats=config_number(cfg, "repeats", 10, int),
+        seed=config_number(cfg, "seed", 42, int),
     )
     out_dir = Path(cfg.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -414,7 +415,7 @@ def cmd_sweep_p(args) -> int:
         table,
         column=cfg.get("column"),
         grid=_parse_grid(cfg.get("grid")),
-        ratio_rule=float(cfg.get("ratio_rule", 0.8)),
+        ratio_rule=config_number(cfg, "ratio_rule", 0.8),
         advantaged=cfg.get("advantaged"),
     )
     out_dir = Path(cfg.get("out", "."))

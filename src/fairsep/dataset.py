@@ -101,10 +101,13 @@ class Schema:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Schema":
-        try:
-            raw_cols = doc["columns"]
-        except (KeyError, TypeError):
+        raw_cols = doc.get("columns") if isinstance(doc, dict) else None
+        if not isinstance(raw_cols, list):
             raise SchemaError("schema document needs a 'columns' list")
+        for raw in raw_cols:
+            if not (isinstance(raw, dict) and "name" in raw and "kind" in raw):
+                raise SchemaError(f"schema column {raw!r} must be an object with "
+                                  f"a 'name' and a 'kind'")
         cols = tuple(ColumnSpec(name=raw["name"], kind=raw["kind"],
                                 tags=tuple(raw.get("tags", ())),
                                 positive_label=raw.get("positive_label"))

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the checked reads of config values."""
 
 
 class FairsepError(Exception):
@@ -35,3 +35,20 @@ class EncodingError(FairsepError):
 
 class ConfigError(FairsepError):
     """Run configuration is missing required fields or holds invalid values."""
+
+
+def config_number(doc: dict, key: str, default, convert=float):
+    """``convert(doc[key])``, or of ``default`` when absent; what it refuses is a ConfigError."""
+    value = doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config '{key}' must be a number, got {value!r}") from None
+
+
+def config_object(doc: dict, key: str) -> dict:
+    """``doc[key]``, or {} when absent or null; anything but a JSON object is a ConfigError."""
+    value = doc.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"config '{key}' must be a JSON object, got {value!r}")
+    return value or {}

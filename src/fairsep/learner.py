@@ -2,10 +2,10 @@
 
 The constrained trainer follows the exponentiated-gradient scheme: each
 fairness notion compiles to a list of linear moment constraints
-``g(h) = sum_i w_i * h(x_i) + c <= slack`` over prediction scores; training
-alternates a multiplicative multiplier update with a cost-sensitive
-best-response fit of the base learner, and returns a mixture over the
-iterates.
+``g(h) = sum_i w_i * h(x_i) + c <= slack`` over prediction scores, each kept
+as its audit term's rows and their weights; training alternates a
+multiplicative multiplier update with a cost-sensitive best-response fit of
+the base learner, and returns a mixture over the iterates.
 
 The base learner is a from-scratch l2-regularised logistic regression
 (intercept unpenalised) fitted by deterministic Armijo-damped Newton steps
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import FeatureEncoder, Table, Thresholds, encode_features
-from .errors import ConfigError, EncodingError
+from .errors import ConfigError, EncodingError, config_object
 from .notions import SEP_FAMILY, NotionConfig, cells
 
 log = logging.getLogger(__name__)
@@ -77,8 +77,7 @@ class LearnerHP:
             if key in doc:
                 log.warning("learner option %r is retired and ignored", key)
                 del doc[key]
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(doc) - known
+        bad = set(doc) - set(cls.__dataclass_fields__)
         if bad:
             raise ConfigError(f"unknown learner option(s): {sorted(bad)}")
         return cls(**doc)
@@ -224,18 +223,29 @@ def fit_base(
 
 @dataclass
 class MomentConstraint:
-    """Linear constraint on prediction scores: sum(w*h) + offset <= slack."""
+    """Linear constraint on scores: weights @ h[rows] + offset <= slack; other rows weigh 0."""
 
     name: str
+    rows: np.ndarray
     weights: np.ndarray
     offset: float = 0.0
     slack: float = 0.02
 
     def value(self, scores: np.ndarray) -> float:
-        return float(np.dot(self.weights, scores)) + self.offset
+        return float(np.dot(self.weights, scores[self.rows])) + self.offset
 
     def violation(self, scores: np.ndarray) -> float:
         return self.value(scores) - self.slack
+
+
+def _term_weights(term) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of either side of ``term`` and the weight left - right on each."""
+    rows = np.union1d(term.left.rows, term.right.rows)
+    w = np.zeros(rows.size)
+    for side, sign in ((term.left, 1.0), (term.right, -1.0)):
+        weight = 1.0 if side.zeta is None else side.zeta
+        w[np.searchsorted(rows, side.rows)] += sign * weight / side.norm
+    return rows, w
 
 
 def compile_constraints(
@@ -246,12 +256,13 @@ def compile_constraints(
 ) -> list[MomentConstraint]:
     """Turn the notion's audit terms into linear moment constraints on scores.
 
-    A T1 term becomes a two-sided ``/+`` ``/-`` pair with weight row
-    left - right.  T2 (``/effort``) and T3 (``/fpr_cap``) are taken over
-    1 - h, so each becomes one one-sided constraint with that weight row and
-    offset mass(right) - mass(left), a side's mass being its mean of 1.  The
-    offset is 0 except for T3 under literal B, where it is B0/B - 1.  At any
-    score vector |value| equals the audited term.
+    Each constraint keeps only its term's rows: the union of the two sides,
+    weighted left - right.  A T1 term becomes a two-sided ``/+`` ``/-``
+    pair.  T2 (``/effort``) and T3 (``/fpr_cap``) are taken over 1 - h, so
+    each becomes one one-sided constraint with those weights and offset
+    mass(right) - mass(left), a side's mass being its mean of 1.  The offset
+    is 0 except for T3 under literal B, where it is B0/B - 1.  At any score
+    vector |value| equals the audited term.
     """
     if thresholds is None and cfg.kind in SEP_FAMILY:
         thresholds = cfg.resolve_thresholds(table)
@@ -261,15 +272,15 @@ def compile_constraints(
         for msg in cell.skipped:
             log.info("constraint compile: %s", msg)
         for term in cell.terms:
-            w = term.left.weights() - term.right.weights()
+            rows, w = _term_weights(term)
             if term.key == "T1":
                 name = f"{cell.label}/parity" if cfg.kind in ("SEP", "CSEP") else cell.label
-                out.append(MomentConstraint(f"{name}/+", w, 0.0, eps_train))
-                out.append(MomentConstraint(f"{name}/-", -w, 0.0, eps_train))
+                out.append(MomentConstraint(f"{name}/+", rows, w, 0.0, eps_train))
+                out.append(MomentConstraint(f"{name}/-", rows, -w, 0.0, eps_train))
             else:
                 offset = term.right.mean(ones) - term.left.mean(ones)
                 suffix = "effort" if term.key == "T2" else "fpr_cap"
-                out.append(MomentConstraint(f"{cell.label}/{suffix}", w, offset, eps_train))
+                out.append(MomentConstraint(f"{cell.label}/{suffix}", rows, w, offset, eps_train))
     return out
 
 
@@ -292,13 +303,11 @@ class ExpGradHP:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExpGradHP":
-        doc = dict(doc)
-        base = LearnerHP.from_dict(doc.pop("base", {}))
-        known = {f for f in cls.__dataclass_fields__} - {"base"}
-        bad = set(doc) - known
+        base = LearnerHP.from_dict(config_object(doc, "base"))
+        bad = set(doc) - set(cls.__dataclass_fields__)
         if bad:
             raise ConfigError(f"unknown training option(s): {sorted(bad)}")
-        return cls(base=base, **doc)
+        return cls(**dict(doc, base=base))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -431,9 +440,16 @@ def exponentiated_gradient(
             best_iterate=0, max_violation=0.0, encoder=encoder, notion=notion_doc,
         )
 
+    # the constraint matrix W as (row, constraint, weight) triplets
     K = len(constraints)
-    W = np.stack([c.weights for c in constraints])
+    rows = np.concatenate([c.rows for c in constraints])
+    index = np.repeat(np.arange(K), [c.rows.size for c in constraints])
+    weights = np.concatenate([c.weights for c in constraints])
     offsets = np.array([c.offset for c in constraints])
+
+    def moments(h: np.ndarray) -> np.ndarray:
+        return np.bincount(index, weights * h[rows], minlength=K) + offsets
+
     theta = np.zeros(K)
     members: list[BaseLearner] = []
     trajectory: list[dict] = []
@@ -447,16 +463,14 @@ def exponentiated_gradient(
         shift = max(0.0, float(np.max(theta)))
         expd = np.exp(theta - shift)
         lam = hp.lambda_bound * expd / (np.exp(-shift) + float(np.sum(expd)))
-        costs = base_costs + W.T @ lam
+        costs = base_costs + np.bincount(rows, weights * lam[index], minlength=n)
         member = fit_base(X, y, costs, hp.base)
         scores = member.predict_proba(X)
-        g = W @ scores + offsets
-        violations = g - hp.eps_train
+        violations = moments(scores) - hp.eps_train
         members.append(member)
         mixture_scores += (scores - mixture_scores) / it
-        mix_g = W @ mixture_scores + offsets
         member_max = float(np.max(violations))
-        mix_max = float(np.max(mix_g - hp.eps_train))
+        mix_max = float(np.max(moments(mixture_scores) - hp.eps_train))
         err = float(np.mean((scores >= 0.5) != (y == 1)))
         mix_err = float(np.mean((mixture_scores >= 0.5) != (y == 1)))
         trajectory.append({
@@ -468,15 +482,9 @@ def exponentiated_gradient(
             best_member = (member_max, err, it - 1)
         # the running mixture mean always drifts a little, so "progress"
         # must mean a material fraction of the outstanding violation
-        if np.isfinite(best_mix_violation):
-            stall_tol = max(1e-12, 0.05 * max(best_mix_violation, 0.0))
-            improved = mix_max < best_mix_violation - stall_tol
-        else:
-            improved = True
-        if improved:
-            stall = 0
-        else:
-            stall += 1
+        stall_tol = max(1e-12, 0.05 * max(best_mix_violation, 0.0))
+        improved = not np.isfinite(best_mix_violation) or mix_max < best_mix_violation - stall_tol
+        stall = 0 if improved else stall + 1
         best_mix_violation = min(best_mix_violation, mix_max)
         if mix_max <= 0.0 and it >= 5:
             break
@@ -491,7 +499,7 @@ def exponentiated_gradient(
     final_mix = np.zeros(n)
     for w, member in zip(mixture_weights, members):
         final_mix += w * member.predict_proba(X)
-    final_violation = float(np.max(W @ final_mix + offsets - hp.eps_train))
+    final_violation = float(np.max(moments(final_mix) - hp.eps_train))
     return ReducedModel(
         members=members, mixture_weights=mixture_weights, hp=hp,
         constraint_names=[c.name for c in constraints],

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import EFFORT_SCOPES, Table, Thresholds, resolve_thresholds
-from .errors import ConfigError
+from .errors import ConfigError, config_number, config_object
 from .groupstats import positive_scores
 
 log = logging.getLogger(__name__)
@@ -53,23 +53,17 @@ class EffortWeighting:
     def __post_init__(self):
         if self.kind not in ("unit", "linear_capped"):
             raise ConfigError(f"unknown effort weighting kind {self.kind!r}")
-        if self.cap < 1.0:
+        if not self.cap >= 1.0:  # also false for NaN
             raise ConfigError(f"effort weighting cap must be >= 1, got {self.cap}")
 
-    def weights(self, efforts: np.ndarray, threshold: float, cell_max: float,
-                cell: np.ndarray | None = None) -> np.ndarray:
-        """Per-row weights; rows below the threshold weigh exactly 1.
-
-        ``cell`` optionally masks the rows the weights are computed for, so
-        the degenerate-ramp warning only fires when that cell is affected.
-        """
+    def weights(self, efforts: np.ndarray, threshold: float, cell_max: float) -> np.ndarray:
+        """Row weights of one cell from its efforts; rows below the threshold weigh exactly 1."""
         out = np.ones(len(efforts), dtype=np.float64)
         if self.kind == "unit":
             return out
         high = efforts >= threshold
         if cell_max <= threshold:
-            affected = high if cell is None else (high & cell)
-            if affected.any():
+            if high.any():
                 log.warning("effort cell has no spread above threshold %s; "
                             "weights stay 1", threshold)
             return out
@@ -121,40 +115,31 @@ class NotionConfig:
     def from_dict(cls, doc: dict, schema=None) -> "NotionConfig":
         """Build from a JSON document, filling tagged columns from the schema."""
         doc = dict(doc)
-        weighting = doc.pop("zeta", None) or doc.pop("weighting", None)
-        if weighting is not None:
-            weighting = EffortWeighting(kind=weighting.get("kind", "linear_capped"),
-                                        cap=float(weighting.get("cap", 2.0)))
-        else:
-            weighting = EffortWeighting()
+        weighting = config_object(doc, "zeta") or config_object(doc, "weighting")
+        weighting = EffortWeighting(kind=weighting.get("kind", "linear_capped"),
+                                    cap=config_number(weighting, "cap", 2.0))
         if schema is not None:
-            if not doc.get("protected") and schema.protected is not None:
-                doc["protected"] = schema.protected.name
-            priv = schema.tagged("privilege")
-            if not doc.get("privilege_column") and priv is not None:
-                doc["privilege_column"] = priv.name
-            eff = schema.tagged("effort")
-            if not doc.get("effort_column") and eff is not None:
-                doc["effort_column"] = eff.name
-        try:
-            kind = doc.pop("kind")
-        except KeyError:
+            for key, spec in (("protected", schema.protected),
+                              ("privilege_column", schema.tagged("privilege")),
+                              ("effort_column", schema.tagged("effort"))):
+                if not doc.get(key) and spec is not None:
+                    doc[key] = spec.name
+        if "kind" not in doc:
             raise ConfigError("notion config needs a 'kind'")
         if not doc.get("protected"):
             raise ConfigError("notion config needs a protected column")
-        groups = doc.pop("groups", None)
         return cls(
-            kind=kind,
+            kind=doc["kind"],
             protected=doc["protected"],
             conditional=doc.get("conditional"),
             privilege_column=doc.get("privilege_column"),
-            p=float(doc.get("p", 5.0)),
+            p=config_number(doc, "p", 5.0),
             effort_column=doc.get("effort_column"),
             effort_scope=doc.get("effort_scope"),
             weighting=weighting,
-            epsilon=float(doc.get("epsilon", 0.05)),
+            epsilon=config_number(doc, "epsilon", 0.05),
             t3_literal_b=bool(doc.get("t3_literal_b", False)),
-            groups=tuple(groups) if groups else None,
+            groups=tuple(doc["groups"]) if doc.get("groups") else None,
         )
 
     def resolve_thresholds(self, table: Table) -> Thresholds | None:
@@ -241,9 +226,10 @@ class ViolationReport:
 
 @dataclass(frozen=True)
 class Side:
-    """One side of a term: mean(v) = sum of (zeta *) v over ``rows``, / ``norm``.
+    """One side of a term: mean(v) = sum of (zeta *) v[rows], / ``norm``.
 
-    ``norm`` is the row count or the rows' effort-weight sum; under the
+    ``rows`` is an ascending int64 row index; ``zeta`` holds those rows'
+    effort weights.  ``norm`` is the row count or the weight sum; under the
     literal-B T3 variant it is the weight of a larger row set.
     """
 
@@ -254,13 +240,8 @@ class Side:
     def mean(self, v: np.ndarray) -> float:
         vals = v[self.rows]
         if self.zeta is not None:
-            vals = self.zeta[self.rows] * vals
+            vals = self.zeta * vals
         return float(np.sum(vals)) / self.norm
-
-    def weights(self) -> np.ndarray:
-        """Row weights w with ``w @ v == mean(v)`` up to rounding."""
-        w = self.rows.astype(np.float64) if self.zeta is None else self.zeta * self.rows
-        return w / self.norm
 
 
 @dataclass(frozen=True)
@@ -298,82 +279,92 @@ _T1_DENOMINATORS = {"EP": ("n_group", "n"), "DP": ("n_group", "n"),
 def cells(table: Table, cfg: NotionConfig, thresholds: Thresholds | None = None):
     """Yield the notion's cells one at a time, by category, then by group.
 
-    Each cell is built only when asked for, so one cell's masks and effort
-    weights are alive at a time.  The SEP family needs ``thresholds``.
+    Each category's rows come from one stable sort of the conditional codes,
+    so every row index is ascending and a cell's subsets are found within its
+    category's rows only.  The SEP family needs ``thresholds``.
     """
     kind = cfg.kind
-    group_names = list(cfg.groups) if cfg.groups is not None else table.levels(cfg.protected)
+    levels = table.levels(cfg.protected)
+    group_names = list(cfg.groups) if cfg.groups is not None else levels
+    group_codes = table.codes(cfg.protected)
     if kind in SEP_FAMILY:
         privileged = table.column(cfg.privilege_column) >= thresholds.privilege_cutoff
+        negative = table.target == 0
     if kind in ("CDP", "CSEP"):
-        slices = ((a, table.mask(cfg.conditional, a)) for a in table.levels(cfg.conditional))
+        codes, categories = table.codes(cfg.conditional), table.levels(cfg.conditional)
+        bounds = np.cumsum(np.bincount(codes, minlength=len(categories)))[:-1]
+        slices = zip(categories, np.split(np.argsort(codes, kind="stable"), bounds))
     else:
-        slices = [(None, table.target == 1 if kind == "EP"
-                   else np.ones(table.rows, dtype=bool))]
+        slices = [(None, np.flatnonzero(table.target == 1) if kind == "EP"
+                   else np.arange(table.rows))]
+
+    def build(a, s, base) -> Cell:
+        # a function of its own, so the group's row index is freed before the yield
+        key = (s,) if a is None else (a, s)
+        label = f"{kind}/{s}" if a is None else f"{kind}/({a},{s})"
+        rows = base[group_codes[base] == (levels.index(s) if s in levels else -1)]
+        if not base.size:
+            reason = "conditioning event empty"
+        elif a is not None and not rows.size:
+            reason = "empty cell"
+        elif kind in ("SEP", "CSEP"):
+            return _sep_cell(label, key, rows, base, privileged, negative, table, cfg,
+                             thresholds.effort_at(key))
+        else:
+            left = rows[~privileged[rows]] if kind == "SEP_relaxed" else rows
+            if left.size:
+                return Cell(label, key, [Term("T1", Side(left, left.size), Side(base, base.size))],
+                            denominators=dict(zip(_T1_DENOMINATORS[kind], (left.size, base.size))),
+                            support=left.size)
+            reason = ("no underprivileged rows" if kind == "SEP_relaxed"
+                      else "no rows in conditioning event")
+        return Cell(label, key, skipped=[f"{label}: {reason}"])
+
     for a, base in slices:
         for s in group_names:
-            key = (s,) if a is None else (a, s)
-            label = f"{kind}/{s}" if a is None else f"{kind}/({a},{s})"
-            rows = base & table.mask(cfg.protected, s)
-            if not base.any():
-                reason = "conditioning event empty"
-            elif a is not None and not rows.any():
-                reason = "empty cell"
-            elif kind in ("SEP", "CSEP"):
-                yield _sep_cell(label, key, rows, base, privileged, table, cfg,
-                                thresholds.effort_at(key))
-                continue
-            else:
-                left = rows & ~privileged if kind == "SEP_relaxed" else rows
-                n_left, n_base = int(left.sum()), int(base.sum())
-                if n_left:
-                    yield Cell(label, key, [Term("T1", Side(left, n_left), Side(base, n_base))],
-                               denominators=dict(zip(_T1_DENOMINATORS[kind], (n_left, n_base))),
-                               support=n_left)
-                    continue
-                reason = ("no underprivileged rows" if kind == "SEP_relaxed"
-                          else "no rows in conditioning event")
-            yield Cell(label, key, skipped=[f"{label}: {reason}"])
+            yield build(a, s, base)
 
 
-def _sep_cell(label, key, rows, base, privileged, table, cfg, threshold) -> Cell:
+def _sep_cell(label, key, rows, base, privileged, negative, table, cfg, threshold) -> Cell:
     """T1/T2/T3 of one SEP cell: ``rows`` is the group's part of the slice ``base``.
 
     T1 compares the underprivileged rows with the slice.  T2 compares their
     low-effort rows with the effort-weighted high-effort ones.  T3 compares
     the slice's privileged negatives with the weighted high-effort
     underprivileged negatives, normalized by B0 (or by B if ``t3_literal_b``).
+    Every subset is a selection of ``rows`` or ``base``, never of the table.
     """
-    under = rows & ~privileged
+    under = ~privileged[rows]
     cell = Cell(label, key, denominators={"A": None, "B": None, "B0": None, "C": None},
                 support=int(under.sum()))
     d = cell.denominators
     if not cell.support:
         cell.skipped.append(f"{label}: T1,T2,T3 skipped (no underprivileged rows)")
         return cell
-    cell.terms.append(Term("T1", Side(under, cell.support), Side(base, int(base.sum()))))
+    cell.terms.append(Term("T1", Side(rows[under], cell.support), Side(base, base.size)))
 
-    efforts = table.column(cfg.effort_column)
-    zeta = cfg.weighting.weights(efforts, threshold, float(np.max(efforts[rows])), cell=rows)
-    low = under & (efforts < threshold)
+    efforts = table.column(cfg.effort_column)[rows]
+    zeta = cfg.weighting.weights(efforts, threshold, float(np.max(efforts)))
+    low = rows[under & (efforts < threshold)]
     high = under & (efforts >= threshold)
-    d["A"] = int(low.sum())
-    if high.any():
-        d["B"] = float(np.sum(zeta[high]))
-    if low.any() and high.any():
+    high, zeta = rows[high], zeta[high]
+    d["A"] = low.size
+    if high.size:
+        d["B"] = float(np.sum(zeta))
+    if low.size and high.size:
         cell.terms.append(Term("T2", Side(low, d["A"]), Side(high, d["B"], zeta)))
     else:
         cell.skipped.append(f"{label}: T2 skipped (effort split leaves an empty side)")
 
-    negative = table.target == 0
-    priv_neg = base & privileged & negative
-    high_neg = high & negative
-    d["C"] = int(priv_neg.sum())
+    priv_neg = base[privileged[base] & negative[base]]
+    high_neg = negative[high]
+    d["C"] = priv_neg.size
     if high_neg.any():
         d["B0"] = float(np.sum(zeta[high_neg]))
-    if priv_neg.any() and high_neg.any():
+    if priv_neg.size and high_neg.any():
         norm = d["B"] if cfg.t3_literal_b else d["B0"]
-        cell.terms.append(Term("T3", Side(priv_neg, d["C"]), Side(high_neg, norm, zeta)))
+        cell.terms.append(Term("T3", Side(priv_neg, d["C"]),
+                               Side(high[high_neg], norm, zeta[high_neg])))
     else:
         cell.skipped.append(f"{label}: T3 skipped (no privileged negatives or no "
                             f"high-effort underprivileged negatives)")

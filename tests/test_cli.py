@@ -465,6 +465,16 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, caplog, argv):
     {"train": {"eta": 0}},
     {"train": {"lambda_bound": float("inf")}},
     {"train": {"eps_train": float("nan")}},
+    {"notion": {"epsilon": "x"}},
+    {"notion": {"p": "x"}},
+    {"notion": {"zeta": 5}},
+    {"notion": {"zeta": {"cap": "x"}}},
+    {"notion": {"zeta": {"kind": "linear_capped", "cap": float("nan")}}},
+    {"notion": 5},
+    {"learner": 5},
+    {"train": 5},
+    {"train": {"base": 5}},
+    {"seed": "x"},
 ])
 def test_bad_trainer_hyperparameters_are_usage_errors(tmp_path, capsys, caplog, config):
     cfg_path = tmp_path / "train.json"
@@ -489,6 +499,30 @@ def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, caplog, argv):
     out = tmp_path / "run"
     code = main(argv + ["--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--out", str(out)]
                 + (preds if argv[0] == "audit" else []))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert "unhandled error" not in caplog.text
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, config, columns", [
+    (["sweep-p"], {"ratio_rule": "x"}, None),
+    (["extract-privilege", "--group", "M"], {"repeats": "x"}, None),
+    (["audit", "--notion", "DP"], {}, [{"kind": "target"}]),
+    (["audit", "--notion", "DP"], {}, [5]),
+])
+def test_wrong_type_config_and_schema_values_are_usage_errors(tmp_path, capsys, caplog,
+                                                              argv, config, columns):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    schema = TOY8_SCHEMA
+    if columns is not None:
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"columns": columns}), encoding="utf-8")
+    out = tmp_path / "run"
+    preds = ["--predictions", "ground_truth"] if argv[0] == "audit" else []
+    code = main(argv + ["--config", str(cfg_path), "--data", TOY8_DATA,
+                        "--schema", str(schema), "--out", str(out)] + preds)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert "unhandled error" not in caplog.text

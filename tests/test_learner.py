@@ -1,7 +1,10 @@
 """Base learner, constraint compilation, and the constrained trainer."""
 
+import importlib.util
 import logging
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +18,12 @@ from fairsep import (
     LearnerHP,
     MomentConstraint,
     NotionConfig,
+    Schema,
     compile_constraints,
     encode_features,
     exponentiated_gradient,
     fit_base,
+    load_csv,
     load_model,
     save_model,
     violation,
@@ -206,7 +211,8 @@ def test_learner_hp_rejects_out_of_range_values(kw):
 # ---------------------------------------------------------------------------
 
 def test_moment_constraint_value_and_violation():
-    c = MomentConstraint("demo", np.array([1.0, -1.0]), offset=0.1, slack=0.02)
+    c = MomentConstraint("demo", np.array([0, 1]), np.array([1.0, -1.0]),
+                         offset=0.1, slack=0.02)
     scores = np.array([0.5, 0.2])
     assert c.value(scores) == pytest.approx(0.4)
     assert c.violation(scores) == pytest.approx(0.38)
@@ -253,6 +259,9 @@ def test_sep_constraint_weights_match_hand_built_masks(toy8):
                        weighting=EffortWeighting("unit"))
     by_name = {c.name: c for c in compile_constraints(toy8, cfg)}
 
+    def dense(c):
+        return np.bincount(c.rows, c.weights, minlength=8)
+
     sex = toy8.column("sex")
     privileged = toy8.column("cap") >= 10000.0
     hours = toy8.column("hours")
@@ -260,18 +269,46 @@ def test_sep_constraint_weights_match_hand_built_masks(toy8):
     all_rows = np.ones(8)
 
     parity = under_f / under_f.sum() - all_rows / 8.0
-    np.testing.assert_array_equal(by_name["SEP/F/parity/+"].weights, parity)
-    np.testing.assert_array_equal(by_name["SEP/F/parity/-"].weights, -parity)
+    np.testing.assert_array_equal(dense(by_name["SEP/F/parity/+"]), parity)
+    np.testing.assert_array_equal(dense(by_name["SEP/F/parity/-"]), -parity)
 
     low = under_f & (hours < 40.0)
     high = under_f & (hours >= 40.0)
     effort = low / low.sum() - high / high.sum()
-    np.testing.assert_array_equal(by_name["SEP/F/effort"].weights, effort)
+    np.testing.assert_array_equal(dense(by_name["SEP/F/effort"]), effort)
 
     priv_neg = privileged & (toy8.target == 0)
     high_neg = high & (toy8.target == 0)
     cap = priv_neg / priv_neg.sum() - high_neg / high_neg.sum()
-    np.testing.assert_array_equal(by_name["SEP/F/fpr_cap"].weights, cap)
+    np.testing.assert_array_equal(dense(by_name["SEP/F/fpr_cap"]), cap)
+
+
+def test_compile_memory_scales_with_non_zeros_not_constraints(tmp_path):
+    # CSEP x native-country has about twice the constraints of CSEP x occupation
+    # and about the same non-zeros (each term's rows), so a constraint system
+    # kept as row indices peaks at about the same memory for both; a dense
+    # constraint-by-row form peaks in proportion to the constraint count
+    spec = importlib.util.spec_from_file_location(
+        "adultgen", Path(__file__).resolve().parent.parent / "perfbench" / "adultgen.py")
+    adultgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(adultgen)
+    data = adultgen.generate(11, tmp_path, rows=12000)
+    table = load_csv(data["data"], Schema.from_json(data["schema"]))
+    systems, peaks = {}, {}
+    for conditional in ("occupation", "native-country"):
+        cfg = NotionConfig.from_dict({"kind": "CSEP", "conditional": conditional},
+                                     table.schema)
+        tracemalloc.start()
+        try:
+            systems[conditional] = compile_constraints(table, cfg)
+            peaks[conditional] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["native-country"] <= 1.25 * peaks["occupation"], peaks
+    occ, nat = systems["occupation"], systems["native-country"]
+    assert len(nat) >= 1.6 * len(occ)
+    nnz_occ, nnz_nat = (sum(c.rows.size for c in s) for s in (occ, nat))
+    assert abs(nnz_nat - nnz_occ) <= 0.02 * nnz_occ
 
 
 def test_sep_constraint_values_equal_measured_terms(toy8):
@@ -498,7 +535,7 @@ def test_infeasible_targets_stop_early_with_warning(caplog):
     # a constraint no score vector can satisfy: mean(h) <= -1 effectively
     table = planted_dp_table(n=60, seed=13)
     n = table.rows
-    impossible = MomentConstraint("impossible", np.full(n, 1.0 / n),
+    impossible = MomentConstraint("impossible", np.arange(n), np.full(n, 1.0 / n),
                                   offset=1.0, slack=0.02)
     hp = ExpGradHP(max_iter=40, patience=5, base=LearnerHP(epochs=40))
     with caplog.at_level(logging.WARNING):

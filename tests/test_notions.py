@@ -12,6 +12,7 @@ from fairsep import (
     DegenerateThresholdError,
     EffortWeighting,
     NotionConfig,
+    compile_constraints,
     violation,
 )
 from conftest import rows_to_table, scores_of
@@ -250,18 +251,38 @@ def test_row_permutation_invariance():
         shuffled = rows_to_table([rows[i] for i in order])
         h2 = h[order]
         for kind in ("EP", "DP", "CDP", "SEP", "CSEP", "SEP_relaxed"):
+            cfg = syn_cfg(kind, weighting=EffortWeighting("unit"))
             try:
-                a = violation(table, h, syn_cfg(kind, weighting=EffortWeighting("unit")))
+                a = violation(table, h, cfg)
             except DegenerateThresholdError:
                 continue
-            b = violation(shuffled, h2, syn_cfg(kind, weighting=EffortWeighting("unit")))
+            b = violation(shuffled, h2, cfg)
             assert a.aggregate == b.aggregate, kind
+            # every cell, not only the worst, sees the same rows in any row order
+            assert _cell_terms(a) == _cell_terms(b), kind
+            assert a.skipped == b.skipped, kind
+            ca, cb = compile_constraints(table, cfg), compile_constraints(shuffled, cfg)
+            assert [c.name for c in ca] == [c.name for c in cb], kind
+            for c, c2 in zip(ca, cb):
+                # the same rows with the same weights; the value, a sum in row
+                # order, may differ in its last bit
+                back = np.asarray(order)[c2.rows]
+                np.testing.assert_array_equal(np.sort(back), c.rows)
+                np.testing.assert_array_equal(c2.weights[np.argsort(back)], c.weights)
+                assert c.value(h) == pytest.approx(c2.value(h2), rel=0, abs=1e-12)
         try:
             a = violation(table, h, syn_cfg("SEP"))
             b = violation(shuffled, h2, syn_cfg("SEP"))
             assert abs(a.aggregate - b.aggregate) <= 1e-12
         except DegenerateThresholdError:
             pass
+
+
+def _cell_terms(report):
+    """Each cell's T1/T2/T3, denominators and computed terms, by category and group."""
+    by_category = report.categories or {None: report.groups}
+    return {(a, g): (t.t1, t.t2, t.t3, t.denominators, t.computed)
+            for a, by_group in by_category.items() for g, t in by_group.items()}
 
 
 def test_monotone_privilege_transform_leaves_sep_unchanged():
@@ -323,8 +344,8 @@ def test_degenerate_ramp_warning_respects_cell_mask(caplog):
     efforts = np.array([10.0, 50.0, 80.0])
     cell = np.array([True, False, False])  # the affected cell has no high rows
     with caplog.at_level("WARNING"):
-        out = w.weights(efforts, threshold=50.0, cell_max=40.0, cell=cell)
-    np.testing.assert_array_equal(out, [1.0, 1.0, 1.0])
+        out = w.weights(efforts[cell], threshold=50.0, cell_max=40.0)
+    np.testing.assert_array_equal(out, [1.0])
     assert not any("no spread" in m for m in caplog.messages)
 
 
@@ -333,6 +354,8 @@ def test_weighting_validation():
         EffortWeighting("quadratic")
     with pytest.raises(ConfigError, match="cap must be"):
         EffortWeighting("linear_capped", cap=0.5)
+    with pytest.raises(ConfigError, match="cap must be"):
+        EffortWeighting("linear_capped", cap=float("nan"))
 
 
 def test_t3_denominator_flag_switches_normalization():
