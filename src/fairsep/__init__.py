@@ -9,7 +9,7 @@ members who put in high effort.
 """
 
 from .bundled import adult_schema_path, fixture_path, toy8_paths
-from .dataset import (ColumnSpec, FeatureEncoder, Schema, Table, Thresholds,
+from .dataset import (ColumnSpec, Design, FeatureEncoder, Schema, Table, Thresholds,
                       effort_threshold, encode_features, load_csv,
                       privilege_threshold, resolve_thresholds,
                       stratified_split, write_csv)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentError", "BaseLearner", "ColumnSpec", "ConfigError",
-    "DegenerateThresholdError", "EffortWeighting", "EncodingError",
+    "DegenerateThresholdError", "Design", "EffortWeighting", "EncodingError",
     "ExpGradHP", "ExtractionError", "FairsepError", "FeatureEncoder",
     "GroupTerms", "ImportanceTable", "LearnerHP", "MomentConstraint",
     "NotionConfig", "PSweepResult", "ParseError",

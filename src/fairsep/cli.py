@@ -331,7 +331,10 @@ def cmd_train(args) -> int:
     mode, cutoff, test_fraction = _run_options(cfg)
     train_opts = dict(config_object(cfg, "train"))
     train_opts.pop("test_fraction", None)
-    include_protected = bool(train_opts.pop("include_protected", False))
+    include_protected = train_opts.pop("include_protected", False)
+    if not isinstance(include_protected, bool):
+        raise ConfigError(f"config 'train.include_protected' must be true or false, "
+                          f"got {include_protected!r}")
     train_opts.setdefault("base", dict(config_object(cfg, "learner")))
     hp = ExpGradHP.from_dict(train_opts)
     table = _load_table(cfg)

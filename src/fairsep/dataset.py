@@ -10,6 +10,13 @@ A Table is an immutable columnar dataset described by a Schema.  Column kinds:
 
 ``privilege`` and ``effort`` are tags layered on a numerical or ordinal
 column; they mark the columns the socio-economic notions read.
+
+``FeatureEncoder`` turns a Table into a ``Design``: a standardized numeric
+block plus one level-code array per categorical, never the mostly-zero
+one-hot matrix.  Its products are X @ w (a matrix-vector product plus one
+gather per categorical), X^T r (plus one ``np.bincount`` per categorical)
+and X^T diag(s) X (a Gram matrix of the numeric block plus ``np.bincount``
+sums over codes for every block that involves a categorical).
 """
 
 from __future__ import annotations
@@ -21,13 +28,13 @@ import json
 import logging
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateThresholdError, ParseError, SchemaError
+from .errors import DegenerateThresholdError, ParseError, SchemaError, string_list
 
 log = logging.getLogger(__name__)
 
@@ -109,7 +116,9 @@ class Schema:
                 raise SchemaError(f"schema column {raw!r} must be an object with "
                                   f"a 'name' and a 'kind'")
         cols = tuple(ColumnSpec(name=raw["name"], kind=raw["kind"],
-                                tags=tuple(raw.get("tags", ())),
+                                tags=string_list(raw.get("tags", []),
+                                                 f"schema column {raw['name']!r} 'tags'",
+                                                 SchemaError),
                                 positive_label=raw.get("positive_label"))
                      for raw in raw_cols)
         return cls(
@@ -453,12 +462,86 @@ def resolve_thresholds(
 # Feature encoding
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class Design:
+    """An encoded feature matrix of ``shape`` (rows, width) kept without its one-hot zeros.
+
+    ``numeric`` (rows x m) holds the standardized columns at positions
+    ``numeric_cols``.  Each ``(codes, cols)`` in ``coded`` is a categorical:
+    row i has a 1 in column ``cols[codes[i]]``, or none when its code is
+    ``len(cols)`` (a level unseen at fit).  ``dense()`` is the full matrix X;
+    ``matvec``, ``rmatvec`` and ``gram`` give X @ w, X^T r and X^T diag(s) X.
+    """
+
+    numeric: np.ndarray
+    numeric_cols: np.ndarray
+    coded: tuple[tuple[np.ndarray, np.ndarray], ...]
+    shape: tuple[int, int]
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[:, self.numeric_cols] = self.numeric
+        for codes, cols in self.coded:
+            hit = np.flatnonzero(codes < len(cols))
+            out[hit, cols[codes[hit]]] = 1.0
+        return out
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        out = self.numeric @ w[self.numeric_cols]
+        for codes, cols in self.coded:
+            out += np.append(w[cols], 0.0)[codes]
+        return out
+
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.shape[1])
+        out[self.numeric_cols] = r @ self.numeric
+        for codes, cols in self.coded:
+            out[cols] = np.bincount(codes, r, len(cols) + 1)[:-1]
+        return out
+
+    def gram(self, s: np.ndarray, block_rows: int) -> np.ndarray:
+        """The numeric block's part is summed over ``block_rows``-row blocks."""
+        out = np.zeros((self.shape[1], self.shape[1]))
+        scaled = [s * x for x in self.numeric.T] if self.coded else []
+        for i, (codes, cols) in enumerate(self.coded):  # one side, halved diagonal
+            size, rows = len(cols) + 1, cols[:, None]
+            out[cols, cols] = 0.5 * np.bincount(codes, s, size)[:-1]
+            out[rows, self.numeric_cols] = np.array(
+                [np.bincount(codes, sx, size)[:-1] for sx in scaled]).reshape(-1, len(cols)).T
+            for codes_b, cols_b in self.coded[:i]:
+                size_b = len(cols_b) + 1
+                pair = np.bincount(codes * size_b + codes_b, s, size * size_b)
+                out[rows, cols_b] = pair.reshape(size, size_b)[:-1, :-1]
+        out += out.T
+        both, root = np.ix_(self.numeric_cols, self.numeric_cols), np.sqrt(s)
+        for a in range(0, len(s), block_rows):
+            block = self.numeric[a:a + block_rows] * root[a:a + block_rows, None]
+            out[both] += block.T @ block
+        return out
+
+    def permuted(self, cols: list[int], perm: np.ndarray) -> "Design":
+        """A copy whose numeric columns at positions ``cols`` take rows ``perm``."""
+        k, block = [self.numeric_cols.tolist().index(c) for c in cols], self.numeric.copy()
+        block[:, k] = self.numeric[np.ix_(perm, k)]
+        return replace(self, numeric=block)
+
+
+def as_design(features) -> Design:
+    """``features`` if it is a Design, else a 2-D array taken as its numeric block."""
+    if isinstance(features, Design):
+        return features
+    X = np.asarray(features, dtype=np.float64)
+    return Design(X, np.arange(X.shape[1]), (), X.shape)
+
+
 @dataclass
 class FeatureEncoder:
     """One-hot + standardization encoder fitted on training-split statistics.
 
     ``feature_map`` lists, per output column, the source column and the level
-    it indicates (None for standardized numeric columns).
+    it indicates (None for standardized numeric columns).  ``transform``
+    returns these columns as a ``Design``, whose one-hot columns are kept as
+    each row's level code.
     """
 
     feature_map: list[tuple[str, str | None]]
@@ -508,22 +591,28 @@ class FeatureEncoder:
                     feature_map.append((spec.name, v))
         return cls(feature_map, levels, means, sds, include_protected)
 
-    def transform(self, table: Table, mask: np.ndarray | None = None) -> np.ndarray:
+    def transform(self, table: Table, mask: np.ndarray | None = None) -> Design:
+        rows = slice(None) if mask is None else mask
         n = table.rows if mask is None else int(np.count_nonzero(mask))
-        X = np.zeros((n, self.width))
-        for j, (name, level) in enumerate(self.feature_map):
-            col = table.column(name) if level is None else table.mask(name, level)
-            if mask is not None:
-                col = col[mask]
-            X[:, j] = col if level is not None else (col - self.means[name]) / self.sds[name]
-        return X
+        numeric = [j for j, (_, level) in enumerate(self.feature_map) if level is None]
+        block = np.empty((n, len(numeric)))
+        for k, (name, _) in enumerate(map(self.feature_map.__getitem__, numeric)):
+            block[:, k] = (table.column(name)[rows] - self.means[name]) / self.sds[name]
+        coded = []
+        for name in dict.fromkeys(name for name, level in self.feature_map if level is not None):
+            lv = self.levels[name]
+            to_code = np.array([lv.index(v) if v in lv else len(lv)
+                                for v in table.levels(name)], np.intp)
+            cols = np.array([self.feature_map.index((name, v)) for v in lv])
+            coded.append((to_code[table.codes(name)[rows]], cols))
+        return Design(block, np.array(numeric, np.intp), tuple(coded), (n, self.width))
 
 
 def encode_features(
     table: Table,
     train_mask: np.ndarray | None = None,
     include_protected: bool = False,
-) -> tuple[np.ndarray, FeatureEncoder]:
+) -> tuple[Design, FeatureEncoder]:
     """Encode the whole table; statistics come from train_mask rows only."""
     enc = FeatureEncoder.fit(table, train_mask, include_protected)
     return enc.transform(table), enc

@@ -38,12 +38,25 @@ class ConfigError(FairsepError):
 
 
 def config_number(doc: dict, key: str, default, convert=float):
-    """``convert(doc[key])``, or of ``default`` when absent; what it refuses is a ConfigError."""
+    """``convert(doc[key])``, or of ``default`` when absent; what it refuses is a ConfigError.
+
+    With ``convert=int`` the value must already be a JSON integer: a fraction,
+    a boolean or a string is refused, not rounded or parsed.
+    """
     value = doc.get(key, default)
+    if convert is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"config '{key}' must be an integer, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError):
         raise ConfigError(f"config '{key}' must be a number, got {value!r}") from None
+
+
+def string_list(value, what: str, error=ConfigError) -> tuple[str, ...]:
+    """``value`` as a tuple; anything but a JSON list of strings raises ``error``."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise error(f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)
 
 
 def config_object(doc: dict, key: str) -> dict:

@@ -13,7 +13,10 @@ The base learner is a from-scratch l2-regularised logistic regression
 costs: a row with negative cost prefers the positive decision and enters the
 loss with weight |cost|.  ``LearnerHP.epochs`` caps the number of Newton
 steps; the retired options ``learning_rate`` and ``seed`` are accepted from
-config and model files with a warning and ignored.
+config and model files with a warning and ignored.  Fits and predictions
+read features as a ``dataset.Design`` (a numeric block plus categorical
+codes) through its X @ w, X^T r and X^T diag(s) X products; a plain 2-D
+array is taken as a design with only a numeric block.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import FeatureEncoder, Table, Thresholds, encode_features
+from .dataset import Design, FeatureEncoder, Table, Thresholds, as_design, encode_features
 from .errors import ConfigError, EncodingError, config_object
 from .notions import SEP_FAMILY, NotionConfig, cells
 
@@ -98,17 +101,18 @@ class BaseLearner:
     epochs_run: int = 0
     final_loss: float = 0.0
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
+    def decision_function(self, X: Design | np.ndarray) -> np.ndarray:
+        X = as_design(X)
         if X.shape[1] != len(self.weights):
             raise EncodingError(
                 f"feature width {X.shape[1]} != model width {len(self.weights)}"
             )
-        return X @ self.weights + self.intercept
+        return X.matvec(self.weights) + self.intercept
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(self, X: Design | np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision_function(X))
 
-    def predict(self, X: np.ndarray, cutoff: float = 0.5) -> np.ndarray:
+    def predict(self, X: Design | np.ndarray, cutoff: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= cutoff).astype(np.int64)
 
     def to_dict(self) -> dict:
@@ -133,7 +137,7 @@ class BaseLearner:
 
 
 def fit_base(
-    features: np.ndarray,
+    features: Design | np.ndarray,
     labels: np.ndarray,
     costs: np.ndarray | None = None,
     hp: LearnerHP | None = None,
@@ -147,13 +151,19 @@ def fit_base(
     The fit is Armijo-damped Newton (IRLS) from zero: each step solves
     ``H d = g`` with H the Hessian of the p-weighted log-loss plus the l2
     term (intercept unpenalised) and halves the step until the loss falls by
-    a fixed fraction of the predicted decrease.  H is summed over fixed row
-    blocks, so no n-by-d temporary outlives a block.
+    a fixed fraction of the predicted decrease.
+
+    ``features`` is a ``Design`` or a plain 2-D array (a design with only a
+    numeric block).  Every product goes through the design: the margins are
+    ``matvec``, the gradient ``rmatvec`` and H ``gram``, whose numeric part is
+    summed over ``HESSIAN_BLOCK_ROWS``-row blocks.  The intercept is handled
+    apart (its row of H is ``rmatvec`` of the curvatures and their sum), so
+    no n-by-(d+1) copy of the features is made.
     """
     hp = hp or LearnerHP()
-    X = np.asarray(features, dtype=np.float64)
+    X = as_design(features)
     y = np.asarray(labels, dtype=np.float64)
-    if not np.isfinite(X).all():
+    if not np.isfinite(X.numeric).all():
         raise ValueError("features must be finite")
     n, d = X.shape
     if costs is None:
@@ -169,7 +179,6 @@ def fit_base(
     else:
         p = np.full(n, 1.0 / n)
 
-    X1 = np.hstack([X, np.ones((n, 1))])
     ridge = np.append(np.full(d, hp.l2), 0.0)  # the intercept is unpenalised
 
     def loss_at(w, margin):
@@ -185,17 +194,16 @@ def fit_base(
     for epoch in range(hp.epochs):
         epochs_run = epoch + 1
         q = _sigmoid(margin)
-        grad = X1.T @ (p * (q - z)) + ridge * w
-        root = np.sqrt(p * q * (1.0 - q))
-        hess = np.diag(ridge)
-        for a in range(0, n, HESSIAN_BLOCK_ROWS):
-            block = X1[a:a + HESSIAN_BLOCK_ROWS] * root[a:a + HESSIAN_BLOCK_ROWS, None]
-            hess += block.T @ block
+        resid, curv = p * (q - z), p * q * (1.0 - q)
+        grad = np.append(X.rmatvec(resid), resid.sum()) + ridge * w
+        edge = np.append(X.rmatvec(curv), curv.sum())  # the intercept's row of H
+        hess = np.block([[X.gram(curv, HESSIAN_BLOCK_ROWS), edge[:d, None]], [edge]])
+        hess += np.diag(ridge)
         # least squares, so a singular H (collinear columns with l2 = 0)
         # still gives the minimum-norm direction
         step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         slope = float(np.dot(grad, step))
-        shift = X1 @ step
+        shift = X.matvec(step[:d]) + step[d]
         t = 1.0
         prev_loss = loss
         while t >= MIN_STEP:
@@ -328,13 +336,14 @@ class ReducedModel:
     encoder: FeatureEncoder | None = None
     notion: dict | None = None
 
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(X))
+    def predict_scores(self, X: Design | np.ndarray) -> np.ndarray:
+        out = np.zeros(X.shape[0])
         for w, member in zip(self.mixture_weights, self.members):
             out += w * member.predict_proba(X)
         return out
 
-    def predict(self, X: np.ndarray, mode: str = "hard", cutoff: float = 0.5) -> np.ndarray:
+    def predict(self, X: Design | np.ndarray, mode: str = "hard",
+                cutoff: float = 0.5) -> np.ndarray:
         scores = self.predict_scores(X)
         if mode == "score":
             return scores
@@ -404,7 +413,7 @@ def exponentiated_gradient(
     table: Table,
     cfg: NotionConfig | None,
     hp: ExpGradHP | None = None,
-    features: np.ndarray | None = None,
+    features: Design | np.ndarray | None = None,
     encoder: FeatureEncoder | None = None,
     constraints: list[MomentConstraint] | None = None,
 ) -> ReducedModel:
@@ -419,7 +428,7 @@ def exponentiated_gradient(
     hp = hp or ExpGradHP()
     if features is None:
         features, encoder = encode_features(table)
-    X = np.asarray(features, dtype=np.float64)
+    X = as_design(features)
     y = table.target.astype(np.float64)
     n = len(y)
     if constraints is None:

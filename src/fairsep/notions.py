@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import EFFORT_SCOPES, Table, Thresholds, resolve_thresholds
-from .errors import ConfigError, config_number, config_object
+from .errors import ConfigError, config_number, config_object, string_list
 from .groupstats import positive_scores
 
 log = logging.getLogger(__name__)
@@ -139,7 +139,8 @@ class NotionConfig:
             weighting=weighting,
             epsilon=config_number(doc, "epsilon", 0.05),
             t3_literal_b=bool(doc.get("t3_literal_b", False)),
-            groups=tuple(doc["groups"]) if doc.get("groups") else None,
+            groups=(None if doc.get("groups") is None
+                    else string_list(doc["groups"], "notion 'groups'") or None),
         )
 
     def resolve_thresholds(self, table: Table) -> Thresholds | None:

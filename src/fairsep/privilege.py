@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import NUMERIC_KINDS, FeatureEncoder, Table, privilege_threshold
+from .dataset import (NUMERIC_KINDS, Design, FeatureEncoder, Table, as_design,
+                      privilege_threshold)
 from .errors import ConfigError, DegenerateThresholdError, ExtractionError, SchemaError
 from .learner import BaseLearner, LearnerHP, fit_base
 
@@ -51,7 +52,7 @@ class ImportanceTable:
 
 def permutation_importance(
     learner: BaseLearner,
-    X: np.ndarray,
+    X: Design | np.ndarray,
     y: np.ndarray,
     feature_groups: dict[str, list[int]],
     repeats: int,
@@ -60,16 +61,17 @@ def permutation_importance(
     """Mean accuracy drop (and sd) per source column over shared shuffles.
 
     One permutation is drawn per repeat and applied to every candidate, so
-    identical columns receive bitwise-identical importance.
+    identical columns receive bitwise-identical importance.  The groups'
+    columns must be numeric; each permutation replaces them in a copy of the
+    numeric block only.
     """
+    X = as_design(X)
     base_acc = float(np.mean(learner.predict(X) == y))
     drops: dict[str, list[float]] = {name: [] for name in feature_groups}
     for _ in range(repeats):
         perm = rng.permutation(len(y))
         for name, cols in feature_groups.items():
-            Xp = X.copy()
-            Xp[:, cols] = X[perm][:, cols]
-            acc = float(np.mean(learner.predict(Xp) == y))
+            acc = float(np.mean(learner.predict(X.permuted(cols, perm)) == y))
             drops[name].append(base_acc - acc)
     out = {}
     for name, vals in drops.items():
@@ -132,9 +134,9 @@ def extract_privilege_attribute(
         raise ExtractionError(f"group {group!r} too small to hold out a slice")
 
     encoder = FeatureEncoder.fit(table, train)
-    X = encoder.transform(table)
-    learner = fit_base(X[train], y[train], None, hp or LearnerHP())
-    preds = learner.predict(X[holdout])
+    learner = fit_base(encoder.transform(table, train), y[train], None, hp or LearnerHP())
+    X_ho = encoder.transform(table, holdout)
+    preds = learner.predict(X_ho)
     if len(set(preds.tolist())) < 2:
         raise ExtractionError(
             "degenerate learner: constant predictions on the held-out slice"
@@ -146,7 +148,7 @@ def extract_privilege_attribute(
         name: [j for j, (src, _) in enumerate(encoder.feature_map) if src == name]
         for name in candidates
     }
-    scores = permutation_importance(learner, X[holdout], y_ho, feature_groups,
+    scores = permutation_importance(learner, X_ho, y_ho, feature_groups,
                                     repeats, rng)
 
     # rank: importance desc, then importance-minus-sd desc, then name asc

@@ -475,6 +475,9 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, caplog, argv):
     {"train": 5},
     {"train": {"base": 5}},
     {"seed": "x"},
+    {"seed": 2.5},
+    {"seed": True},
+    {"train": {"include_protected": "no"}},
 ])
 def test_bad_trainer_hyperparameters_are_usage_errors(tmp_path, capsys, caplog, config):
     cfg_path = tmp_path / "train.json"
@@ -510,6 +513,10 @@ def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, caplog, argv):
     (["extract-privilege", "--group", "M"], {"repeats": "x"}, None),
     (["audit", "--notion", "DP"], {}, [{"kind": "target"}]),
     (["audit", "--notion", "DP"], {}, [5]),
+    (["extract-privilege", "--group", "M"], {"repeats": 3.5}, None),
+    (["audit", "--notion", "DP"], {"notion": {"groups": 5}}, None),
+    (["audit", "--notion", "DP"], {"notion": {"groups": "FM"}}, None),
+    (["audit", "--notion", "DP"], {}, [{"name": "cap", "kind": "numerical", "tags": 5}]),
 ])
 def test_wrong_type_config_and_schema_values_are_usage_errors(tmp_path, capsys, caplog,
                                                               argv, config, columns):

@@ -412,7 +412,8 @@ def test_resolve_thresholds_combines_both(toy8):
 
 def test_encoder_one_hot_and_standardization():
     t = rows_to_table(_mini_rows())
-    X, enc = encode_features(t)
+    design, enc = encode_features(t)
+    X = design.dense()
     # xp/xe standardized, cat one-hot over sorted levels; protected excluded
     assert enc.feature_map == [("xp", None), ("xe", None), ("cat", "A"), ("cat", "B")]
     assert X.shape == (4, 4)
@@ -438,7 +439,7 @@ def test_encoder_constant_numeric_encodes_zeros(caplog):
     with caplog.at_level("WARNING"):
         X, enc = encode_features(t)
     assert enc.sds["xp"] == 1.0
-    np.testing.assert_array_equal(X[:, 0], np.zeros(4))
+    np.testing.assert_array_equal(X.dense()[:, 0], np.zeros(4))
     assert any("constant" in m for m in caplog.messages)
 
 
@@ -460,7 +461,7 @@ def test_encoder_statistics_come_from_train_mask_only():
     assert enc.means["xp"] == pytest.approx(xp_train.mean())
     X_test = enc.transform(t, mask=~train)
     expected = (t.column("xp")[3] - xp_train.mean()) / xp_train.std()
-    assert X_test[0, 0] == pytest.approx(expected)
+    assert X_test.dense()[0, 0] == pytest.approx(expected)
 
 
 def test_encoder_unseen_level_encodes_all_zeros():
@@ -471,7 +472,7 @@ def test_encoder_unseen_level_encodes_all_zeros():
         r["cat"] = "C"
     t2 = rows_to_table(extra)
     X2 = enc.transform(t2)
-    np.testing.assert_array_equal(X2[:, 2:], np.zeros((4, 2)))
+    np.testing.assert_array_equal(X2.dense()[:, 2:], np.zeros((4, 2)))
 
 
 # ---------------------------------------------------------------------------

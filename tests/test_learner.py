@@ -10,21 +10,25 @@ import numpy as np
 import pytest
 
 from fairsep import (
+    ColumnSpec,
     ConfigError,
     DegenerateThresholdError,
     EffortWeighting,
     EncodingError,
     ExpGradHP,
+    FeatureEncoder,
     LearnerHP,
     MomentConstraint,
     NotionConfig,
     Schema,
+    Table,
     compile_constraints,
     encode_features,
     exponentiated_gradient,
     fit_base,
     load_csv,
     load_model,
+    permutation_importance,
     save_model,
     violation,
 )
@@ -188,6 +192,68 @@ def test_fit_base_converges_in_a_few_newton_steps():
     assert model.epochs_run <= 20
 
 
+def _coded_design_table(n=400, seed=3):
+    """Rows whose encoding has every coded-design special case: a numeric
+    column constant on the first half (the fit rows), a categorical with a
+    level only the second half holds, and one with a single level there."""
+    rng = np.random.default_rng(seed)
+    fit_rows = np.arange(n) < n // 2
+    schema = Schema(tuple(ColumnSpec(name, kind) for name, kind in (
+        ("group", "protected"), ("x", "numerical"), ("flat", "numerical"),
+        ("job", "categorical"), ("one", "categorical"), ("edu", "ordinal"),
+        ("area", "categorical"), ("y", "target"))))
+    job = rng.choice(list("ABCD"), n).astype(object)
+    job[~fit_rows & (rng.random(n) < 0.3)] = "unseen"
+    table = Table(schema, {
+        "group": rng.choice(["F", "M"], n).astype(object),
+        "x": rng.normal(size=n),
+        "flat": np.where(fit_rows, 7.0, rng.normal(size=n)),
+        "job": job,
+        "one": np.where(fit_rows, "only", "other").astype(object),
+        "edu": rng.integers(1, 16, n).astype(np.float64),
+        "area": rng.choice(["n", "s", "e"], n).astype(object),
+        "y": rng.integers(0, 2, n),
+    })
+    return table, fit_rows
+
+
+def _assert_close(actual, expected, rel=1e-12):
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+def test_coded_design_matches_its_dense_reference():
+    table, fit_rows = _coded_design_table()
+    encoder = FeatureEncoder.fit(table, fit_rows, include_protected=True)
+    assert ("flat", None) in encoder.feature_map and "one" not in encoder.levels
+    assert ("job", "unseen") not in encoder.feature_map
+    X = encoder.transform(table)
+    dense = X.dense()
+    unseen = table.column("job") == "unseen"
+    assert unseen.any()
+    jobs = [j for j, (name, _) in enumerate(encoder.feature_map) if name == "job"]
+    np.testing.assert_array_equal(dense[np.ix_(unseen, jobs)], 0.0)
+    assert dense.shape == X.shape == (table.rows, encoder.width)
+
+    rng = np.random.default_rng(0)
+    w, r, s = rng.normal(size=encoder.width), rng.normal(size=table.rows), rng.random(table.rows)
+    _assert_close(X.matvec(w), dense @ w)
+    _assert_close(X.rmatvec(r), dense.T @ r)
+    for block_rows in (7, 4096):
+        _assert_close(X.gram(s, block_rows), dense.T @ (dense * s[:, None]))
+
+    y = table.target.astype(np.float64)
+    for costs in (None, rng.normal(size=table.rows)):
+        coded, plain = fit_base(X, y, costs), fit_base(dense, y, costs)
+        assert coded.epochs_run == plain.epochs_run
+        assert np.abs(np.append(coded.weights - plain.weights,
+                                coded.intercept - plain.intercept)).max() <= 1e-10
+
+    groups = {name: [encoder.feature_map.index((name, None))] for name in ("x", "flat", "edu")}
+    learner = fit_base(X, y)
+    assert permutation_importance(learner, X, y, groups, 4, np.random.default_rng(5)) == \
+        permutation_importance(learner, dense, y, groups, 4, np.random.default_rng(5))
+
+
 def test_learner_hp_ignores_retired_keys_with_a_warning(caplog):
     with caplog.at_level(logging.WARNING):
         hp = LearnerHP.from_dict({"epochs": 10, "learning_rate": 0.5, "seed": 3})
@@ -283,17 +349,21 @@ def test_sep_constraint_weights_match_hand_built_masks(toy8):
     np.testing.assert_array_equal(dense(by_name["SEP/F/fpr_cap"]), cap)
 
 
+def _adultgen_table(directory, rows=12000):
+    spec = importlib.util.spec_from_file_location(
+        "adultgen", Path(__file__).resolve().parent.parent / "perfbench" / "adultgen.py")
+    adultgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(adultgen)
+    data = adultgen.generate(11, directory, rows=rows)
+    return load_csv(data["data"], Schema.from_json(data["schema"]))
+
+
 def test_compile_memory_scales_with_non_zeros_not_constraints(tmp_path):
     # CSEP x native-country has about twice the constraints of CSEP x occupation
     # and about the same non-zeros (each term's rows), so a constraint system
     # kept as row indices peaks at about the same memory for both; a dense
     # constraint-by-row form peaks in proportion to the constraint count
-    spec = importlib.util.spec_from_file_location(
-        "adultgen", Path(__file__).resolve().parent.parent / "perfbench" / "adultgen.py")
-    adultgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(adultgen)
-    data = adultgen.generate(11, tmp_path, rows=12000)
-    table = load_csv(data["data"], Schema.from_json(data["schema"]))
+    table = _adultgen_table(tmp_path)
     systems, peaks = {}, {}
     for conditional in ("occupation", "native-country"):
         cfg = NotionConfig.from_dict({"kind": "CSEP", "conditional": conditional},
@@ -309,6 +379,27 @@ def test_compile_memory_scales_with_non_zeros_not_constraints(tmp_path):
     assert len(nat) >= 1.6 * len(occ)
     nnz_occ, nnz_nat = (sum(c.rows.size for c in s) for s in (occ, nat))
     assert abs(nnz_nat - nnz_occ) <= 0.02 * nnz_occ
+
+
+def test_training_memory_stays_below_the_dense_feature_matrix(tmp_path):
+    # the coded design holds the one-hot columns as level codes, and the fit
+    # makes no n x (d+1) copy, so training never allocates what the dense
+    # feature matrix alone would take
+    table = _adultgen_table(tmp_path)
+    cfg = NotionConfig.from_dict({"kind": "CSEP", "conditional": "occupation"}, table.schema)
+    constraints = compile_constraints(table, cfg)
+    X, encoder = encode_features(table)
+    n, d = X.shape
+    hp = ExpGradHP(max_iter=3, base=LearnerHP(epochs=100))
+    tracemalloc.start()
+    try:
+        model = exponentiated_gradient(table, cfg, hp, features=X, encoder=encoder,
+                                       constraints=constraints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model.members) == 3 and all(m.converged for m in model.members)
+    assert peak < n * d * 8, (peak, n * d * 8)
 
 
 def test_sep_constraint_values_equal_measured_terms(toy8):
@@ -510,7 +601,7 @@ def test_model_json_round_trip(tmp_path):
     loaded = load_model(path)
     X = model.encoder.transform(table)
     X2 = loaded.encoder.transform(table)
-    np.testing.assert_array_equal(X, X2)
+    np.testing.assert_array_equal(X.dense(), X2.dense())
     np.testing.assert_array_equal(model.predict_scores(X), loaded.predict_scores(X2))
     assert loaded.constraint_names == model.constraint_names
     assert loaded.hp == model.hp
