@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateThresholdError, ParseError, SchemaError, string_list
+from .errors import DegenerateThresholdError, EncodingError, ParseError, SchemaError, string_list
 
 log = logging.getLogger(__name__)
 
@@ -521,7 +521,10 @@ class Design:
 
     def permuted(self, cols: list[int], perm: np.ndarray) -> "Design":
         """A copy whose numeric columns at positions ``cols`` take rows ``perm``."""
-        k, block = [self.numeric_cols.tolist().index(c) for c in cols], self.numeric.copy()
+        numeric = self.numeric_cols.tolist()
+        if not set(cols) <= set(numeric):
+            raise EncodingError(f"only numeric columns can be permuted, not {sorted(cols)}")
+        k, block = [numeric.index(c) for c in cols], self.numeric.copy()
         block[:, k] = self.numeric[np.ix_(perm, k)]
         return replace(self, numeric=block)
 

@@ -252,6 +252,8 @@ def test_coded_design_matches_its_dense_reference():
     learner = fit_base(X, y)
     assert permutation_importance(learner, X, y, groups, 4, np.random.default_rng(5)) == \
         permutation_importance(learner, dense, y, groups, 4, np.random.default_rng(5))
+    with pytest.raises(EncodingError, match="only numeric columns"):
+        permutation_importance(learner, X, y, {"job": jobs}, 2, np.random.default_rng(5))
 
 
 def test_learner_hp_ignores_retired_keys_with_a_warning(caplog):
