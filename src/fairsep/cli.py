@@ -138,12 +138,9 @@ def _run_options(cfg: dict) -> tuple[str, float, float]:
     mode = cfg.get("mode", "hard")
     if mode not in ("hard", "expected"):
         raise ConfigError(f"mode must be 'hard' or 'expected', got {mode!r}")
-    try:
-        cutoff = float(cfg.get("cutoff", 0.5))
-        test_fraction = float(cfg.get("test_fraction",
-                                      config_object(cfg, "train").get("test_fraction", 0.3)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cutoff and test_fraction must be numbers: {exc}") from None
+    cutoff = config_number(cfg, "cutoff", 0.5)
+    test_fraction = config_number(cfg, "test_fraction",
+                                  config_object(cfg, "train").get("test_fraction", 0.3))
     for key, value in (("cutoff", cutoff), ("test_fraction", test_fraction)):
         if not 0 < value < 1:
             raise ConfigError(f"{key} must lie in (0, 1), got {value}")
@@ -170,17 +167,19 @@ def _resolve_predictions(cfg: dict, table: Table) -> tuple[np.ndarray, str]:
     if spec == "ground_truth":
         return table.target.astype(np.float64), "ground_truth"
     if spec:
-        values = []
         with open(spec, "r", encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line == "prediction":
-                    continue
-                try:
-                    values.append(float(line))
-                except ValueError:
-                    raise ParseError(f"{spec}:{number}: not a number: {line!r}") from None
-        return np.asarray(values, dtype=np.float64), f"file:{spec}"
+            lines = [line for line in map(str.strip, fh) if line and line != "prediction"]
+        try:
+            return np.array(lines, dtype=np.float64), f"file:{spec}"
+        except ValueError:  # numpy parses as float() does; name the first line it refuses
+            with open(spec, "r", encoding="utf-8") as fh:
+                for number, line in enumerate(map(str.strip, fh), 1):
+                    if line and line != "prediction":
+                        try:
+                            float(line)
+                        except ValueError:
+                            raise ParseError(f"{spec}:{number}: not a number: {line!r}") from None
+            raise
     if cfg.get("model"):
         model = load_model(cfg["model"])
         if model.encoder is None:

@@ -43,6 +43,9 @@ TAGS = ("privilege", "effort")
 NUMERIC_KINDS = ("ordinal", "numerical")
 CODED_KINDS = ("protected", "categorical")
 CHUNK_ROWS = 1024
+CHUNK_BYTES = 1 << 19
+# masks keeping the low 0..8 bytes of a little-endian uint64 word
+_WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 
 # Effort scopes, ordered from coarse to fine; a cell with fewer than
 # MIN_CELL_ROWS rows inherits the mean of its parent scope.
@@ -226,51 +229,21 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
     whitespace before use.  Target values are binarized: raw values equal to
     ``positive_label`` map to 1, everything else to 0; without a
     ``positive_label`` the raw values must already be 0/1.  Numeric values
-    must be finite.  Rows are read ``CHUNK_ROWS`` at a time and each field is
-    coded by its raw string; each column's distinct raw strings are parsed
-    once per file.  The first faulty kept row or short/long row raises
-    ``ParseError`` naming the physical line the row starts on; a record the
-    ``csv`` module cannot read raises it first, naming the line being read.
+    must be finite.  A plain file (UTF-8 without quote, CR or NUL bytes, and
+    ``len(header)`` fields on every line) is read ``CHUNK_BYTES`` at a time by
+    numpy byte scans, any other by ``csv.reader``, ``CHUNK_ROWS`` records at a
+    time.  Each field is coded by its raw string; each column's distinct raw
+    strings are parsed once per file.  The first faulty kept row or short/long
+    row raises ``ParseError`` naming the physical line the row starts on; a
+    record the ``csv`` module cannot read raises it first, naming the line.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
-        faults, read, collecting = [], 0, gc.isenabled()
-        gc.disable()  # the loop's many acyclic row lists would only trigger collector passes
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file, header required")
-            header = [h.strip() for h in header]
-            missing = [c.name for c in schema.columns if c.name not in header]
-            if missing:
-                raise SchemaError(f"{path}: schema columns absent from header: {missing}")
-            getters = [itemgetter(header.index(c.name)) for c in schema.columns]
-            distinct = [defaultdict(itertools.count().__next__) for _ in schema.columns]
-            parts = [[np.zeros(0, np.int32)] for _ in schema.columns]
-            while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
-                if faults:
-                    continue  # read on, so that a record csv cannot read still raises
-                rows = list(filter(None, chunk))
-                if any(map(len(header).__ne__, map(len, rows))):
-                    short = next(i for i, r in enumerate(rows) if len(r) != len(header))
-                    faults.append((read + short,
-                                   f"expected {len(header)} fields, got {len(rows[short])}"))
-                    rows = rows[:short]
-                for get, codes, arrs in zip(getters, distinct, parts):
-                    arrs.append(np.fromiter(map(codes.__getitem__, map(get, rows)),
-                                            np.int32, len(rows)))
-                read += len(rows)
-        except csv.Error as exc:
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-        finally:
-            if collecting:
-                gc.enable()
-
+    distinct, parts, faults = _read_plain(path, schema) or _read_records(path, schema)
     levels: dict[str, dict] = {c.name: {} for c in schema.columns if c.kind in CODED_KINDS}
     raw = [np.concatenate(arrs) for arrs in parts]
+    del parts  # the blocks' code arrays, as large again as raw
     stripped = [[v.strip() for v in codes] for codes in distinct]
-    drop = np.zeros(read, dtype=bool)
+    drop = np.zeros(len(raw[0]), dtype=bool)
     for codes, values in zip(raw, stripped):
         drop |= np.array([v == schema.missing_marker for v in values], dtype=bool)[codes]
     cols = {}
@@ -292,6 +265,101 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
         log.info("%s: dropped %d rows containing missing marker %r", path, dropped, schema.missing_marker)
     return Table(schema, cols, dropped_rows=dropped,
                  levels={name: list(ids) for name, ids in levels.items()})
+
+
+def _header_columns(path: Path, header: list[str], schema: Schema) -> list[int]:
+    """Each schema column's position in the stripped header."""
+    header = [h.strip() for h in header]
+    missing = [c.name for c in schema.columns if c.name not in header]
+    if missing:
+        raise SchemaError(f"{path}: schema columns absent from header: {missing}")
+    return [header.index(c.name) for c in schema.columns]
+
+
+def _read_records(path: Path, schema: Schema) -> tuple[list, list, list]:
+    """The file-wide dicts, code arrays and short/long row faults of what csv reads."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        faults, read, collecting = [], 0, gc.isenabled()
+        gc.disable()  # the loop's many acyclic row lists would only trigger collector passes
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file, header required")
+            getters = [itemgetter(i) for i in _header_columns(path, header, schema)]
+            distinct = [defaultdict(itertools.count().__next__) for _ in schema.columns]
+            parts = [[np.zeros(0, np.int32)] for _ in schema.columns]
+            while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
+                if faults:
+                    continue  # read on, so that a record csv cannot read still raises
+                rows = list(filter(None, chunk))
+                if any(map(len(header).__ne__, map(len, rows))):
+                    short = next(i for i, r in enumerate(rows) if len(r) != len(header))
+                    faults.append((read + short,
+                                   f"expected {len(header)} fields, got {len(rows[short])}"))
+                    rows = rows[:short]
+                for get, codes, arrs in zip(getters, distinct, parts):
+                    arrs.append(np.fromiter(map(codes.__getitem__, map(get, rows)),
+                                            np.int32, len(rows)))
+                read += len(rows)
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+        finally:
+            if collecting:
+                gc.enable()
+    return distinct, parts, faults
+
+
+def _read_plain(path: Path, schema: Schema) -> tuple[list, list, list] | None:
+    """``_read_records``'s result for a plain file, or None for any other.
+
+    A block is ``CHUNK_BYTES`` completed to the end of a line; its delimiter
+    and newline bytes end the fields.  Each field is read as little-endian
+    uint64 words masked to its length (exact, as no NUL byte occurs), and only
+    the block's distinct words go through the file-wide dicts.
+    """
+    delim, limit, not_plain = schema.delimiter, csv.field_size_limit(), (b'"', b"\r", b"\0")
+    if len(delim) != 1 or delim in '"\r\n\0' or not delim.isascii():
+        return None
+    distinct = [defaultdict(itertools.count().__next__) for _ in schema.columns]
+    parts = [[np.zeros(0, np.int32)] for _ in schema.columns]
+    with open(path, "rb") as fh:
+        try:
+            line = fh.readline()
+            header = line.removesuffix(b"\n").decode().split(delim)
+            if not line or len(line) > limit + 1 or any(map(line.__contains__, not_plain)):
+                return None
+            columns, ncols = _header_columns(path, header, schema), len(header)
+            ends_of_line = np.array([ord(delim)] * (ncols - 1) + [10], np.uint8)
+            while block := fh.read(CHUNK_BYTES) + fh.readline():
+                if not block.endswith(b"\n"):
+                    block += b"\n"  # the last line may lack its newline
+                block.isascii() or block.decode()  # raises unless the block is UTF-8
+                buf = np.frombuffer(block + bytes(8), np.uint8)
+                ends = np.flatnonzero((buf == ord(delim)) | (buf == 10))
+                rows, lines = ends.size // ncols, np.diff(ends[ncols - 1::ncols], prepend=-1)
+                if (any(map(block.__contains__, not_plain)) or ends.size % ncols
+                        or (buf[ends].reshape(rows, ncols) != ends_of_line).any()
+                        or lines.min() == 1 or lines.max() > limit + 1):  # blank, or too long
+                    return None
+                ends = ends.reshape(rows, ncols)
+                words = np.ndarray((len(block) + 1,), "<u8", buf, 0, (1,))  # buf[i:i + 8]
+                for c, codes, arrs in zip(columns, distinct, parts):
+                    start = ends[:, c - 1] + 1 if c else np.append(0, ends[:-1, -1] + 1)
+                    size = ends[:, c] - start
+                    keys = [_WORD_MASKS[np.clip(size - k, 0, 8)]
+                            & words[np.minimum(start + k, len(block))]
+                            for k in range(0, max(int(size.max()), 1), 8)]
+                    order = np.lexsort(keys) if len(keys) > 1 else keys[0].argsort()
+                    ordered = [k[order] for k in keys]
+                    new = np.append(True, np.any([k[1:] != k[:-1] for k in ordered], axis=0))
+                    pick = zip(start[order[new]].tolist(), size[order[new]].tolist())
+                    code = np.fromiter((codes[block[a:a + n].decode()] for a, n in pick), np.int32)
+                    arrs.append(np.empty(rows, np.int32))
+                    arrs[-1][order] = code[np.cumsum(new) - 1]
+        except UnicodeDecodeError:
+            return None
+    return distinct, parts, []
 
 
 def _parse_field(spec: ColumnSpec, value: str, levels: dict | None) -> tuple:

@@ -40,16 +40,17 @@ class ConfigError(FairsepError):
 def config_number(doc: dict, key: str, default, convert=float):
     """``convert(doc[key])``, or of ``default`` when absent; what it refuses is a ConfigError.
 
-    With ``convert=int`` the value must already be a JSON integer: a fraction,
-    a boolean or a string is refused, not rounded or parsed.
+    A boolean, a string or, with ``convert=int``, a fraction is refused, not
+    parsed or rounded.
     """
     value = doc.get(key, default)
-    if convert is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"config '{key}' must be an integer, got {value!r}")
+    want = "an integer" if convert is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, int if convert is int else (int, float)):
+        raise ConfigError(f"config '{key}' must be {want}, got {value!r}")
     try:
         return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config '{key}' must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ConfigError(f"config '{key}' must be {want}, got {value!r}") from None
 
 
 def string_list(value, what: str, error=ConfigError) -> tuple[str, ...]:

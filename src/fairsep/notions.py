@@ -95,6 +95,8 @@ class NotionConfig:
             raise ConfigError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         if not 0 < self.p < 100:
             raise ConfigError(f"p must lie in (0, 100), got {self.p}")
+        if not isinstance(self.t3_literal_b, bool):
+            raise ConfigError(f"t3_literal_b must be true or false, got {self.t3_literal_b!r}")
         if self.kind in ("CDP", "CSEP") and not self.conditional:
             raise ConfigError(f"{self.kind} needs a conditional column")
         if self.kind in SEP_FAMILY and not self.privilege_column:
@@ -138,7 +140,7 @@ class NotionConfig:
             effort_scope=doc.get("effort_scope"),
             weighting=weighting,
             epsilon=config_number(doc, "epsilon", 0.05),
-            t3_literal_b=bool(doc.get("t3_literal_b", False)),
+            t3_literal_b=doc.get("t3_literal_b", False),
             groups=(None if doc.get("groups") is None
                     else string_list(doc["groups"], "notion 'groups'") or None),
         )

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from fairsep.bundled import toy8_paths
-from fairsep.cli import _write_json, main
+from fairsep.cli import _resolve_predictions, _write_json, main
 from fairsep.dataset import Schema, load_csv
+from fairsep.errors import ParseError
 from fairsep.learner import ExpGradHP, ReducedModel, save_model
 
 from conftest import rows_to_table
@@ -478,6 +479,13 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, caplog, argv):
     {"seed": 2.5},
     {"seed": True},
     {"train": {"include_protected": "no"}},
+    {"notion": {"epsilon": True}},
+    {"notion": {"p": "5"}},
+    {"notion": {"zeta": {"cap": True}}},
+    {"notion": {"t3_literal_b": "no"}},
+    {"cutoff": "0.5"},
+    {"test_fraction": "0.3"},
+    {"train": {"test_fraction": "0.3"}},
 ])
 def test_bad_trainer_hyperparameters_are_usage_errors(tmp_path, capsys, caplog, config):
     cfg_path = tmp_path / "train.json"
@@ -517,6 +525,11 @@ def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, caplog, argv):
     (["audit", "--notion", "DP"], {"notion": {"groups": 5}}, None),
     (["audit", "--notion", "DP"], {"notion": {"groups": "FM"}}, None),
     (["audit", "--notion", "DP"], {}, [{"name": "cap", "kind": "numerical", "tags": 5}]),
+    (["sweep-p"], {"ratio_rule": True}, None),
+    (["audit", "--notion", "DP"], {"notion": {"epsilon": True}}, None),
+    (["audit", "--notion", "SEP", "--p", "25"], {"notion": {"t3_literal_b": "no"}}, None),
+    (["audit", "--notion", "SEP"], {"notion": {"p": "25"}}, None),
+    (["audit", "--notion", "DP"], {"cutoff": "0.5"}, None),
 ])
 def test_wrong_type_config_and_schema_values_are_usage_errors(tmp_path, capsys, caplog,
                                                               argv, config, columns):
@@ -566,6 +579,18 @@ def test_non_numeric_prediction_is_a_parse_error(tmp_path, capsys, caplog):
     assert code == 3
     assert "preds.csv:4: not a number: 'abc'" in capsys.readouterr().err
     assert "unhandled error" not in caplog.text
+
+
+def test_predictions_file_takes_the_spellings_float_takes(tmp_path):
+    path = tmp_path / "preds.csv"
+    path.write_text("prediction\n1_0\n\n\uff11\uff12\n infinity \n-NaN\n", encoding="utf-8")
+    values, source = _resolve_predictions({"predictions": str(path)}, None)
+    assert source == f"file:{path}"
+    assert values[:3].tolist() == [10.0, 12.0, float("inf")] and np.isnan(values[3])
+    for bad in ("0x10", "1,5", "1.5d0"):
+        path.write_text(f"prediction\n0.5\n\n{bad}\n0.25\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"preds.csv:4: not a number: '{bad}'$"):
+            _resolve_predictions({"predictions": str(path)}, None)
 
 
 def test_unreadable_csv_record_is_a_parse_error(tmp_path, capsys, caplog):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import importlib.util
 import math
 import os
 import random
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -93,21 +95,21 @@ def outcome(loader, path, schema):
     """What a loader made of the file: the table's content, or its error."""
     try:
         t = loader(path, schema)
-    except FairsepError as exc:
+    except (FairsepError, csv.Error, UnicodeDecodeError) as exc:
         return type(exc).__name__, str(exc)
     return (t.rows, t.dropped_rows,
             {c.name: t.column(c.name).tolist() for c in schema.columns},
             {c.name: t.levels(c.name) for c in schema.columns if c.kind in CODED})
 
 
-def schema_for(positive_label):
+def schema_for(positive_label, delimiter=","):
     return Schema.from_dict({"columns": [
         {"name": "g", "kind": "protected"},
         {"name": "x", "kind": "numerical", "tags": ["privilege"]},
         {"name": "o", "kind": "ordinal", "tags": ["effort"]},
         {"name": "c", "kind": "categorical"},
         {"name": "y", "kind": "target", "positive_label": positive_label},
-    ]})
+    ], "delimiter": delimiter})
 
 
 POOLS = {
@@ -164,6 +166,121 @@ if given is not None:
 else:
     test_load_csv_matches_row_reference = pytest.mark.parametrize(
         "seed", range(300))(check_loader_matches_reference)
+
+
+PLAIN_POOLS = {
+    "g": ["F", " M ", "A B", "?", "Married-civ-spouse", "Married-civ-spouse ", "\u00e9t\u00e9"],
+    "x": ["0", " 1.5 ", "10000", "-3", "1e3", " ? ", "nan", "abc", "12345678", "123456789"],
+    "o": ["40", "20 ", " 60", "?", "-inf", "4.0000000000000001", "4.0000000000000002"],
+    "c": ["a", " a", "", "c d", "abcdefgh", "abcdefg", "abcdefgh1", "abcdefgh2", "? ", "\u65e5"],
+    "junk": ["zzz", "", " 1 ", "?", "Outlying-US(Guam-USVI-etc)"],
+}
+
+
+def random_plain_csv(rng: random.Random, path: Path) -> Schema:
+    """A small delimited file without quoting, and now and then one defect
+    that makes it irregular or not plain: a blank line, a short or long row,
+    a CRLF, a NUL, invalid UTF-8, a quote or a field over the csv limit."""
+    positive_label = rng.choice([None, ">50K"])
+    y_pool = [">50K", "<=50K", " >50K ", "?"] if positive_label else ["0", "1", " 1 ", " ?", "2"]
+    pools = dict(PLAIN_POOLS, y=y_pool)
+    names = list(pools)
+    rng.shuffle(names)
+    delim = rng.choice([",", ";", "\t"])
+    lines = [names] + [[rng.choice(pools[name]) for name in names]
+                       for _ in range(rng.choice([0, 1] + [rng.randint(2, 40)] * 4))]
+    lines = [delim.join(line).encode() for line in lines]
+    defect = rng.choice(["none"] * 6 + ["blank", "short", "long", "crlf", "nul", "utf8",
+                                        "quote", "huge"])
+    at = rng.randint(1, len(lines))
+    if defect == "blank":
+        lines.insert(at, b"")
+    elif defect in ("short", "long") and at < len(lines):
+        lines[at] = (lines[at].rsplit(delim.encode(), 1)[0] if defect == "short"
+                     else lines[at] + delim.encode() + b"x")
+    elif defect in ("nul", "utf8", "quote") and at < len(lines):
+        lines[at] = lines[at] + {"nul": b"\0", "utf8": b"\xff", "quote": b'"'}[defect]
+    elif defect == "huge":  # in the header now and then
+        at = rng.randrange(len(lines))
+        lines[at] = b"h" * (csv.field_size_limit() + 1) + lines[at]
+    elif defect == "crlf":
+        lines[at - 1] += b"\r"
+    path.write_bytes(b"\n".join(lines) + (b"\n" if rng.random() < 0.8 else b""))
+    return schema_for(positive_label, delim)
+
+
+def check_plain_loader_matches_csv_path(seed: int) -> None:
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        schema = random_plain_csv(rng, path)
+        with mock.patch.object(dataset, "CHUNK_BYTES", rng.choice([1, 7, 8, 9, 64, 1 << 19])):
+            got = outcome(load_csv, path, schema)
+        with mock.patch.object(dataset, "_read_plain", return_value=None):
+            assert got == outcome(load_csv, path, schema)
+        want = outcome(reference_load, path, schema)
+        # the reference neither turns csv.Error into ParseError nor reads on
+        # past its first fault to a field over the csv limit
+        if want[0] != "Error" and "field limit" not in str(got[1]):
+            assert got == want
+
+
+if given is not None:
+    test_plain_load_matches_csv_path_and_reference = settings(
+        max_examples=300, deadline=None, derandomize=True, database=None)(
+        given(st.integers(0, 2**32 - 1))(check_plain_loader_matches_csv_path))
+else:
+    test_plain_load_matches_csv_path_and_reference = pytest.mark.parametrize(
+        "seed", range(300))(check_plain_loader_matches_csv_path)
+
+
+def test_random_plain_csvs_reach_both_readers():
+    # the plain generator must give files each reader takes, tables and errors
+    readers, kinds = set(), set()
+    plain = dataset._read_plain
+    for seed in range(200):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            schema = random_plain_csv(random.Random(seed), path)
+            readers.add(plain(path, schema) is None)
+            got = outcome(load_csv, path, schema)
+        kinds.add(got[0] if isinstance(got[0], str) else "table")
+    assert readers == {True, False}
+    assert {"table", "ParseError", "UnicodeDecodeError"} <= kinds
+
+
+def test_plain_file_is_read_without_csv_reader(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("g,x,o,c,y\nF,1,2,a,0\nM,2,3,b,1\n", encoding="utf-8")
+    with mock.patch.object(dataset.csv, "reader", side_effect=AssertionError("csv.reader")):
+        t = load_csv(p, schema_for(None))
+    assert t.rows == 2 and t.levels("c") == ["a", "b"] and t.column("x").tolist() == [1.0, 2.0]
+    wide = "\u00e9" * (csv.field_size_limit() // 2 + 1)  # over the limit in bytes only
+    for text in ('g,x,o,c,y\nF,1,2,"a",0\nM,2,3,b,1\n',
+                 f"g,x,o,c,y\nF,1,2,{wide},0\nM,2,3,{wide},1\n"):
+        p.write_text(text, encoding="utf-8")
+        with mock.patch.object(dataset.csv, "reader", wraps=csv.reader) as reader:
+            assert load_csv(p, schema_for(None)).levels("c") in (["a", "b"], [wide])
+        assert reader.called  # csv reads a quoted file, and one with a line over its limit
+
+
+def test_plain_load_peaks_below_two_and_a_half_times_the_file(tmp_path):
+    # the plain reader holds one block's bytes and scans at a time, so the
+    # peak is the table and its codes, not a whole-file copy of each scan
+    spec = importlib.util.spec_from_file_location(
+        "adultgen", Path(__file__).resolve().parent.parent / "perfbench" / "adultgen.py")
+    adultgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(adultgen)
+    data = adultgen.generate(11, tmp_path)
+    schema = Schema.from_json(data["schema"])
+    tracemalloc.start()
+    try:
+        table = load_csv(data["data"], schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.rows + table.dropped_rows == 48_842
+    assert peak <= 2.5 * os.path.getsize(data["data"]), peak / os.path.getsize(data["data"])
 
 
 def test_random_csvs_reach_both_tables_and_errors():
