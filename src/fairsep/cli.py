@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import charts
-from .dataset import (Schema, Table, effort_threshold, encode_features,
+from .dataset import (Schema, Table, cell_rows, effort_threshold, encode_features,
                       load_csv, stratified_split)
 from .errors import (ConfigError, FairsepError, ParseError, SchemaError, config_number,
                      config_object)
@@ -38,6 +38,7 @@ log = logging.getLogger(__name__)
 STATS_HEADER = ("scope", "category", "group", "n", "positives",
                 "tp", "fp", "tn", "fn", "ppr", "tpr", "fpr")
 BIN_COUNT = 5
+SEGMENTS = ("privileged", "under_high", "under_low")
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +122,18 @@ def _merged_config(args) -> dict:
 
 
 def _parse_grid(text) -> list[float] | None:
-    """A p grid from a list, a comma list '1,2,5' or an integer range '1:20'."""
+    """A p grid from a list of numbers, a comma list '1,2,5' or an integer range '1:20'."""
+    if text is None or isinstance(text, list):
+        return text and [config_number({"grid": v}, "grid", None) for v in text]
     try:
-        if text is None or isinstance(text, list):
-            return text and [float(v) for v in text]
-        if ":" in text:
-            lo, hi = text.split(":", 1)
-            return [float(p) for p in range(int(lo), int(hi) + 1)]
-        return [float(v) for v in text.split(",") if v.strip()]
+        if ":" not in text:
+            return [float(v) for v in text.split(",") if v.strip()]
+        lo, hi = map(int, text.split(":", 1))
     except (TypeError, ValueError):
         raise ConfigError(f"p grid must be numbers, as '1,2,5' or '1:20', got {text!r}") from None
+    if lo < 1 or hi > 99:  # before the range is built
+        raise ConfigError(f"p grid values must lie in (0, 100), got {text!r}")
+    return [float(p) for p in range(lo, hi + 1)]
 
 
 def _run_options(cfg: dict) -> tuple[str, float, float]:
@@ -199,8 +202,7 @@ def _command_string(args) -> str:
 # stats tables
 # ---------------------------------------------------------------------------
 
-def _stats_row(scope, category, group, table, predictions, selection, cutoff, mode):
-    rows = subgroup_mask(table, selection) if selection else None
+def _stats_row(scope, category, group, table, predictions, rows, cutoff, mode):
     frame = stats(table, predictions, rows, cutoff=cutoff, mode=mode)
     return [scope, category, group, frame.n, frame.positives, frame.tp, frame.fp,
             frame.tn, frame.fn, frame.ppr, frame.tpr, frame.fpr]
@@ -208,20 +210,22 @@ def _stats_row(scope, category, group, table, predictions, selection, cutoff, mo
 
 def _stats_rows(table: Table, predictions, ncfg: NotionConfig,
                 cutoff: float, mode: str) -> list[list]:
-    rows = [_stats_row("overall", "", "", table, predictions, (), cutoff, mode)]
+    rows = [_stats_row("overall", "", "", table, predictions, None, cutoff, mode)]
+    names = table.levels(ncfg.protected)
     group_ppr: dict[str, float | None] = {}
-    for g in table.levels(ncfg.protected):
+    for g in names:
         row = _stats_row("group", "", g, table, predictions,
-                         ((ncfg.protected, g),), cutoff, mode)
+                         subgroup_mask(table, ((ncfg.protected, g),)), cutoff, mode)
         rows.append(row)
         group_ppr[g] = row[9]
     if ncfg.conditional:
-        for a in table.levels(ncfg.conditional):
-            for g in table.levels(ncfg.protected):
-                rows.append(_stats_row("category_group", a, g, table, predictions,
-                                       ((ncfg.conditional, a), (ncfg.protected, g)),
-                                       cutoff, mode))
-    for g1, g2 in itertools.permutations(table.levels(ncfg.protected), 2):
+        categories = table.levels(ncfg.conditional)
+        key = table.codes(ncfg.conditional) * len(names) + table.codes(ncfg.protected)
+        for (a, g), cell in zip(itertools.product(categories, names),
+                                cell_rows(key, len(categories) * len(names))):
+            rows.append(_stats_row("category_group", a, g, table, predictions, cell,
+                                   cutoff, mode))
+    for g1, g2 in itertools.permutations(names, 2):
         ppr1, ppr2 = group_ppr[g1], group_ppr[g2]
         ratio = ppr1 / ppr2 if ppr1 is not None and ppr2 else None
         rows.append(["ratio", "", f"{g1}/{g2}", None, None, None, None,
@@ -234,50 +238,39 @@ def _sep_extra_rows(table: Table, h: np.ndarray, ncfg: NotionConfig, thresholds)
 
     The high/low effort split is the audit's own, from a per-code array of
     cell effort thresholds.  SEP_relaxed resolves no effort thresholds, so it
-    splits at the per-group mean.
+    splits at the per-group mean.  Segments are the parts of one ``cell_rows``
+    of (group, segment), bins of one of (bin, group, privileged).  The last
+    bin is closed at the maximum effort.
     """
-    xp = table.column(ncfg.privilege_column)
-    names = table.levels(ncfg.protected)
-    in_group = {g: table.mask(ncfg.protected, g) for g in names}
-    privileged = xp >= thresholds.privilege_cutoff
-    y = table.target
-    segments: list[list] = []
-    bins: list[list] = []
     if ncfg.effort_column is None:
-        return segments, bins
+        return [], []
+    names, groups = table.levels(ncfg.protected), table.codes(ncfg.protected)
+    privileged = table.column(ncfg.privilege_column) >= thresholds.privilege_cutoff
+    y = table.target
     xe = table.column(ncfg.effort_column)
     if ncfg.kind == "SEP_relaxed":
         thresholds = effort_threshold(table, "per_group", ncfg.effort_column)
     cats = table.levels(ncfg.conditional) if ncfg.kind == "CSEP" else [None]
     per_code = np.array([[thresholds.effort_at((a, g)) for g in names] for a in cats])
     cat_codes = table.codes(ncfg.conditional) if ncfg.kind == "CSEP" else 0
-    high = xe >= per_code[cat_codes, table.codes(ncfg.protected)]
-    for g in names:
-        cells = (
-            ("privileged", in_group[g] & privileged),
-            ("under_high", in_group[g] & ~privileged & high),
-            ("under_low", in_group[g] & ~privileged & ~high),
-        )
-        for name, cell in cells:
-            n = int(cell.sum())
-            ppr = float(np.mean(h[cell])) if n else None
-            pos = int((y[cell] == 1).sum()) if n else 0
-            segments.append(["segment", name, g, n, pos, None, None, None,
-                             None, ppr, None, None])
+    high = xe >= per_code[cat_codes, groups]
+    segment = np.where(privileged, 0, 2 - high)  # each row's index into SEGMENTS
+    cells = cell_rows(groups * 3 + segment, 3 * len(names))
+    segments = []
+    for (g, name), cell in zip(itertools.product(names, SEGMENTS), cells):
+        ppr = float(np.mean(h[cell])) if cell.size else None
+        segments.append(["segment", name, g, cell.size, int(np.count_nonzero(y[cell] == 1)),
+                         None, None, None, None, ppr, None, None])
     lo, hi = float(np.min(xe)), float(np.max(xe))
     span = (hi - lo) or 1.0
-    edges = [lo + span * i / BIN_COUNT for i in range(BIN_COUNT + 1)]
-    for b in range(BIN_COUNT):
-        b_lo, b_hi = edges[b], edges[b + 1]
-        in_bin = (xe >= b_lo) & (xe < b_hi) if b < BIN_COUNT - 1 else \
-                 (xe >= b_lo) & (xe <= b_hi)
-        label = f"[{b_lo:g},{b_hi:g}{')' if b < BIN_COUNT - 1 else ']'}"
-        for g in names:
-            for priv_flag, priv_mask in ((1, privileged), (0, ~privileged)):
-                cell = in_bin & in_group[g] & priv_mask
-                n = int(cell.sum())
-                ppr = float(np.mean(h[cell])) if n else None
-                bins.append([g, priv_flag, label, b_lo, b_hi, n, ppr])
+    edges = [lo + span * i / BIN_COUNT for i in range(BIN_COUNT)] + [hi if hi > lo else lo + 1.0]
+    in_bin = np.searchsorted(edges[1:-1], xe, side="right")
+    cells = cell_rows((in_bin * len(names) + groups) * 2 + ~privileged, 2 * BIN_COUNT * len(names))
+    bins = []
+    for (b, g, flag), cell in zip(itertools.product(range(BIN_COUNT), names, (1, 0)), cells):
+        label = f"[{edges[b]:g},{edges[b + 1]:g}{')' if b < BIN_COUNT - 1 else ']'}"
+        bins.append([g, flag, label, edges[b], edges[b + 1], cell.size,
+                     float(np.mean(h[cell])) if cell.size else None])
     return segments, bins
 
 
@@ -491,12 +484,11 @@ def cmd_report(args) -> int:
     seg_rows = [r for r in rows if r["scope"] == "segment"]
     if seg_rows:
         group_names = sorted({r["group"] for r in seg_rows})
-        panel_order = ("privileged", "under_high", "under_low")
         panel_titles = {"privileged": "privileged",
                         "under_high": "underprivileged, high effort",
                         "under_low": "underprivileged, low effort"}
         panels = []
-        for seg in panel_order:
+        for seg in SEGMENTS:
             values = {r["group"]: r["ppr"] for r in seg_rows if r["category"] == seg}
             if values:
                 panels.append((panel_titles[seg], values))

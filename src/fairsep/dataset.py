@@ -251,7 +251,7 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
         parsed = [_parse_field(spec, v, levels.get(spec.name)) for v in values]
         bad = np.flatnonzero(np.array([e is not None for _, e in parsed], bool)[codes] & ~drop)
         faults += [(bad[0], parsed[codes[bad[0]]][1])] if bad.size else []
-        dtype = float if spec.kind in NUMERIC_KINDS else int
+        dtype = float if spec.kind in NUMERIC_KINDS else np.int32
         cols[spec.name] = np.array([v for v, _ in parsed], dtype)[codes][~drop]
     if faults:
         row, message = min(faults, key=lambda f: f[0])
@@ -390,6 +390,15 @@ def write_csv(table: Table, path: str | Path) -> None:
             else map(str, table.column(c.name)) for c in table.schema.columns)))
 
 
+def cell_rows(key: np.ndarray, size: int) -> list[np.ndarray]:
+    """The ascending row index of each value 0..size-1 of the integer ``key``: one stable
+    sort of the key, narrowed to the smallest type holding ``size`` so that numpy
+    sorts it by radix, split at the value counts."""
+    key = np.asarray(key).astype(np.min_scalar_type(size), copy=False)
+    order, ends = np.argsort(key, kind="stable"), np.cumsum(np.bincount(key, minlength=size))
+    return [order[start:end] for start, end in zip([0, *ends[:-1].tolist()], ends.tolist())]
+
+
 # ---------------------------------------------------------------------------
 # Thresholds
 # ---------------------------------------------------------------------------
@@ -407,8 +416,6 @@ class Thresholds:
     p: float | None = None
     realized_fraction: float | None = None
     effort_scope: str | None = None
-    effort_column: str | None = None
-    category_column: str | None = None
     effort: dict[tuple, float] = field(default_factory=dict)
     fallbacks: list[str] = field(default_factory=list)
 
@@ -475,7 +482,7 @@ def effort_threshold(
     if table.rows == 0:
         raise SchemaError("cannot compute effort thresholds on an empty table")
     x = table.column(column)
-    out = Thresholds(effort_scope=scope, effort_column=column, category_column=category_column)
+    out = Thresholds(effort_scope=scope)
     global_mean = float(np.mean(x))
     if scope == "global":
         out.effort[()] = global_mean
@@ -492,20 +499,20 @@ def effort_threshold(
         out.fallbacks.append(f"{label}: {len(cell)} rows, using {parent} mean")
         return parent_mean
 
-    in_group = {g: table.mask(prot.name, g) for g in table.levels(prot.name)}
+    names, groups = table.levels(prot.name), table.codes(prot.name)
     group_means = {g: cell_mean(rows, global_mean, f"group {g!r}", "global")
-                   for g, rows in in_group.items()}
+                   for g, rows in zip(names, cell_rows(groups, len(names)))}
     if scope == "per_group":
         out.effort = {(g,): m for g, m in group_means.items()}
         return out
 
     if category_column is None:
         raise SchemaError("per_category_group scope needs a category column")
-    for a in table.levels(category_column):
-        in_category = table.mask(category_column, a)
-        for g, rows in in_group.items():
-            out.effort[(a, g)] = cell_mean(in_category & rows, group_means[g],
-                                           f"cell ({a!r}, {g!r})", "group")
+    categories = table.levels(category_column)
+    key = table.codes(category_column) * len(names) + groups
+    for (a, g), rows in zip(itertools.product(categories, names),
+                            cell_rows(key, len(categories) * len(names))):
+        out.effort[(a, g)] = cell_mean(rows, group_means[g], f"cell ({a!r}, {g!r})", "group")
     return out
 
 
@@ -699,13 +706,13 @@ def stratified_split(table: Table, test_fraction: float, seed: int) -> tuple[np.
         names, strata = table.levels(prot.name), table.codes(prot.name) * 2 + y
         key = lambda s: f"{names[s // 2]}|{s % 2}"  # noqa: E731
     else:
-        strata, key = y, str
+        names, strata, key = [None], y, str
     rng = np.random.default_rng(seed)
     test = np.zeros(table.rows, dtype=bool)
-    # strata are visited in the order of their "group|target" key strings
-    for s in sorted(np.unique(strata).tolist(), key=key):
-        idx = np.flatnonzero(strata == s)
+    parts = cell_rows(strata, 2 * len(names))
+    # strata in the order of their "group|target" key strings; an empty one draws nothing
+    for s in sorted(range(len(parts)), key=key):
+        idx = parts[s]
         rng.shuffle(idx)
-        n_test = int(round(len(idx) * test_fraction))
-        test[idx[:n_test]] = True
+        test[idx[:int(round(len(idx) * test_fraction))]] = True
     return ~test, test

@@ -78,12 +78,12 @@ def positive_scores(predictions: np.ndarray, table: Table, mode: str = "hard",
 
 def stats(table: Table, predictions: np.ndarray, rows: np.ndarray | None = None,
           cutoff: float = 0.5, mode: str = "hard") -> SubgroupFrame:
-    """Confusion statistics of the predictions over a boolean row mask (default all)."""
+    """Confusion statistics over a boolean row mask or an ascending row index (default all)."""
     h = positive_scores(predictions, table, mode, cutoff)
-    m = np.ones(table.rows, dtype=bool) if rows is None else rows
+    m = slice(None) if rows is None else rows
     y = table.target[m]
     hm = h[m]
-    n = int(m.sum())
+    n = y.size
     if n == 0:
         return SubgroupFrame(0, 0.0, 0.0, 0.0, 0.0, None, None, None,
                              undefined=("ppr", "tpr", "fpr"))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import EFFORT_SCOPES, Table, Thresholds, resolve_thresholds
+from .dataset import EFFORT_SCOPES, Table, Thresholds, cell_rows, resolve_thresholds
 from .errors import ConfigError, config_number, config_object, string_list
 from .groupstats import positive_scores
 
@@ -282,8 +282,8 @@ _T1_DENOMINATORS = {"EP": ("n_group", "n"), "DP": ("n_group", "n"),
 def cells(table: Table, cfg: NotionConfig, thresholds: Thresholds | None = None):
     """Yield the notion's cells one at a time, by category, then by group.
 
-    Each category's rows come from one stable sort of the conditional codes,
-    so every row index is ascending and a cell's subsets are found within its
+    Each category's rows come from ``cell_rows`` of the conditional codes, so
+    every row index is ascending and a cell's subsets are found within its
     category's rows only.  The SEP family needs ``thresholds``.
     """
     kind = cfg.kind
@@ -294,9 +294,8 @@ def cells(table: Table, cfg: NotionConfig, thresholds: Thresholds | None = None)
         privileged = table.column(cfg.privilege_column) >= thresholds.privilege_cutoff
         negative = table.target == 0
     if kind in ("CDP", "CSEP"):
-        codes, categories = table.codes(cfg.conditional), table.levels(cfg.conditional)
-        bounds = np.cumsum(np.bincount(codes, minlength=len(categories)))[:-1]
-        slices = zip(categories, np.split(np.argsort(codes, kind="stable"), bounds))
+        categories = table.levels(cfg.conditional)
+        slices = zip(categories, cell_rows(table.codes(cfg.conditional), len(categories)))
     else:
         slices = [(None, np.flatnonzero(table.target == 1) if kind == "EP"
                    else np.arange(table.rows))]

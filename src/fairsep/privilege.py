@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import (NUMERIC_KINDS, Design, FeatureEncoder, Table, as_design,
+from .dataset import (NUMERIC_KINDS, Design, FeatureEncoder, Table, as_design, cell_rows,
                       privilege_threshold)
 from .errors import ConfigError, DegenerateThresholdError, ExtractionError, SchemaError
 from .learner import BaseLearner, LearnerHP, fit_base
@@ -230,8 +230,8 @@ def select_p(
 
     y = table.target
     names = table.levels(prot.name)
-    in_group = {g: table.mask(prot.name, g) for g in names}
-    overall = {g: float(np.mean(y[in_group[g]])) for g in names}
+    group_rows = dict(zip(names, cell_rows(table.codes(prot.name), len(names))))
+    overall = {g: float(np.mean(y[rows])) for g, rows in group_rows.items()}
     if advantaged is None:
         advantaged = min(names, key=lambda g: (-overall[g], g))
     elif advantaged not in names:
@@ -252,13 +252,13 @@ def select_p(
             continue
         entry["tau"] = thr.privilege_cutoff
         entry["realized_fraction"] = thr.realized_fraction
-        top = x >= thr.privilege_cutoff
-        missing = [g for g in names if not (top & in_group[g]).any()]
+        top = {g: rows[x[rows] >= thr.privilege_cutoff] for g, rows in group_rows.items()}
+        missing = [g for g in names if not top[g].size]
         if missing:
             entry["note"] = f"top slice missing group(s) {missing}"
             result.entries.append(entry)
             continue
-        ppr = {g: float(np.mean(y[top & in_group[g]])) for g in names}
+        ppr = {g: float(np.mean(y[rows])) for g, rows in top.items()}
         entry["ppr"] = ppr
         if ppr[advantaged] == 0.0:
             entry["note"] = "advantaged group has zero positive rate in slice"

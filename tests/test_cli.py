@@ -168,24 +168,40 @@ def test_audit_writes_expected_artifacts(tmp_path):
 
 
 def test_stats_rows_build_each_subgroup_mask_once(tmp_path, monkeypatch):
+    # one mask per group row and none per category_group row: those rows are
+    # the parts of one cell_rows sort of (category, group) per _stats_rows
     import fairsep.cli as cli
     import fairsep.groupstats as groupstats
 
-    calls, real = [], groupstats.mask
+    masks, sorts, tables = [], [], []
+    real_mask, real_rows, real_stats_rows = groupstats.mask, cli.cell_rows, cli._stats_rows
 
     def counted(table, pred):
-        calls.append(pred)
-        return real(table, pred)
+        masks.append(pred)
+        return real_mask(table, pred)
+
+    def counted_rows(key, size):
+        sorts.append(size)
+        return real_rows(key, size)
+
+    def counted_stats_rows(table, *args):
+        tables.append(table)
+        return real_stats_rows(table, *args)
 
     monkeypatch.setattr(groupstats, "mask", counted)
     monkeypatch.setattr(cli, "subgroup_mask", counted)
+    monkeypatch.setattr(cli, "cell_rows", counted_rows)
+    monkeypatch.setattr(cli, "_stats_rows", counted_stats_rows)
     preds = write_predictions(tmp_path / "preds.csv", HPRED)
     out = tmp_path / "run"
     assert main(audit_argv(out, preds, "--notion", "CDP", "--conditional", "occ")) in (0, 1)
     with (out / "stats.csv").open(encoding="utf-8", newline="") as fh:
-        subgroups = [r for r in csv.DictReader(fh) if r["scope"] in ("group", "category_group")]
-    assert len(subgroups) == len(calls) == len(set(calls)) > 2
-    assert [r["positives"] for r in subgroups[:2]] == ["1", "1"]
+        rows = list(csv.DictReader(fh))
+    groups = [r for r in rows if r["scope"] == "group"]
+    cells = [r for r in rows if r["scope"] == "category_group"]
+    assert masks == [(("sex", r["group"]),) for r in groups] == [(("sex", "F"),), (("sex", "M"),)]
+    assert len(tables) == 1 and sorts == [len(cells)] == [4]
+    assert [r["positives"] for r in groups] == ["1", "1"]
 
 
 def brute_stats_row(rows, decisions):
@@ -240,6 +256,41 @@ def test_stats_rows_match_a_brute_force_recount(tmp_path, mode):
                 np.testing.assert_allclose([v for v in got[key][2:] if v is not None],
                                            [v for v in values[2:] if v is not None],
                                            rtol=0, atol=1e-12, err_msg=f"{i} {key}")
+
+
+@pytest.mark.parametrize("hours", [{}, {"20": "9.7", "40": "30", "60": "39.04"}])
+def test_effort_bins_match_a_brute_force_recount(tmp_path, hours):
+    # with 9.7 .. 39.04, lo + span * 5 / 5 rounds below the maximum effort
+    lines = Path(TOY8_DATA).read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    records = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    for r in records:
+        r["hours"] = hours.get(r["hours"], r["hours"])
+    data = tmp_path / "toy8.csv"
+    data.write_text("\n".join([lines[0]] + [",".join(r[k] for k in header) for r in records])
+                    + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["audit", "--data", str(data), "--schema", TOY8_SCHEMA, "--notion", "SEP",
+                 "--p", "25", "--predictions", "ground_truth", "--out", str(out)]) in (0, 1)
+    cutoff = json.loads((out / "report.json").read_text(encoding="utf-8"))["thresholds"][
+        "privilege_cutoff"]
+    efforts = [float(r["hours"]) for r in records]
+    lo, hi = min(efforts), max(efforts)
+    edges = [lo + (hi - lo) * i / 5 for i in range(5)] + [hi]
+    want = []
+    for b in range(5):
+        for g in sorted({r["sex"] for r in records}):
+            for flag in (1, 0):
+                ys = [int(r["y"]) for r, e in zip(records, efforts)
+                      if r["sex"] == g and (float(r["cap"]) >= cutoff) == flag
+                      and edges[b] <= e and (e < edges[b + 1] or b == 4 and e <= hi)]
+                want.append([g, flag, edges[b], edges[b + 1], len(ys),
+                             sum(ys) / len(ys) if ys else None])
+    with (out / "effort_bins.csv").open(encoding="utf-8", newline="") as fh:
+        got = [[r["group"], int(r["privileged"]), float(r["lo"]), float(r["hi"]), int(r["n"]),
+                float(r["ppr"]) if r["ppr"] else None] for r in csv.DictReader(fh)]
+    assert got == want
+    assert sum(row[4] for row in got) == len(records)
 
 
 def test_audit_manifest_hashes_match_files(tmp_path):
@@ -443,6 +494,7 @@ def toy8_with_age(tmp_path: Path) -> tuple[str, str]:
     ["sweep-p", "--grid", "0:5"],
     ["sweep-p", "--grid", "1.5:3"],
     ["sweep-p", "--grid", "a,b"],
+    ["sweep-p", "--grid", "1:100"],
 ])
 def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, caplog, argv):
     preds = ["--predictions", write_predictions(tmp_path / "preds.csv", HPRED)]
@@ -530,6 +582,8 @@ def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, caplog, argv):
     (["audit", "--notion", "SEP", "--p", "25"], {"notion": {"t3_literal_b": "no"}}, None),
     (["audit", "--notion", "SEP"], {"notion": {"p": "25"}}, None),
     (["audit", "--notion", "DP"], {"cutoff": "0.5"}, None),
+    (["sweep-p"], {"grid": [True, "5"]}, None),
+    (["sweep-p"], {"grid": ["5"]}, None),
 ])
 def test_wrong_type_config_and_schema_values_are_usage_errors(tmp_path, capsys, caplog,
                                                               argv, config, columns):

@@ -264,7 +264,7 @@ def test_plain_file_is_read_without_csv_reader(tmp_path):
         assert reader.called  # csv reads a quoted file, and one with a line over its limit
 
 
-def test_plain_load_peaks_below_two_and_a_half_times_the_file(tmp_path):
+def test_plain_load_peaks_below_twice_the_file(tmp_path):
     # the plain reader holds one block's bytes and scans at a time, so the
     # peak is the table and its codes, not a whole-file copy of each scan
     spec = importlib.util.spec_from_file_location(
@@ -280,7 +280,7 @@ def test_plain_load_peaks_below_two_and_a_half_times_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert table.rows + table.dropped_rows == 48_842
-    assert peak <= 2.5 * os.path.getsize(data["data"]), peak / os.path.getsize(data["data"])
+    assert peak <= 2.0 * os.path.getsize(data["data"]), peak / os.path.getsize(data["data"])
 
 
 def test_random_csvs_reach_both_tables_and_errors():

@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # seeded fallback below
+    given = None
+
 from fairsep import (
     ColumnSpec,
     DegenerateThresholdError,
@@ -19,6 +24,7 @@ from fairsep import (
     stratified_split,
     write_csv,
 )
+from fairsep.dataset import cell_rows
 from conftest import ROW_SCHEMA, rows_to_table
 
 
@@ -512,3 +518,45 @@ def test_stratified_split_fraction_bounds():
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError, match="test_fraction"):
             stratified_split(t, bad, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Cell index
+# ---------------------------------------------------------------------------
+
+def check_cell_rows_match_flatnonzero(seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    size = int(rng.choice([1, 2, 3, 17, 255, 256, 65535, 65536]))
+    used = rng.integers(0, size, size=int(rng.integers(1, 6)))  # most values no row uses
+    key = rng.choice(np.append(used, size - 1), size=int(rng.choice([0, 1, 2, 50, 300])))
+    key = key.astype([np.int32, np.int64, np.uint16][int(rng.integers(3))])
+    parts = cell_rows(key, size)
+    assert len(parts) == size
+    assert sum(part.size for part in parts) == key.size  # so every other part is empty
+    for k in set(key.tolist()) | {0, size - 1}:
+        np.testing.assert_array_equal(parts[k], np.flatnonzero(key == k))
+
+
+if given is not None:
+    test_cell_rows_match_flatnonzero = settings(
+        max_examples=200, deadline=None, derandomize=True, database=None)(
+        given(st.integers(0, 2**32 - 1))(check_cell_rows_match_flatnonzero))
+else:
+    test_cell_rows_match_flatnonzero = pytest.mark.parametrize(
+        "seed", range(200))(check_cell_rows_match_flatnonzero)
+
+
+@pytest.mark.parametrize("size", [255, 256, 65535, 65536])
+def test_cell_rows_across_the_narrowed_dtype_boundaries(size):
+    # 255 and 65535 narrow to uint8 and uint16, 256 and 65536 to the next type
+    key = np.array([size - 1, 0, size - 1, size // 2, 0, size - 1], np.int64)
+    parts = cell_rows(key, size)
+    assert len(parts) == size
+    assert [k for k, part in enumerate(parts) if part.size] == [0, size // 2, size - 1]
+    for k in (0, size // 2, size - 1):
+        np.testing.assert_array_equal(parts[k], np.flatnonzero(key == k))
+
+
+def test_cell_rows_of_no_rows():
+    assert cell_rows(np.zeros(0, np.int32), 0) == []
+    assert [part.size for part in cell_rows(np.zeros(0, np.int32), 3)] == [0, 0, 0]
