@@ -100,7 +100,10 @@ def _merged_config(args) -> dict:
     cfg: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:  # malformed JSON, or not UTF-8
+                raise ConfigError(f"{args.config}: config is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
     for key in ("data", "schema", "out", "seed", "mode", "cutoff",

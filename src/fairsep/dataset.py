@@ -29,6 +29,7 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from operator import itemgetter
 from pathlib import Path
 
@@ -46,6 +47,7 @@ CHUNK_ROWS = 1024
 CHUNK_BYTES = 1 << 19
 # masks keeping the low 0..8 bytes of a little-endian uint64 word
 _WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so invertible mod 2**64; mixes a field's words
 
 # Effort scopes, ordered from coarse to fine; a cell with fewer than
 # MIN_CELL_ROWS rows inherits the mean of its parent scope.
@@ -118,22 +120,31 @@ class Schema:
             if not (isinstance(raw, dict) and "name" in raw and "kind" in raw):
                 raise SchemaError(f"schema column {raw!r} must be an object with "
                                   f"a 'name' and a 'kind'")
+            if not isinstance(raw.get("positive_label", ""), (str, type(None))):
+                raise SchemaError(f"schema column {raw['name']!r} 'positive_label' must be "
+                                  f"a string or null, got {raw['positive_label']!r}")
+        marker, delimiter = doc.get("missing_marker", "?"), doc.get("delimiter", ",")
+        if not isinstance(marker, str):
+            raise SchemaError(f"schema 'missing_marker' must be a string, got {marker!r}")
+        if not (isinstance(delimiter, str) and len(delimiter) == 1):
+            raise SchemaError(f"schema 'delimiter' must be a one-character string, "
+                              f"got {delimiter!r}")
         cols = tuple(ColumnSpec(name=raw["name"], kind=raw["kind"],
                                 tags=string_list(raw.get("tags", []),
                                                  f"schema column {raw['name']!r} 'tags'",
                                                  SchemaError),
                                 positive_label=raw.get("positive_label"))
                      for raw in raw_cols)
-        return cls(
-            columns=cols,
-            missing_marker=doc.get("missing_marker", "?"),
-            delimiter=doc.get("delimiter", ","),
-        )
+        return cls(columns=cols, missing_marker=marker, delimiter=delimiter)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "Schema":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # malformed JSON, or not UTF-8
+                raise SchemaError(f"{path}: schema is not valid JSON: {exc}") from None
+        return cls.from_dict(doc)
 
 
 class Table:
@@ -245,14 +256,17 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
     stripped = [[v.strip() for v in codes] for codes in distinct]
     drop = np.zeros(len(raw[0]), dtype=bool)
     for codes, values in zip(raw, stripped):
-        drop |= np.array([v == schema.missing_marker for v in values], dtype=bool)[codes]
-    cols = {}
+        if schema.missing_marker in values:
+            drop |= np.array([v == schema.missing_marker for v in values], dtype=bool)[codes]
+    keep, cols = np.flatnonzero(~drop), {}
     for spec, codes, values in zip(schema.columns, raw, stripped):
         parsed = [_parse_field(spec, v, levels.get(spec.name)) for v in values]
-        bad = np.flatnonzero(np.array([e is not None for _, e in parsed], bool)[codes] & ~drop)
-        faults += [(bad[0], parsed[codes[bad[0]]][1])] if bad.size else []
+        if any(e is not None for _, e in parsed):
+            bad = np.flatnonzero(np.array([e is not None for _, e in parsed], bool)[codes] & ~drop)
+            faults += [(bad[0], parsed[codes[bad[0]]][1])] if bad.size else []
         dtype = float if spec.kind in NUMERIC_KINDS else np.int32
-        cols[spec.name] = np.array([v for v, _ in parsed], dtype)[codes][~drop]
+        cols[spec.name] = np.array([v for v, _ in parsed], dtype)[codes[keep]]
+    del raw, keep  # as large as the table: release them before Table renumbers it
     if faults:
         row, message = min(faults, key=lambda f: f[0])
         with open(path, "r", encoding="utf-8", newline="") as fh:  # re-read for its line
@@ -273,6 +287,9 @@ def _header_columns(path: Path, header: list[str], schema: Schema) -> list[int]:
     missing = [c.name for c in schema.columns if c.name not in header]
     if missing:
         raise SchemaError(f"{path}: schema columns absent from header: {missing}")
+    twice = [c.name for c in schema.columns if header.count(c.name) > 1]
+    if twice:
+        raise SchemaError(f"{path}: schema columns named more than once in header: {twice}")
     return [header.index(c.name) for c in schema.columns]
 
 
@@ -315,8 +332,9 @@ def _read_plain(path: Path, schema: Schema) -> tuple[list, list, list] | None:
 
     A block is ``CHUNK_BYTES`` completed to the end of a line; its delimiter
     and newline bytes end the fields.  Each field is read as little-endian
-    uint64 words masked to its length (exact, as no NUL byte occurs), and only
-    the block's distinct words go through the file-wide dicts.
+    uint64 words masked to its length (exact, as no NUL byte occurs).  A stable
+    radix sort on 16 bits of a mix of those words groups equal fields; a field
+    whose words differ from its sorted neighbour's looks up its string's code.
     """
     delim, limit, not_plain = schema.delimiter, csv.field_size_limit(), (b'"', b"\r", b"\0")
     if len(delim) != 1 or delim in '"\r\n\0' or not delim.isascii():
@@ -330,33 +348,37 @@ def _read_plain(path: Path, schema: Schema) -> tuple[list, list, list] | None:
             if not line or len(line) > limit + 1 or any(map(line.__contains__, not_plain)):
                 return None
             columns, ncols = _header_columns(path, header, schema), len(header)
-            ends_of_line = np.array([ord(delim)] * (ncols - 1) + [10], np.uint8)
             while block := fh.read(CHUNK_BYTES) + fh.readline():
                 if not block.endswith(b"\n"):
                     block += b"\n"  # the last line may lack its newline
                 block.isascii() or block.decode()  # raises unless the block is UTF-8
                 buf = np.frombuffer(block + bytes(8), np.uint8)
-                ends = np.flatnonzero((buf == ord(delim)) | (buf == 10))
-                rows, lines = ends.size // ncols, np.diff(ends[ncols - 1::ncols], prepend=-1)
+                newline = buf == 10
+                ends = np.flatnonzero((buf == ord(delim)) | newline)
+                rows, last = ends.size // ncols, ends[ncols - 1::ncols]
+                lines = np.diff(last, prepend=-1)
                 if (any(map(block.__contains__, not_plain)) or ends.size % ncols
-                        or (buf[ends].reshape(rows, ncols) != ends_of_line).any()
+                        or np.count_nonzero(newline) != rows or not newline[last].all()
                         or lines.min() == 1 or lines.max() > limit + 1):  # blank, or too long
                     return None
-                ends = ends.reshape(rows, ncols)
+                ends = ends.reshape(rows, ncols).T
+                starts = np.empty((ncols, rows), np.int64)  # each field's first byte
+                starts[0, 0], starts[0, 1:], starts[1:] = 0, ends[-1, :-1] + 1, ends[:-1] + 1
+                sizes = ends - starts
                 words = np.ndarray((len(block) + 1,), "<u8", buf, 0, (1,))  # buf[i:i + 8]
                 for c, codes, arrs in zip(columns, distinct, parts):
-                    start = ends[:, c - 1] + 1 if c else np.append(0, ends[:-1, -1] + 1)
-                    size = ends[:, c] - start
+                    start, size = starts[c], sizes[c]
                     keys = [_WORD_MASKS[np.clip(size - k, 0, 8)]
-                            & words[np.minimum(start + k, len(block))]
+                            & words[np.minimum(start + k, len(block)) if k else start]
                             for k in range(0, max(int(size.max()), 1), 8)]
-                    order = np.lexsort(keys) if len(keys) > 1 else keys[0].argsort()
+                    mixed = reduce(lambda m, key: (m ^ key) * _MIX, keys, np.uint64(0))
+                    order = (mixed >> np.uint64(48)).astype(np.uint16).argsort(kind="stable")
                     ordered = [k[order] for k in keys]
                     new = np.append(True, np.any([k[1:] != k[:-1] for k in ordered], axis=0))
                     pick = zip(start[order[new]].tolist(), size[order[new]].tolist())
                     code = np.fromiter((codes[block[a:a + n].decode()] for a, n in pick), np.int32)
                     arrs.append(np.empty(rows, np.int32))
-                    arrs[-1][order] = code[np.cumsum(new) - 1]
+                    arrs[-1][order] = np.repeat(code, np.diff(np.flatnonzero(new), append=rows))
         except UnicodeDecodeError:
             return None
     return distinct, parts, []

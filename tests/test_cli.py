@@ -603,6 +603,51 @@ def test_wrong_type_config_and_schema_values_are_usage_errors(tmp_path, capsys, 
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("key, value", [
+    ("positive_label", 1),
+    ("positive_label", True),
+    ("missing_marker", 5),
+    ("missing_marker", None),
+    ("delimiter", 5),
+    ("delimiter", ""),
+    ("delimiter", ",;"),
+])
+def test_wrong_type_schema_keys_are_usage_errors_naming_the_key(tmp_path, capsys, caplog,
+                                                                key, value):
+    doc = json.loads(Path(TOY8_SCHEMA).read_text(encoding="utf-8"))
+    (doc["columns"][-1] if key == "positive_label" else doc)[key] = value
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(["audit", "--notion", "DP", "--data", TOY8_DATA, "--schema", str(schema),
+                 "--out", str(out), "--predictions", "ground_truth"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and f"'{key}'" in err, err
+    assert "unhandled error" not in caplog.text
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_schema_keys_of_the_documented_types_are_read(tmp_path):
+    doc = json.loads(Path(TOY8_SCHEMA).read_text(encoding="utf-8"))
+    doc["columns"][-1]["positive_label"] = "1"
+    schema = Schema.from_dict(dict(doc, missing_marker="NA", delimiter=","))
+    assert (schema.target.positive_label, schema.missing_marker) == ("1", "NA")
+    assert load_csv(TOY8_DATA, schema).target.tolist() == [0, 0, 1, 0, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("which", ["--schema", "--config"])
+def test_malformed_json_is_a_usage_error(tmp_path, capsys, caplog, which):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    argv = audit_argv(tmp_path / "run", "ground_truth", "--notion", "DP")
+    argv = argv + [which, str(bad)] if which == "--config" else [
+        str(bad) if a == TOY8_SCHEMA else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {which[2:]} is not valid JSON" in err, err
+    assert "unhandled error" not in caplog.text
+
+
 def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):

@@ -264,14 +264,56 @@ def test_plain_file_is_read_without_csv_reader(tmp_path):
         assert reader.called  # csv reads a quoted file, and one with a line over its limit
 
 
-def test_plain_load_peaks_below_twice_the_file(tmp_path):
-    # the plain reader holds one block's bytes and scans at a time, so the
-    # peak is the table and its codes, not a whole-file copy of each scan
+@pytest.mark.parametrize("seed", range(50))
+def test_plain_load_is_exact_when_every_field_shares_a_bucket(seed):
+    # a zero mix puts all of a column's fields in one bucket, in file order,
+    # so only the word comparison tells neighbouring strings apart
+    with mock.patch.object(dataset, "_MIX", np.uint64(0)):
+        check_plain_loader_matches_csv_path(seed)
+
+
+@pytest.mark.parametrize("zero_mix", [False, True])
+def test_alternating_fields_keep_their_codes_across_blocks(tmp_path, zero_mix):
+    # neighbours that differ in every row, in the first word (c) or only in
+    # the third (g), over blocks of about a hundred rows
+    long = ["Married-civ-spouse", "Married-civ-spousf", "Married-civ-spouse-absent"]
+    p = tmp_path / "alt.csv"
+    p.write_text("g,x,o,c,y\n" + "".join(f"{long[i % 3]},{i % 5},{i % 2},{'AB'[i % 2]},{i % 2}\n"
+                                         for i in range(3000)), encoding="utf-8")
+    schema = schema_for(None)
+    mix = np.uint64(0) if zero_mix else dataset._MIX
+    with mock.patch.object(dataset, "_MIX", mix), mock.patch.object(dataset, "CHUNK_BYTES", 4096):
+        assert dataset._read_plain(p, schema) is not None
+        got = outcome(load_csv, p, schema)
+    with mock.patch.object(dataset, "_read_plain", return_value=None):
+        assert got == outcome(load_csv, p, schema)
+    assert got[2]["c"] == ["A", "B"] * 1500 and got[2]["g"] == long * 1000
+
+
+def adultgen_files(directory: Path, seed: int = 11) -> dict:
+    """The benchmark's 48,842-row Adult-shaped CSV and schema, written to ``directory``."""
     spec = importlib.util.spec_from_file_location(
         "adultgen", Path(__file__).resolve().parent.parent / "perfbench" / "adultgen.py")
     adultgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(adultgen)
-    data = adultgen.generate(11, tmp_path)
+    return adultgen.generate(seed, directory)
+
+
+def test_plain_and_csv_paths_agree_on_the_adult_shaped_table(tmp_path):
+    data = adultgen_files(tmp_path)
+    schema = Schema.from_json(data["schema"])
+    assert os.path.getsize(data["data"]) > 4 * dataset.CHUNK_BYTES  # several blocks
+    assert dataset._read_plain(Path(data["data"]), schema) is not None
+    got = outcome(load_csv, data["data"], schema)
+    with mock.patch.object(dataset, "_read_plain", return_value=None):
+        assert got == outcome(load_csv, data["data"], schema)
+    assert got[0] + got[1] == 48_842
+
+
+def test_plain_load_peaks_below_twice_the_file(tmp_path):
+    # the plain reader holds one block's bytes and scans at a time, so the
+    # peak is the table and its codes, not a whole-file copy of each scan
+    data = adultgen_files(tmp_path)
     schema = Schema.from_json(data["schema"])
     tracemalloc.start()
     try:
@@ -281,6 +323,17 @@ def test_plain_load_peaks_below_twice_the_file(tmp_path):
         tracemalloc.stop()
     assert table.rows + table.dropped_rows == 48_842
     assert peak <= 2.0 * os.path.getsize(data["data"]), peak / os.path.getsize(data["data"])
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_header_naming_a_schema_column_twice_is_a_schema_error(tmp_path, quote):
+    # a quote in the header sends the file to csv.reader; both readers share the check
+    p = tmp_path / "d.csv"
+    p.write_text(f"g,x,o,{quote}c{quote},y,c\nF,1,2,a,0,b\nM,2,3,b,1,a\n", encoding="utf-8")
+    with mock.patch.object(dataset.csv, "reader", wraps=csv.reader) as reader:
+        with pytest.raises(SchemaError, match=r"named more than once in header: \['c'\]"):
+            load_csv(p, schema_for(None))
+    assert reader.called == bool(quote)
 
 
 def test_random_csvs_reach_both_tables_and_errors():
