@@ -27,7 +27,7 @@ from . import charts
 from .dataset import (Schema, Table, cell_rows, effort_threshold, encode_features,
                       load_csv, stratified_split)
 from .errors import (ConfigError, FairsepError, ParseError, SchemaError, config_number,
-                     config_object)
+                     config_object, read_json)
 from .groupstats import mask as subgroup_mask, positive_scores, stats
 from .learner import ExpGradHP, exponentiated_gradient, load_model, save_model
 from .notions import SEP_FAMILY, NotionConfig, violation
@@ -82,10 +82,7 @@ def _sha256(path: Path) -> str:
 
 def _update_manifest(out_dir: Path, files: list[Path], command: str) -> None:
     manifest_path = out_dir / "manifest.json"
-    doc = {"entries": {}}
-    if manifest_path.exists():
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = read_json(manifest_path, "manifest") if manifest_path.exists() else {"entries": {}}
     entries = doc.setdefault("entries", {})
     for path in files:
         entries[path.name] = {"sha256": _sha256(path), "command": command}
@@ -99,13 +96,7 @@ def _update_manifest(out_dir: Path, files: list[Path], command: str) -> None:
 def _merged_config(args) -> dict:
     cfg: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                cfg = json.load(fh)
-            except ValueError as exc:  # malformed JSON, or not UTF-8
-                raise ConfigError(f"{args.config}: config is not valid JSON: {exc}") from None
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"{args.config}: config must be a JSON object")
+        cfg = read_json(args.config, "config")
     for key in ("data", "schema", "out", "seed", "mode", "cutoff",
                 "predictions", "model", "group", "repeats", "ratio_rule",
                 "test_fraction", "column", "advantaged", "grid"):
@@ -459,8 +450,7 @@ def cmd_report(args) -> int:
     for path in (report_path, stats_path):
         if not path.exists():
             raise ConfigError(f"{path}: not found; run audit or train first")
-    with open(report_path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+    report = read_json(report_path, "report")
     rows = _read_stats(stats_path)
 
     written: list[Path] = []

@@ -12,11 +12,11 @@ A Table is an immutable columnar dataset described by a Schema.  Column kinds:
 column; they mark the columns the socio-economic notions read.
 
 ``FeatureEncoder`` turns a Table into a ``Design``: a standardized numeric
-block plus one level-code array per categorical, never the mostly-zero
-one-hot matrix.  Its products are X @ w (a matrix-vector product plus one
-gather per categorical), X^T r (plus one ``np.bincount`` per categorical)
-and X^T diag(s) X (a Gram matrix of the numeric block plus ``np.bincount``
-sums over codes for every block that involves a categorical).
+block, each row's index into the distinct tuples of its categorical level
+codes, and each categorical's code per tuple; never the mostly-zero one-hot
+matrix.  Its products X @ w, X^T r and X^T diag(s) X take the numeric block's
+product plus one gather or ``np.bincount`` per row (one per numeric column
+more for the Gram matrix), and do all their categorical work over the tuples.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import gc
 import itertools
-import json
 import logging
 import math
 from collections import defaultdict
@@ -35,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateThresholdError, EncodingError, ParseError, SchemaError, string_list
+from .errors import (DegenerateThresholdError, EncodingError, ParseError, SchemaError, read_json,
+                     string_list)
 
 log = logging.getLogger(__name__)
 
@@ -139,12 +139,7 @@ class Schema:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "Schema":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:  # malformed JSON, or not UTF-8
-                raise SchemaError(f"{path}: schema is not valid JSON: {exc}") from None
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path, "schema", SchemaError))
 
 
 class Table:
@@ -564,56 +559,65 @@ class Design:
     """An encoded feature matrix of ``shape`` (rows, width) kept without its one-hot zeros.
 
     ``numeric`` (rows x m) holds the standardized columns at positions
-    ``numeric_cols``.  Each ``(codes, cols)`` in ``coded`` is a categorical:
-    row i has a 1 in column ``cols[codes[i]]``, or none when its code is
-    ``len(cols)`` (a level unseen at fit).  ``dense()`` is the full matrix X;
-    ``matvec``, ``rmatvec`` and ``gram`` give X @ w, X^T r and X^T diag(s) X.
+    ``numeric_cols``.  The categoricals are kept per distinct tuple of level
+    codes: row i holds tuple ``combo[i]``, and each ``(codes, cols)`` in
+    ``coded`` gives tuple u a 1 in column ``cols[codes[u]]``, or none when
+    its code is ``len(cols)`` (a level unseen at fit).  ``dense()`` is the
+    full matrix X; ``matvec``, ``rmatvec`` and ``gram`` give X @ w, X^T r and
+    X^T diag(s) X; with a tuple per row they cost one pass more than per-row codes.
     """
 
     numeric: np.ndarray
     numeric_cols: np.ndarray
     coded: tuple[tuple[np.ndarray, np.ndarray], ...]
+    combo: np.ndarray
     shape: tuple[int, int]
+
+    @property
+    def tuples(self) -> int:
+        """The number of distinct code tuples; 1 (every row alike) without categoricals."""
+        return len(self.coded[0][0]) if self.coded else 1
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
         out[:, self.numeric_cols] = self.numeric
         for codes, cols in self.coded:
-            hit = np.flatnonzero(codes < len(cols))
-            out[hit, cols[codes[hit]]] = 1.0
+            hit = np.flatnonzero(codes[self.combo] < len(cols))
+            out[hit, cols[codes[self.combo[hit]]]] = 1.0
         return out
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
-        out = self.numeric @ w[self.numeric_cols]
+        part = np.zeros(self.tuples)
         for codes, cols in self.coded:
-            out += np.append(w[cols], 0.0)[codes]
-        return out
+            part += np.append(w[cols], 0.0)[codes]
+        return self.numeric @ w[self.numeric_cols] + part[self.combo]
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
         out = np.zeros(self.shape[1])
         out[self.numeric_cols] = r @ self.numeric
+        per_tuple = np.bincount(self.combo, r, self.tuples)
         for codes, cols in self.coded:
-            out[cols] = np.bincount(codes, r, len(cols) + 1)[:-1]
+            out[cols] = np.bincount(codes, per_tuple, len(cols) + 1)[:-1]
         return out
 
-    def gram(self, s: np.ndarray, block_rows: int) -> np.ndarray:
-        """The numeric block's part is summed over ``block_rows``-row blocks."""
+    def gram(self, s: np.ndarray) -> np.ndarray:
         out = np.zeros((self.shape[1], self.shape[1]))
-        scaled = [s * x for x in self.numeric.T] if self.coded else []
+        t, scaled, square = np.bincount(self.combo, s, self.tuples), [], []
+        for x in self.numeric.T:  # the passes over the rows; s * x is their one temporary
+            sx = s * x
+            scaled.append(np.bincount(self.combo, sx, self.tuples))
+            square.append(sx @ self.numeric)
         for i, (codes, cols) in enumerate(self.coded):  # one side, halved diagonal
             size, rows = len(cols) + 1, cols[:, None]
-            out[cols, cols] = 0.5 * np.bincount(codes, s, size)[:-1]
+            out[cols, cols] = 0.5 * np.bincount(codes, t, size)[:-1]
             out[rows, self.numeric_cols] = np.array(
                 [np.bincount(codes, sx, size)[:-1] for sx in scaled]).reshape(-1, len(cols)).T
             for codes_b, cols_b in self.coded[:i]:
                 size_b = len(cols_b) + 1
-                pair = np.bincount(codes * size_b + codes_b, s, size * size_b)
+                pair = np.bincount(codes * size_b + codes_b, t, size * size_b)
                 out[rows, cols_b] = pair.reshape(size, size_b)[:-1, :-1]
         out += out.T
-        both, root = np.ix_(self.numeric_cols, self.numeric_cols), np.sqrt(s)
-        for a in range(0, len(s), block_rows):
-            block = self.numeric[a:a + block_rows] * root[a:a + block_rows, None]
-            out[both] += block.T @ block
+        out[np.ix_(self.numeric_cols, self.numeric_cols)] += np.reshape(square, (len(square),) * 2)
         return out
 
     def permuted(self, cols: list[int], perm: np.ndarray) -> "Design":
@@ -631,7 +635,7 @@ def as_design(features) -> Design:
     if isinstance(features, Design):
         return features
     X = np.asarray(features, dtype=np.float64)
-    return Design(X, np.arange(X.shape[1]), (), X.shape)
+    return Design(X, np.arange(X.shape[1]), (), np.zeros(len(X), np.intp), X.shape)
 
 
 @dataclass
@@ -699,13 +703,21 @@ class FeatureEncoder:
         for k, (name, _) in enumerate(map(self.feature_map.__getitem__, numeric)):
             block[:, k] = (table.column(name)[rows] - self.means[name]) / self.sds[name]
         coded = []
+        key = np.zeros(n, np.int64)  # each row's mixed-radix key of the codes so far
         for name in dict.fromkeys(name for name, level in self.feature_map if level is not None):
             lv = self.levels[name]
             to_code = np.array([lv.index(v) if v in lv else len(lv)
                                 for v in table.levels(name)], np.intp)
             cols = np.array([self.feature_map.index((name, v)) for v in lv])
             coded.append((to_code[table.codes(name)[rows]], cols))
-        return Design(block, np.array(numeric, np.intp), tuple(coded), (n, self.width))
+            if (int(key.max(initial=0)) + 1) * (len(lv) + 1) >= 2 ** 63:  # renumber, not overflow
+                key = np.unique(key, return_inverse=True)[1]
+            key = key * (len(lv) + 1) + coded[-1][0]
+        distinct, combo = np.unique(key, return_inverse=True)
+        row = np.empty(len(distinct), np.intp)
+        row[combo] = np.arange(n)  # a row of each tuple, which holds the tuple's codes
+        return Design(block, np.array(numeric, np.intp),
+                      tuple((codes[row], cols) for codes, cols in coded), combo, (n, self.width))
 
 
 def encode_features(

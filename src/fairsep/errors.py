@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit, and the checked reads of config values."""
+"""Exception types shared across the toolkit, and the checked reads of input documents."""
+
+import json
 
 
 class FairsepError(Exception):
@@ -35,6 +37,18 @@ class EncodingError(FairsepError):
 
 class ConfigError(FairsepError):
     """Run configuration is missing required fields or holds invalid values."""
+
+
+def read_json(path, what: str, error=ConfigError) -> dict:
+    """The JSON object at ``path``; malformed JSON, bad UTF-8 or a non-object raise ``error``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise error(f"{path}: {what} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: {what} must be a JSON object")
+    return doc
 
 
 def config_number(doc: dict, key: str, default, convert=float):

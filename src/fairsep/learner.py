@@ -25,18 +25,17 @@ import json
 import logging
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import Design, FeatureEncoder, Table, Thresholds, as_design, encode_features
-from .errors import ConfigError, EncodingError, config_object
+from .errors import ConfigError, EncodingError, config_object, read_json
 from .notions import SEP_FAMILY, NotionConfig, cells
 
 log = logging.getLogger(__name__)
 
-HESSIAN_BLOCK_ROWS = 4096
 ARMIJO = 1e-4  # sufficient-decrease fraction of the predicted decrease
 MIN_STEP = 2.0 ** -40
 # options of the former gradient-descent learner, still read from old
@@ -154,11 +153,11 @@ def fit_base(
     a fixed fraction of the predicted decrease.
 
     ``features`` is a ``Design`` or a plain 2-D array (a design with only a
-    numeric block).  Every product goes through the design: the margins are
-    ``matvec``, the gradient ``rmatvec`` and H ``gram``, whose numeric part is
-    summed over ``HESSIAN_BLOCK_ROWS``-row blocks.  The intercept is handled
-    apart (its row of H is ``rmatvec`` of the curvatures and their sum), so
-    no n-by-(d+1) copy of the features is made.
+    numeric block).  The margins are its ``matvec``, the gradient its
+    ``rmatvec`` and H its ``gram``, with the intercept as one more categorical
+    that every row has.  Each product makes a fixed number of passes over the
+    rows and does its categorical work over the distinct code tuples, so no
+    n-by-(d+1) copy of the features is made.
     """
     hp = hp or LearnerHP()
     X = as_design(features)
@@ -179,6 +178,8 @@ def fit_base(
     else:
         p = np.full(n, 1.0 / n)
 
+    ones = (np.zeros(X.tuples, np.intp), np.array([d]))  # the intercept: a level all tuples have
+    X1 = replace(X, coded=X.coded + (ones,), shape=(n, d + 1))
     ridge = np.append(np.full(d, hp.l2), 0.0)  # the intercept is unpenalised
 
     def loss_at(w, margin):
@@ -195,15 +196,13 @@ def fit_base(
         epochs_run = epoch + 1
         q = _sigmoid(margin)
         resid, curv = p * (q - z), p * q * (1.0 - q)
-        grad = np.append(X.rmatvec(resid), resid.sum()) + ridge * w
-        edge = np.append(X.rmatvec(curv), curv.sum())  # the intercept's row of H
-        hess = np.block([[X.gram(curv, HESSIAN_BLOCK_ROWS), edge[:d, None]], [edge]])
-        hess += np.diag(ridge)
+        grad = X1.rmatvec(resid) + ridge * w
+        hess = X1.gram(curv) + np.diag(ridge)
         # least squares, so a singular H (collinear columns with l2 = 0)
         # still gives the minimum-norm direction
         step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         slope = float(np.dot(grad, step))
-        shift = X.matvec(step[:d]) + step[d]
+        shift = X1.matvec(step)
         t = 1.0
         prev_loss = loss
         while t >= MIN_STEP:
@@ -405,8 +404,7 @@ def save_model(model: ReducedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ReducedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ReducedModel.from_dict(json.load(fh))
+    return ReducedModel.from_dict(read_json(path, "model"))
 
 
 def exponentiated_gradient(

@@ -648,6 +648,25 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys, caplog, which):
     assert "unhandled error" not in caplog.text
 
 
+
+@pytest.mark.parametrize("content, fault", [("{", "is not valid JSON"),
+                                            ("[]", "must be a JSON object")])
+@pytest.mark.parametrize("what", ["model", "report", "manifest"])
+def test_malformed_json_artifact_is_a_usage_error(tmp_path, capsys, caplog, what, content, fault):
+    """A model, report or manifest file holding malformed JSON, or no object, exits 2 naming it."""
+    out = tmp_path / "run"
+    main(audit_argv(out, "ground_truth", "--notion", "DP"))
+    bad = tmp_path / "bad.json" if what == "model" else out / f"{what}.json"
+    bad.write_text(content, encoding="utf-8")
+    argv = {"model": ["audit", "--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--notion", "DP",
+                      "--model", str(bad), "--out", str(tmp_path / "check")],
+            "report": ["report", "--out", str(out)],
+            "manifest": audit_argv(out, "ground_truth", "--notion", "DP")}[what]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{bad}: {what} {fault}" in capsys.readouterr().err
+    assert "unhandled error" not in caplog.text
+
 def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):

@@ -218,7 +218,8 @@ def _coded_design_table(n=400, seed=3):
 
 
 def _assert_close(actual, expected, rel=1e-12):
-    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max(initial=0.0) <= rel * np.abs(expected).max(initial=0.0)
 
 
 def test_coded_design_matches_its_dense_reference():
@@ -238,8 +239,7 @@ def test_coded_design_matches_its_dense_reference():
     w, r, s = rng.normal(size=encoder.width), rng.normal(size=table.rows), rng.random(table.rows)
     _assert_close(X.matvec(w), dense @ w)
     _assert_close(X.rmatvec(r), dense.T @ r)
-    for block_rows in (7, 4096):
-        _assert_close(X.gram(s, block_rows), dense.T @ (dense * s[:, None]))
+    _assert_close(X.gram(s), dense.T @ (dense * s[:, None]))
 
     y = table.target.astype(np.float64)
     for costs in (None, rng.normal(size=table.rows)):
@@ -254,6 +254,85 @@ def test_coded_design_matches_its_dense_reference():
         permutation_importance(learner, dense, y, groups, 4, np.random.default_rng(5))
     with pytest.raises(EncodingError, match="only numeric columns"):
         permutation_importance(learner, X, y, {"job": jobs}, 2, np.random.default_rng(5))
+
+
+def _categorical_table(codes: np.ndarray) -> Table:
+    """Categoricals c0, c1, ... whose row i has level f"{codes[i, j]:03d}", plus x and y."""
+    n, k = codes.shape
+    names = [f"c{j}" for j in range(k)]
+    schema = Schema(tuple(ColumnSpec(name, "categorical") for name in names)
+                    + (ColumnSpec("x", "numerical"), ColumnSpec("y", "target")))
+    rng = np.random.default_rng(k)
+    columns = {name: np.array([f"{c:03d}" for c in codes[:, j]], dtype=object)
+               for j, name in enumerate(names)}
+    return Table(schema, dict(columns, x=rng.normal(size=n), y=rng.integers(0, 2, n)))
+
+
+def _radix_collision_rows(levels: int, k: int) -> np.ndarray:
+    """The zero tuple and the tuple whose base-(levels + 1) digits spell 2**64.
+
+    Their mixed-radix keys (radix levels + 1 per column, the unseen code
+    included) differ by exactly 2**64, so they would meet in a wrapped int64.
+    """
+    value, digits = 2 ** 64, []
+    for _ in range(k):
+        value, digit = divmod(value, levels + 1)
+        digits.append(digit)
+    assert value == 0 and max(digits) < levels
+    return np.array([[0] * k, digits[::-1]])
+
+
+def _tuple_case(case: str):
+    """(table, fit rows, transformed rows, expected distinct tuples or None)."""
+    i = np.arange(120)[:, None]
+    if case == "every row its own tuple":
+        codes = np.hstack([i // 12, i % 12])
+        return _categorical_table(codes), None, np.ones(120, bool), 120
+    if case == "one tuple":
+        codes = np.hstack([i % 3, i % 4])
+        return _categorical_table(codes), None, (codes == [1, 2]).all(axis=1), 1
+    if case == "levels unseen at fit":
+        codes = np.hstack([i % 4, i % 5])
+        fit = np.arange(120) < 60
+        codes[~fit] += [[4, 0], [0, 5], [4, 5]] * 20  # unseen in c0, c1 or both
+        return _categorical_table(codes), fit, np.ones(120, bool), None
+    if case == "no rows":
+        return _categorical_table(np.hstack([i % 3, i % 4])), None, np.zeros(120, bool), 0
+    # 8 columns of 300 levels: the radix product 301**8 passes 2**63
+    i = np.arange(300)[:, None]
+    codes = np.vstack([(7 * i + 13 * np.arange(8)) % 300, _radix_collision_rows(300, 8)])
+    return _categorical_table(codes), None, np.ones(302, bool), 302
+
+
+@pytest.mark.parametrize("case", ["every row its own tuple", "one tuple", "levels unseen at fit",
+                                  "no rows", "radix past 2**63"])
+def test_tuple_coded_design_matches_its_dense_reference(case):
+    table, fit_rows, rows, tuples = _tuple_case(case)
+    encoder = FeatureEncoder.fit(table, fit_rows)
+    X = encoder.transform(table, rows)
+    # the encoder's columns decoded from the table's values, without the design
+    dense = np.column_stack([
+        (table.column(name)[rows] - encoder.means[name]) / encoder.sds[name] if level is None
+        else (table.column(name)[rows] == level).astype(np.float64)
+        for name, level in encoder.feature_map])
+    assert X.shape == dense.shape and len(X.coded) == len(table.schema.columns) - 2
+    if tuples is not None:
+        assert X.tuples == tuples
+    if case == "levels unseen at fit":  # rows 62, 65, ... have both levels unseen
+        assert 0 < X.tuples < table.rows and not dense[62::3, :-1].any()
+    rng = np.random.default_rng(1)
+    w, r, s = rng.normal(size=X.shape[1]), rng.normal(size=len(dense)), rng.random(len(dense))
+    _assert_close(X.dense(), dense)
+    _assert_close(X.matvec(w), dense @ w)
+    _assert_close(X.rmatvec(r), dense.T @ r)
+    _assert_close(X.gram(s), dense.T @ (dense * s[:, None]))
+
+    x = encoder.feature_map.index(("x", None))
+    perm = rng.permutation(len(dense))
+    shuffled = X.permuted([x], perm)
+    assert shuffled.combo is X.combo
+    dense[:, x] = dense[perm, x]
+    _assert_close(shuffled.matvec(w), dense @ w)
 
 
 def test_learner_hp_ignores_retired_keys_with_a_warning(caplog):

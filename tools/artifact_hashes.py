@@ -1,6 +1,7 @@
 """Hash every artifact of the benchmark's command lists, to compare two checkouts.
 
-    python3 tools/artifact_hashes.py --seed 1 [--rows 48842] [--checkout DIR] > hashes.json
+    python3 tools/artifact_hashes.py --seed 1 [--rows 48842] [--checkout DIR] [--keep KEPT] > h.json
+    python3 tools/artifact_hashes.py --compare KEPT_A KEPT_B
 
 Generates the ``perfbench/adultgen.py`` table for ``--seed``/``--rows``, then
 runs the ``audit-wide``, ``train`` and ``discover`` command lists of
@@ -10,24 +11,35 @@ code of every command and the sha256 of every file each command's output
 directory holds.  All paths are relative to a fresh temporary directory, so the
 output depends only on the code, the seed and the row count.  Run it on two
 checkouts, or under two ``PYTHONHASHSEED`` values, and compare the output.
+
+``--keep KEPT`` runs in the new directory KEPT instead and leaves the inputs
+and artifacts there.  ``--compare`` reads two such directories and, for every
+file that differs, prints how far it moved: the largest absolute and relative
+difference between the numbers at the same position (JSON leaves, CSV cells,
+any number in the text), or the lines that differ when the text around the
+numbers does.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import importlib.util
 import io
 import json
 import logging
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
 
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")  # not in a word
 
-def artifact_hashes(checkout: Path, seed: int, rows: int) -> dict:
+
+def artifact_hashes(checkout: Path, seed: int, rows: int, keep: Path | None = None) -> dict:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     spec = importlib.util.spec_from_file_location("perfbench_run",
                                                   checkout / "perfbench" / "run.py")
@@ -39,7 +51,9 @@ def artifact_hashes(checkout: Path, seed: int, rows: int) -> dict:
 
     logging.basicConfig(level=logging.INFO, handlers=[logging.NullHandler()])
     doc = {"seed": seed, "rows": rows, "workloads": {}}
-    with tempfile.TemporaryDirectory() as tmp:
+    if keep is not None:
+        keep.mkdir(parents=True)  # a new directory, so no earlier file is hashed
+    with contextlib.nullcontext(keep) if keep else tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         data = run.adultgen.generate(seed, Path("data"), rows=rows)
         for name, commands in sorted(run.WORKLOADS.items()):
@@ -55,14 +69,50 @@ def artifact_hashes(checkout: Path, seed: int, rows: int) -> dict:
     return doc
 
 
+def drift(old: str, new: str) -> str:
+    """How far the numbers of ``new`` moved from ``old``, or the lines that differ besides."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        lines = difflib.unified_diff(old.splitlines(), new.splitlines(), lineterm="", n=0)
+        return "text differs:\n" + "\n".join(list(lines)[2:])
+    pairs = [(float(a), float(b)) for a, b in zip(NUMBER.findall(old), NUMBER.findall(new))
+             if a != b]
+    moved = max(abs(a - b) for a, b in pairs)
+    rel = max(abs(a - b) / max(abs(a), abs(b)) for a, b in pairs)
+    return f"{len(pairs)} numbers differ, max abs {moved:.3g}, max rel {rel:.3g}"
+
+
+def compare(old_root: Path, new_root: Path) -> list[str]:
+    """One line per file that differs between two ``--keep`` directories."""
+    names = {p.relative_to(root) for root in (old_root, new_root)
+             for p in root.rglob("*") if p.is_file()}
+    out = []
+    for name in sorted(names):
+        old, new = old_root / name, new_root / name
+        if not (old.is_file() and new.is_file()):
+            out.append(f"{name}: only in {old_root if old.is_file() else new_root}")
+        elif old.read_bytes() != new.read_bytes():
+            texts = (path.read_text(encoding="utf-8") for path in (old, new))
+            out.append(f"{name}: {drift(*texts)}")
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=int)
     ap.add_argument("--rows", type=int, default=48_842)
     ap.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="root of the fairsep checkout to run (default: this one)")
+    ap.add_argument("--keep", type=Path, help="new directory to run in and leave the artifacts")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("KEPT_A", "KEPT_B"),
+                    help="print how far each differing file of two --keep directories moved")
     args = ap.parse_args()
-    doc = artifact_hashes(args.checkout.resolve(), args.seed, args.rows)
+    if args.compare:
+        print("\n".join(compare(*args.compare)) or "no file differs")
+        return
+    if args.seed is None:
+        ap.error("--seed is required unless --compare is given")
+    keep = args.keep.resolve() if args.keep else None
+    doc = artifact_hashes(args.checkout.resolve(), args.seed, args.rows, keep)
     json.dump(doc, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
 
