@@ -156,7 +156,11 @@ def _notion_config(cfg: dict, table: Table) -> NotionConfig:
     notion = cfg.get("notion") or {}
     if not notion.get("kind"):
         raise ConfigError("missing notion kind (--notion or config notion.kind)")
-    return NotionConfig.from_dict(notion, table.schema)
+    ncfg = NotionConfig.from_dict(notion, table.schema)
+    unknown = sorted(set(ncfg.groups or ()) - set(table.levels(ncfg.protected)))
+    if unknown:
+        raise ConfigError(f"notion 'groups' names no level of {ncfg.protected!r}: {unknown}")
+    return ncfg
 
 
 def _resolve_predictions(cfg: dict, table: Table) -> tuple[np.ndarray, str]:

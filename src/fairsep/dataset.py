@@ -215,8 +215,16 @@ class Table:
     def take(self, index: np.ndarray) -> "Table":
         """New Table of the rows a boolean mask or index array selects; categorical
         levels shrink to the values those rows hold."""
+        index = _row_index(index)  # one mask scan, not one per column
         cols = {name: arr[index] for name, arr in self._columns.items()}
         return Table(self.schema, cols, dropped_rows=0, levels=self._levels)
+
+
+def _row_index(rows) -> np.ndarray | slice:
+    """The index of the rows a boolean mask or an index selects; None selects every row."""
+    if rows is None:
+        return slice(None)
+    return np.flatnonzero(rows) if np.asarray(rows).dtype == bool else rows
 
 
 def _compact(levels: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
@@ -661,8 +669,7 @@ class FeatureEncoder:
     @classmethod
     def fit(cls, table: Table, train_mask: np.ndarray | None = None,
             include_protected: bool = False) -> "FeatureEncoder":
-        if train_mask is None:
-            train_mask = np.ones(table.rows, dtype=bool)
+        rows = _row_index(train_mask)
         feature_map: list[tuple[str, str | None]] = []
         levels: dict[str, list[str]] = {}
         means: dict[str, float] = {}
@@ -673,7 +680,7 @@ class FeatureEncoder:
             if spec.kind == "protected" and not include_protected:
                 continue
             if spec.kind in NUMERIC_KINDS:
-                col = table.column(spec.name)[train_mask]
+                col = table.column(spec.name)[rows]
                 mu = float(np.mean(col)) if len(col) else 0.0
                 sd = float(np.std(col)) if len(col) else 0.0
                 if sd == 0.0:
@@ -685,7 +692,7 @@ class FeatureEncoder:
                 feature_map.append((spec.name, None))
             else:
                 lv = list(map(table.levels(spec.name).__getitem__,
-                              np.unique(table.codes(spec.name)[train_mask])))
+                              np.unique(table.codes(spec.name)[rows])))
                 if len(lv) < 2:
                     log.warning("categorical column %r has %d level(s) on the "
                                 "training split; dropped", spec.name, len(lv))
@@ -696,8 +703,8 @@ class FeatureEncoder:
         return cls(feature_map, levels, means, sds, include_protected)
 
     def transform(self, table: Table, mask: np.ndarray | None = None) -> Design:
-        rows = slice(None) if mask is None else mask
-        n = table.rows if mask is None else int(np.count_nonzero(mask))
+        rows = _row_index(mask)
+        n = table.rows if mask is None else len(rows)
         numeric = [j for j, (_, level) in enumerate(self.feature_map) if level is None]
         block = np.empty((n, len(numeric)))
         for k, (name, _) in enumerate(map(self.feature_map.__getitem__, numeric)):

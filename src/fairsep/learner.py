@@ -25,6 +25,7 @@ import json
 import logging
 import math
 import numbers
+import reprlib
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -85,6 +86,16 @@ class LearnerHP:
         return cls(**doc)
 
 
+def _model_field(doc: dict, key: str, want: str, owner: str = "model"):
+    """``doc[key]`` if it is ``want``; a missing or mistyped value is a ConfigError."""
+    value = doc.get(key)
+    kind, items = dict if "object" in want else numbers.Real, value if "list" in want else [value]
+    if type(items) is not list or any(type(v) is bool or not isinstance(v, kind) for v in items):
+        raise ConfigError(f"{owner} '{key}' must be {want}, "
+                          + (f"got {reprlib.repr(value)}" if key in doc else "missing"))
+    return value
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
 
@@ -126,8 +137,9 @@ class BaseLearner:
     @classmethod
     def from_dict(cls, doc: dict, hp: LearnerHP) -> "BaseLearner":
         return cls(
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            intercept=float(doc["intercept"]),
+            weights=np.asarray(_model_field(doc, "weights", "a list of numbers", "model member"),
+                               dtype=np.float64),
+            intercept=float(_model_field(doc, "intercept", "a number", "model member")),
             hp=hp,
             converged=bool(doc.get("converged", True)),
             epochs_run=int(doc.get("epochs_run", 0)),
@@ -150,7 +162,11 @@ def fit_base(
     The fit is Armijo-damped Newton (IRLS) from zero: each step solves
     ``H d = g`` with H the Hessian of the p-weighted log-loss plus the l2
     term (intercept unpenalised) and halves the step until the loss falls by
-    a fixed fraction of the predicted decrease.
+    a fixed fraction of the predicted decrease.  ``l2 > 0`` makes H positive
+    definite (clipped margins keep the intercept's curvature positive), so
+    ``np.linalg.solve`` takes the step; with ``l2 == 0`` collinear columns
+    make H singular and ``np.linalg.lstsq`` takes the minimum-norm step.  A
+    tiny ``l2`` identifies the scores, not the weights' null-space split.
 
     ``features`` is a ``Design`` or a plain 2-D array (a design with only a
     numeric block).  The margins are its ``matvec``, the gradient its
@@ -183,8 +199,8 @@ def fit_base(
     ridge = np.append(np.full(d, hp.l2), 0.0)  # the intercept is unpenalised
 
     def loss_at(w, margin):
-        # numerically stable weighted log-loss
-        per_row = np.logaddexp(0.0, margin) - z * margin
+        # weighted log-loss; log(1 + e^m) as max(m, 0) + log1p(e^-|m|), np.logaddexp's form
+        per_row = np.maximum(margin, 0.0) + np.log1p(np.exp(-np.abs(margin))) - z * margin
         return float(np.dot(p, per_row)) + 0.5 * hp.l2 * float(np.dot(w[:d], w[:d]))
 
     w = np.zeros(d + 1)
@@ -198,9 +214,8 @@ def fit_base(
         resid, curv = p * (q - z), p * q * (1.0 - q)
         grad = X1.rmatvec(resid) + ridge * w
         hess = X1.gram(curv) + np.diag(ridge)
-        # least squares, so a singular H (collinear columns with l2 = 0)
-        # still gives the minimum-norm direction
-        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        step = (np.linalg.solve(hess, grad) if hp.l2 > 0 else  # H positive definite
+                np.linalg.lstsq(hess, grad, rcond=None)[0])  # H maybe singular: minimum norm
         slope = float(np.dot(grad, step))
         shift = X1.matvec(step)
         t = 1.0
@@ -247,7 +262,9 @@ class MomentConstraint:
 
 def _term_weights(term) -> tuple[np.ndarray, np.ndarray]:
     """The rows of either side of ``term`` and the weight left - right on each."""
-    rows = np.union1d(term.left.rows, term.right.rows)
+    rows = np.concatenate((term.left.rows, term.right.rows))
+    rows.sort(kind="stable")  # a merge of the two ascending runs
+    rows = rows[np.diff(rows, prepend=-1) != 0]  # less repeats; row indices are >= 0
     w = np.zeros(rows.size)
     for side, sign in ((term.left, 1.0), (term.right, -1.0)):
         weight = 1.0 if side.zeta is None else side.zeta
@@ -374,7 +391,11 @@ class ReducedModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ReducedModel":
-        hp = ExpGradHP.from_dict(doc["hp"])
+        hp = ExpGradHP.from_dict(_model_field(doc, "hp", "an object"))
+        members = _model_field(doc, "members", "a list of objects")
+        mixture = _model_field(doc, "mixture_weights", "a list of numbers")
+        if len(mixture) != len(members):
+            raise ConfigError(f"model has {len(members)} members, {len(mixture)} mixture_weights")
         encoder = None
         if doc.get("encoder") is not None:
             enc = doc["encoder"]
@@ -384,8 +405,8 @@ class ReducedModel:
                 include_protected=bool(enc["include_protected"]),
             )
         return cls(
-            members=[BaseLearner.from_dict(m, hp.base) for m in doc["members"]],
-            mixture_weights=np.asarray(doc["mixture_weights"], dtype=np.float64),
+            members=[BaseLearner.from_dict(m, hp.base) for m in members],
+            mixture_weights=np.asarray(mixture, dtype=np.float64),
             hp=hp,
             constraint_names=list(doc.get("constraints", [])),
             trajectory=list(doc.get("trajectory", [])),

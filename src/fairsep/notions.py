@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import EFFORT_SCOPES, Table, Thresholds, cell_rows, resolve_thresholds
+from .dataset import EFFORT_SCOPES, NUMERIC_KINDS, Table, Thresholds, cell_rows, resolve_thresholds
 from .errors import ConfigError, config_number, config_object, string_list
 from .groupstats import positive_scores
 
@@ -126,6 +126,13 @@ class NotionConfig:
                               ("effort_column", schema.tagged("effort"))):
                 if not doc.get(key) and spec is not None:
                     doc[key] = spec.name
+            for key, kinds in (("conditional", ("categorical",)),
+                               ("privilege_column", NUMERIC_KINDS),
+                               ("effort_column", NUMERIC_KINDS)):
+                kind = next((c.kind for c in schema.columns if c.name == doc.get(key)), "absent")
+                if doc.get(key) not in (None, "") and kind not in kinds:
+                    raise ConfigError(f"notion '{key}' must name a column of kind "
+                                      f"{' or '.join(kinds)}; {doc[key]!r} is {kind}")
         if "kind" not in doc:
             raise ConfigError("notion config needs a 'kind'")
         if not doc.get("protected"):

@@ -667,6 +667,47 @@ def test_malformed_json_artifact_is_a_usage_error(tmp_path, capsys, caplog, what
     assert f"{bad}: {what} {fault}" in capsys.readouterr().err
     assert "unhandled error" not in caplog.text
 
+@pytest.mark.parametrize("doc, key", [
+    ({}, "'hp'"),
+    ({"hp": []}, "'hp'"),
+    ({"hp": {}, "mixture_weights": []}, "'members'"),
+    ({"hp": {}, "members": [{}]}, "'mixture_weights'"),
+    ({"hp": {}, "members": [{"intercept": 0.0}], "mixture_weights": [1.0]}, "'weights'"),
+    ({"hp": {}, "members": [{"weights": [1, "a"], "intercept": 0.0}], "mixture_weights": [1.0]},
+     "'weights'"),
+    ({"hp": {}, "members": [{"weights": [1.0]}], "mixture_weights": [1.0]}, "'intercept'"),
+    ({"hp": {}, "members": [{"weights": [], "intercept": True}], "mixture_weights": [1.0]},
+     "'intercept'"),
+])
+def test_model_missing_or_mistyped_key_is_a_usage_error(tmp_path, capsys, caplog, doc, key):
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["audit", "--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--notion", "DP",
+                 "--model", str(bad), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and key in err, err
+    assert "unhandled error" not in caplog.text
+
+
+@pytest.mark.parametrize("notion, key", [
+    ({"kind": "CDP", "conditional": ["occ"]}, "'conditional'"),
+    ({"kind": "SEP_relaxed", "effort_column": "occ", "p": 30}, "'effort_column'"),
+    ({"kind": "DP", "groups": ["Z"]}, "'groups'"),
+    ({"kind": "SEP_relaxed", "privilege_column": "occ", "p": 30}, "'privilege_column'"),
+    ({"kind": "SEP", "privilege_column": 5, "p": 30}, "'privilege_column'"),
+    ({"kind": "CDP", "conditional": "nope"}, "'conditional'"),
+])
+def test_notion_column_keys_are_checked_when_read(tmp_path, capsys, caplog, notion, key):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"notion": notion}), encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(audit_argv(out, "ground_truth", "--config", str(cfg_path)))
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and key in err, err
+    assert "unhandled error" not in caplog.text
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Schema, table, CSV, threshold, encoder, and split behavior."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from fairsep import (
 )
 from fairsep.dataset import cell_rows
 from conftest import ROW_SCHEMA, rows_to_table
+from synth import random_rows
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +151,33 @@ def test_table_take_with_mask_and_indices():
     assert list(again.column("xe")) == [40.0, 10.0]
     with pytest.raises(SchemaError, match="no column"):
         t.column("absent")
+
+
+def test_table_take_of_a_mask_equals_take_of_its_index():
+    rng = np.random.default_rng(4)
+    t = rows_to_table(random_rows(random.Random(4), 60))
+    for mask in (rng.random(t.rows) < 0.3, np.zeros(t.rows, bool), t.column("cat") == "A"):
+        by_mask, by_index = t.take(mask), t.take(np.flatnonzero(mask))
+        assert by_mask.rows == by_index.rows == int(mask.sum())
+        for spec in t.schema.columns:
+            np.testing.assert_array_equal(by_mask.column(spec.name), by_index.column(spec.name))
+            if spec.kind in ("protected", "categorical"):
+                assert by_mask.levels(spec.name) == by_index.levels(spec.name)
+                np.testing.assert_array_equal(by_mask.codes(spec.name), by_index.codes(spec.name))
+
+
+def test_encoder_transform_of_a_mask_equals_transform_of_the_taken_rows():
+    t = rows_to_table(random_rows(random.Random(6), 80))
+    mask = np.random.default_rng(6).random(t.rows) < 0.5
+    enc = FeatureEncoder.fit(t, train_mask=~mask, include_protected=True)
+    assert enc == FeatureEncoder.fit(t.take(~mask), include_protected=True)
+    masked, taken = enc.transform(t, mask), enc.transform(t.take(mask))
+    assert masked.shape == taken.shape
+    np.testing.assert_array_equal(masked.dense(), taken.dense())
+    np.testing.assert_array_equal(masked.combo, taken.combo)
+    for (codes, cols), (codes_b, cols_b) in zip(masked.coded, taken.coded, strict=True):
+        np.testing.assert_array_equal(codes, codes_b)
+        np.testing.assert_array_equal(cols, cols_b)
 
 
 def test_table_levels_sorted():

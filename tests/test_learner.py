@@ -32,8 +32,15 @@ from fairsep import (
     save_model,
     violation,
 )
+import fairsep.learner as learner
+from fairsep.notions import Side, Term
 from conftest import rows_to_table, scores_of
 from synth import planted_dp_table, random_rows
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # seeded fallback below
+    given = None
 
 HPRED = np.array([1, 0, 1, 0, 0, 1, 0, 1], dtype=np.float64)
 
@@ -170,6 +177,28 @@ def test_fit_base_survives_collinear_separable_data_without_l2():
     assert np.isfinite(model.weights).all() and np.isfinite(model.intercept)
     assert np.isfinite(model.final_loss)
     np.testing.assert_array_equal(model.predict(X), y)
+
+
+@pytest.mark.parametrize("l2", [1e-4, 1e-8, 1e-12, 1e-16])
+def test_fit_base_solve_matches_a_least_squares_step_on_collinear_one_hots(monkeypatch, l2):
+    # every level of each categorical is a column, so each block of one-hots
+    # sums to the intercept: only l2 keeps H nonsingular.  The split of the
+    # weights along those null directions is not identified at tiny l2, so
+    # compare the loss and the scores, not the weights
+    table, fit_rows = _coded_design_table()
+    encoder = FeatureEncoder.fit(table, fit_rows, include_protected=True)
+    X = encoder.transform(table, fit_rows)
+    y = table.target[fit_rows].astype(np.float64)
+    costs = np.random.default_rng(5).normal(size=len(y))
+    fits = [fit_base(X, y, c, LearnerHP(l2=l2)) for c in (None, costs)]
+    with monkeypatch.context() as m:
+        m.setattr(learner.np.linalg, "solve",
+                  lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0])
+        refs = [fit_base(X, y, c, LearnerHP(l2=l2)) for c in (None, costs)]
+    for fit, ref in zip(fits, refs):
+        assert fit.converged
+        assert fit.final_loss == pytest.approx(ref.final_loss, rel=1e-9, abs=0)
+        np.testing.assert_allclose(fit.predict_proba(X), ref.predict_proba(X), rtol=0, atol=1e-9)
 
 
 def test_fit_base_damps_newton_steps_on_heavy_tailed_features():
@@ -363,6 +392,42 @@ def test_moment_constraint_value_and_violation():
     scores = np.array([0.5, 0.2])
     assert c.value(scores) == pytest.approx(0.4)
     assert c.violation(scores) == pytest.approx(0.38)
+
+
+TERM_SIDE_CASES = ("disjoint", "overlapping", "identical", "one empty", "both empty")
+
+
+def check_term_weights_match_union1d(case: str, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 200))
+    left = np.flatnonzero(rng.random(n) < rng.random())
+    right = {"disjoint": np.setdiff1d(np.flatnonzero(rng.random(n) < 0.5), left),
+             "overlapping": np.flatnonzero(rng.random(n) < rng.random()),
+             "identical": left.copy()}.get(case, np.zeros(0, np.int64))
+    if case == "both empty":
+        left = right
+    sides = []
+    for rows in (left, right) if seed % 2 else (right, left):
+        zeta = rng.uniform(1.0, 2.0, rows.size) if rng.random() < 0.5 else None
+        sides.append(Side(rows, float(rng.uniform(1, 50)), zeta))
+    rows, w = learner._term_weights(Term("T1", *sides))
+    expected_rows = np.union1d(sides[0].rows, sides[1].rows)
+    expected_w = np.zeros(expected_rows.size)
+    for side, sign in zip(sides, (1.0, -1.0)):
+        expected_w[np.searchsorted(expected_rows, side.rows)] += \
+            sign * (1.0 if side.zeta is None else side.zeta) / side.norm
+    assert rows.dtype == expected_rows.dtype
+    np.testing.assert_array_equal(rows, expected_rows)
+    np.testing.assert_array_equal(w, expected_w)
+
+
+if given is not None:
+    test_term_weights_match_union1d = pytest.mark.parametrize("case", TERM_SIDE_CASES)(settings(
+        max_examples=40, deadline=None, derandomize=True, database=None)(
+        given(seed=st.integers(0, 2**32 - 1))(check_term_weights_match_union1d)))
+else:
+    test_term_weights_match_union1d = pytest.mark.parametrize("case", TERM_SIDE_CASES)(
+        pytest.mark.parametrize("seed", range(40))(check_term_weights_match_union1d))
 
 
 def test_compile_counts_dp_ep_cdp(toy8):

@@ -17,7 +17,8 @@ and artifacts there.  ``--compare`` reads two such directories and, for every
 file that differs, prints how far it moved: the largest absolute and relative
 difference between the numbers at the same position (JSON leaves, CSV cells,
 any number in the text), or the lines that differ when the text around the
-numbers does.
+numbers does.  It exits 1 when any file differs or exists on one side only,
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ def main() -> None:
                     help="print how far each differing file of two --keep directories moved")
     args = ap.parse_args()
     if args.compare:
-        print("\n".join(compare(*args.compare)) or "no file differs")
-        return
+        lines = compare(*args.compare)
+        print("\n".join(lines) or "no file differs")
+        sys.exit(1 if lines else 0)
     if args.seed is None:
         ap.error("--seed is required unless --compare is given")
     keep = args.keep.resolve() if args.keep else None
