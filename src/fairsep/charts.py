@@ -14,10 +14,13 @@ no timestamps or generated ids.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 PALETTE = ("#4878cf", "#ee854a", "#6acc64", "#d65f5f", "#956cb4", "#8c613c")
 FONT = "font-family=\"Helvetica, Arial, sans-serif\""
+
+
+def escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped for SVG character data (``&`` first)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:

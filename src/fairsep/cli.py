@@ -112,6 +112,9 @@ def _merged_config(args) -> dict:
         notion["epsilon"] = args.epsilon
     if getattr(args, "conditional", None):
         notion["conditional"] = args.conditional
+    for key in ("data", "schema", "predictions", "model", "out"):
+        if key in cfg and not isinstance(cfg[key], str):
+            raise ConfigError(f"config '{key}' must be a path string, got {cfg[key]!r}")
     return cfg
 
 
@@ -144,23 +147,17 @@ def _run_options(cfg: dict) -> tuple[str, float, float]:
     return mode, cutoff, test_fraction
 
 
-def _load_table(cfg: dict) -> Table:
+def _schema(cfg: dict) -> Schema:
     for key in ("data", "schema"):
         if not cfg.get(key):
             raise ConfigError(f"missing required input: --{key} (or config '{key}')")
-    schema = Schema.from_json(cfg["schema"])
-    return load_csv(cfg["data"], schema)
+    return Schema.from_json(cfg["schema"])
 
 
-def _notion_config(cfg: dict, table: Table) -> NotionConfig:
-    notion = cfg.get("notion") or {}
-    if not notion.get("kind"):
-        raise ConfigError("missing notion kind (--notion or config notion.kind)")
-    ncfg = NotionConfig.from_dict(notion, table.schema)
+def _check_groups(ncfg: NotionConfig, table: Table) -> None:
     unknown = sorted(set(ncfg.groups or ()) - set(table.levels(ncfg.protected)))
     if unknown:
         raise ConfigError(f"notion 'groups' names no level of {ncfg.protected!r}: {unknown}")
-    return ncfg
 
 
 def _resolve_predictions(cfg: dict, table: Table) -> tuple[np.ndarray, str]:
@@ -296,8 +293,12 @@ def _write_stats(out_dir: Path, table: Table, predictions, ncfg: NotionConfig,
 def cmd_audit(args) -> int:
     cfg = _merged_config(args)
     mode, cutoff, _ = _run_options(cfg)
-    table = _load_table(cfg)
-    ncfg = _notion_config(cfg, table)
+    schema = _schema(cfg)
+    ncfg = NotionConfig.from_dict(cfg["notion"], schema)
+    # scores from a file or the target need only the notion's coded columns; a model needs all
+    coded = {schema.protected.name, ncfg.protected, ncfg.conditional}
+    table = load_csv(cfg["data"], schema, coded if cfg.get("predictions") else None)
+    _check_groups(ncfg, table)
     predictions, source = _resolve_predictions(cfg, table)
     report = violation(table, predictions, ncfg, mode=mode, cutoff=cutoff)
 
@@ -327,8 +328,10 @@ def cmd_train(args) -> int:
                           f"got {include_protected!r}")
     train_opts.setdefault("base", dict(config_object(cfg, "learner")))
     hp = ExpGradHP.from_dict(train_opts)
-    table = _load_table(cfg)
-    ncfg = _notion_config(cfg, table)
+    schema = _schema(cfg)
+    ncfg = NotionConfig.from_dict(cfg["notion"], schema)
+    table = load_csv(cfg["data"], schema)
+    _check_groups(ncfg, table)
     seed = config_number(cfg, "seed", 42, int)
 
     train_mask, test_mask = stratified_split(table, test_fraction, seed)
@@ -377,7 +380,7 @@ def cmd_train(args) -> int:
 
 def cmd_extract_privilege(args) -> int:
     cfg = _merged_config(args)
-    table = _load_table(cfg)
+    table = load_csv(cfg["data"], _schema(cfg))
     group = cfg.get("group")
     if not group:
         raise ConfigError("extract-privilege needs --group")
@@ -403,7 +406,9 @@ def cmd_extract_privilege(args) -> int:
 
 def cmd_sweep_p(args) -> int:
     cfg = _merged_config(args)
-    table = _load_table(cfg)
+    schema = _schema(cfg)
+    protected = schema.protected and schema.protected.name
+    table = load_csv(cfg["data"], schema, {protected, cfg.get("column")})
     result = select_p(
         table,
         column=cfg.get("column"),

@@ -235,7 +235,7 @@ def _compact(levels: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
     return [levels[i] for i in kept], renumber[codes]
 
 
-def load_csv(path: str | Path, schema: Schema) -> Table:
+def load_csv(path: str | Path, schema: Schema, columns=None) -> Table:
     """Read a delimited file into a Table.
 
     Only the schema's columns are kept.  Rows holding the missing marker in any
@@ -250,10 +250,17 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
     strings are parsed once per file.  The first faulty kept row or short/long
     row raises ``ParseError`` naming the physical line the row starts on; a
     record the ``csv`` module cannot read raises it first, naming the line.
+    ``columns`` (default: all) names the protected and categorical columns to
+    code and keep; the Table's schema lists only what it holds.  Every schema
+    column is still checked, its missing markers drop rows, and numeric and
+    target columns are always parsed and kept.
     """
     path = Path(path)
-    distinct, parts, faults = _read_plain(path, schema) or _read_records(path, schema)
-    levels: dict[str, dict] = {c.name: {} for c in schema.columns if c.kind in CODED_KINDS}
+    held = tuple(c for c in schema.columns
+                 if columns is None or c.kind not in CODED_KINDS or c.name in columns)
+    skip = {c.name for c in schema.columns if c not in held} if schema.missing_marker else set()
+    distinct, parts, faults = _read_plain(path, schema, skip) or _read_records(path, schema)
+    levels: dict[str, dict] = {c.name: {} for c in held if c.kind in CODED_KINDS}
     raw = [np.concatenate(arrs) for arrs in parts]
     del parts  # the blocks' code arrays, as large again as raw
     stripped = [[v.strip() for v in codes] for codes in distinct]
@@ -263,6 +270,8 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
             drop |= np.array([v == schema.missing_marker for v in values], dtype=bool)[codes]
     keep, cols = np.flatnonzero(~drop), {}
     for spec, codes, values in zip(schema.columns, raw, stripped):
+        if spec not in held:
+            continue
         parsed = [_parse_field(spec, v, levels.get(spec.name)) for v in values]
         if any(e is not None for _, e in parsed):
             bad = np.flatnonzero(np.array([e is not None for _, e in parsed], bool)[codes] & ~drop)
@@ -280,7 +289,7 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
     dropped = int(np.count_nonzero(drop))
     if dropped:
         log.info("%s: dropped %d rows containing missing marker %r", path, dropped, schema.missing_marker)
-    return Table(schema, cols, dropped_rows=dropped,
+    return Table(replace(schema, columns=held), cols, dropped_rows=dropped,
                  levels={name: list(ids) for name, ids in levels.items()})
 
 
@@ -330,7 +339,7 @@ def _read_records(path: Path, schema: Schema) -> tuple[list, list, list]:
     return distinct, parts, faults
 
 
-def _read_plain(path: Path, schema: Schema) -> tuple[list, list, list] | None:
+def _read_plain(path: Path, schema: Schema, skip=frozenset()) -> tuple[list, list, list] | None:
     """``_read_records``'s result for a plain file, or None for any other.
 
     A block is ``CHUNK_BYTES`` completed to the end of a line; its delimiter
@@ -338,11 +347,15 @@ def _read_plain(path: Path, schema: Schema) -> tuple[list, list, list] | None:
     uint64 words masked to its length (exact, as no NUL byte occurs).  A stable
     radix sort on 16 bits of a mix of those words groups equal fields; a field
     whose words differ from its sorted neighbour's looks up its string's code.
+    A column in ``skip`` has the values ``["", marker]``: a field holding the
+    (non-empty) marker's first byte is 1 if it strips to the marker, others 0.
     """
     delim, limit, not_plain = schema.delimiter, csv.field_size_limit(), (b'"', b"\r", b"\0")
     if len(delim) != 1 or delim in '"\r\n\0' or not delim.isascii():
         return None
-    distinct = [defaultdict(itertools.count().__next__) for _ in schema.columns]
+    marker = schema.missing_marker
+    distinct = [["", marker] if c.name in skip else defaultdict(itertools.count().__next__)
+                for c in schema.columns]
     parts = [[np.zeros(0, np.int32)] for _ in schema.columns]
     with open(path, "rb") as fh:
         try:
@@ -368,8 +381,17 @@ def _read_plain(path: Path, schema: Schema) -> tuple[list, list, list] | None:
                 starts = np.empty((ncols, rows), np.int64)  # each field's first byte
                 starts[0, 0], starts[0, 1:], starts[1:] = 0, ends[-1, :-1] + 1, ends[:-1] + 1
                 sizes = ends - starts
+                if skip:  # the fields holding the marker's first byte, as (position, row)
+                    hit = np.unique(np.searchsorted(ends.T.ravel(),
+                                                    np.flatnonzero(buf[:-8] == marker.encode()[0])))
+                    hit, flags = (hit % ncols, hit // ncols), np.zeros((ncols, rows), np.int8)
+                    pick = zip(starts[hit].tolist(), ends[hit].tolist())
+                    flags[hit] = [block[a:b].decode().strip() == marker for a, b in pick]
                 words = np.ndarray((len(block) + 1,), "<u8", buf, 0, (1,))  # buf[i:i + 8]
-                for c, codes, arrs in zip(columns, distinct, parts):
+                for c, spec, codes, arrs in zip(columns, schema.columns, distinct, parts):
+                    if spec.name in skip:
+                        arrs.append(flags[c])
+                        continue
                     start, size = starts[c], sizes[c]
                     keys = [_WORD_MASKS[np.clip(size - k, 0, 8)]
                             & words[np.minimum(start + k, len(block)) if k else start]

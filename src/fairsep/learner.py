@@ -86,11 +86,18 @@ class LearnerHP:
         return cls(**doc)
 
 
+_MODEL_KINDS = {  # the JSON values each noun of a ``_model_field`` ``want`` admits
+    "object": lambda v: isinstance(v, dict), "boolean": lambda v: type(v) is bool,
+    "number": lambda v: isinstance(v, numbers.Real) and type(v) is not bool,
+    "integer": lambda v: isinstance(v, int) and type(v) is not bool,
+    "pair": lambda v: type(v) is list and len(v) == 2 and {*map(type, v)} <= {str, type(None)}}
+
+
 def _model_field(doc: dict, key: str, want: str, owner: str = "model"):
     """``doc[key]`` if it is ``want``; a missing or mistyped value is a ConfigError."""
-    value = doc.get(key)
-    kind, items = dict if "object" in want else numbers.Real, value if "list" in want else [value]
-    if type(items) is not list or any(type(v) is bool or not isinstance(v, kind) for v in items):
+    value, fits = doc.get(key), next(f for noun, f in _MODEL_KINDS.items() if noun in want)
+    items = value if "list" in want else [value]
+    if type(items) is not list or not all(map(fits, items)):
         raise ConfigError(f"{owner} '{key}' must be {want}, "
                           + (f"got {reprlib.repr(value)}" if key in doc else "missing"))
     return value
@@ -141,9 +148,9 @@ class BaseLearner:
                                dtype=np.float64),
             intercept=float(_model_field(doc, "intercept", "a number", "model member")),
             hp=hp,
-            converged=bool(doc.get("converged", True)),
-            epochs_run=int(doc.get("epochs_run", 0)),
-            final_loss=float(doc.get("final_loss", 0.0)),
+            converged=_model_field(doc, "converged", "a boolean", "model member"),
+            epochs_run=_model_field(doc, "epochs_run", "an integer", "model member"),
+            final_loss=float(_model_field(doc, "final_loss", "a number", "model member")),
         )
 
 
@@ -398,12 +405,12 @@ class ReducedModel:
             raise ConfigError(f"model has {len(members)} members, {len(mixture)} mixture_weights")
         encoder = None
         if doc.get("encoder") is not None:
-            enc = doc["encoder"]
+            enc, owner = _model_field(doc, "encoder", "an object"), "model encoder"
+            pairs = _model_field(enc, "feature_map", "a list of [column, level] pairs", owner)
             encoder = FeatureEncoder(
-                feature_map=[(name, level) for name, level in enc["feature_map"]],
-                levels=enc["levels"], means=enc["means"], sds=enc["sds"],
-                include_protected=bool(enc["include_protected"]),
-            )
+                [tuple(pair) for pair in pairs],
+                *(_model_field(enc, key, "an object", owner) for key in ("levels", "means", "sds")),
+                _model_field(enc, "include_protected", "a boolean", owner))
         return cls(
             members=[BaseLearner.from_dict(m, hp.base) for m in members],
             mixture_weights=np.asarray(mixture, dtype=np.float64),

@@ -126,7 +126,7 @@ class NotionConfig:
                               ("effort_column", schema.tagged("effort"))):
                 if not doc.get(key) and spec is not None:
                     doc[key] = spec.name
-            for key, kinds in (("conditional", ("categorical",)),
+            for key, kinds in (("protected", ("protected",)), ("conditional", ("categorical",)),
                                ("privilege_column", NUMERIC_KINDS),
                                ("effort_column", NUMERIC_KINDS)):
                 kind = next((c.kind for c in schema.columns if c.name == doc.get(key)), "absent")

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fairsep.cli
 from fairsep.bundled import toy8_paths
 from fairsep.cli import _resolve_predictions, _write_json, main
 from fairsep.dataset import Schema, load_csv
@@ -667,6 +668,13 @@ def test_malformed_json_artifact_is_a_usage_error(tmp_path, capsys, caplog, what
     assert f"{bad}: {what} {fault}" in capsys.readouterr().err
     assert "unhandled error" not in caplog.text
 
+
+MEMBER = {"weights": [0.5], "intercept": 0.0, "converged": True, "epochs_run": 3,
+          "final_loss": 0.25}
+ENCODER = {"feature_map": [["cap", None]], "levels": {}, "means": {"cap": 0.0},
+           "sds": {"cap": 1.0}, "include_protected": False}
+
+
 @pytest.mark.parametrize("doc, key", [
     ({}, "'hp'"),
     ({"hp": []}, "'hp'"),
@@ -678,6 +686,19 @@ def test_malformed_json_artifact_is_a_usage_error(tmp_path, capsys, caplog, what
     ({"hp": {}, "members": [{"weights": [1.0]}], "mixture_weights": [1.0]}, "'intercept'"),
     ({"hp": {}, "members": [{"weights": [], "intercept": True}], "mixture_weights": [1.0]},
      "'intercept'"),
+    *[({"hp": {}, "members": [dict(MEMBER, **member)], "mixture_weights": [1.0]}, f"'{key}'")
+      for member, key in [({"converged": "yes"}, "converged"),
+                          ({"epochs_run": "x"}, "epochs_run"),
+                          ({"epochs_run": 2.5}, "epochs_run"),
+                          ({"final_loss": None}, "final_loss")]],
+    *[({"hp": {}, "members": [MEMBER], "mixture_weights": [1.0], "encoder": encoder}, f"'{key}'")
+      for encoder, key in [([], "encoder"),
+                           ({}, "feature_map"),
+                           (dict(ENCODER, feature_map=[["cap"]]), "feature_map"),
+                           (dict(ENCODER, levels=[]), "levels"),
+                           (dict(ENCODER, means=5), "means"),
+                           (dict(ENCODER, sds=None), "sds"),
+                           (dict(ENCODER, include_protected="no"), "include_protected")]],
 ])
 def test_model_missing_or_mistyped_key_is_a_usage_error(tmp_path, capsys, caplog, doc, key):
     bad = tmp_path / "model.json"
@@ -696,6 +717,9 @@ def test_model_missing_or_mistyped_key_is_a_usage_error(tmp_path, capsys, caplog
     ({"kind": "SEP_relaxed", "privilege_column": "occ", "p": 30}, "'privilege_column'"),
     ({"kind": "SEP", "privilege_column": 5, "p": 30}, "'privilege_column'"),
     ({"kind": "CDP", "conditional": "nope"}, "'conditional'"),
+    ({"kind": "DP", "protected": "occ"}, "'protected'"),
+    ({"kind": "DP", "protected": "cap"}, "'protected'"),
+    ({"kind": "DP", "protected": ["sex"]}, "'protected'"),
 ])
 def test_notion_column_keys_are_checked_when_read(tmp_path, capsys, caplog, notion, key):
     cfg_path = tmp_path / "run.json"
@@ -706,6 +730,59 @@ def test_notion_column_keys_are_checked_when_read(tmp_path, capsys, caplog, noti
     assert code == 2 and err.startswith("error: ") and key in err, err
     assert "unhandled error" not in caplog.text
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("key", ["data", "schema", "predictions", "model", "out"])
+def test_path_keys_must_be_strings(tmp_path, capsys, caplog, key):
+    cfg = {"data": TOY8_DATA, "schema": TOY8_SCHEMA, "out": str(tmp_path / "run"),
+           "notion": {"kind": "DP"}, key: 7}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    code = main(["audit", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and f"'{key}'" in err, err
+    assert "unhandled error" not in caplog.text
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("line, field, code, message", [
+    (5, ",40,", ",4x0,", "toy8.csv:5: column 'hours': not a number: '4x0'"),
+    (3, ",60,", ",inf,", "toy8.csv:3: column 'hours': not a finite number: 'inf'"),
+    (1, ",occ,", ",job,", "schema columns absent from header: ['occ']"),
+])
+def test_audit_checks_the_columns_it_does_not_read(tmp_path, capsys, line, field, code, message):
+    lines = Path(TOY8_DATA).read_text(encoding="utf-8").splitlines()
+    lines[line - 1] = lines[line - 1].replace(field, code)
+    data = tmp_path / "toy8.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["audit", "--data", str(data), "--schema", TOY8_SCHEMA, "--notion", "DP",
+               "--predictions", "ground_truth", "--out", str(tmp_path / "run")])
+    assert rc == (2 if line == 1 else 3)
+    assert message in capsys.readouterr().err
+
+
+def test_commands_code_only_the_columns_they_read(tmp_path, monkeypatch):
+    held = []
+
+    def spy(*args, **kwargs):
+        table = load_csv(*args, **kwargs)
+        held.append([c.name for c in table.schema.columns])
+        return table
+    monkeypatch.setattr(fairsep.cli, "load_csv", spy)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"hp": {}, "members": [MEMBER], "mixture_weights": [1.0],
+                                 "encoder": ENCODER}), encoding="utf-8")
+    for argv in (audit_argv(tmp_path / "dp", "ground_truth", "--notion", "DP"),
+                 audit_argv(tmp_path / "cdp", "ground_truth", "--notion", "CDP",
+                            "--conditional", "occ"),
+                 ["audit", "--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--notion", "DP",
+                  "--model", str(model), "--out", str(tmp_path / "model")],
+                 ["sweep-p", "--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--grid", "30",
+                  "--out", str(tmp_path / "sweep")]):
+        assert main(argv) in (0, 1)
+    everything = ["sex", "cap", "hours", "occ", "y"]
+    assert held == [["sex", "cap", "hours", "y"], everything, everything,
+                    ["sex", "cap", "hours", "y"]]
 
 
 def test_json_artifacts_refuse_non_finite_numbers(tmp_path):

@@ -21,6 +21,8 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -98,8 +100,8 @@ def outcome(loader, path, schema):
     except (FairsepError, csv.Error, UnicodeDecodeError) as exc:
         return type(exc).__name__, str(exc)
     return (t.rows, t.dropped_rows,
-            {c.name: t.column(c.name).tolist() for c in schema.columns},
-            {c.name: t.levels(c.name) for c in schema.columns if c.kind in CODED})
+            {c.name: t.column(c.name).tolist() for c in t.schema.columns},
+            {c.name: t.levels(c.name) for c in t.schema.columns if c.kind in CODED})
 
 
 def schema_for(positive_label, delimiter=","):
@@ -480,6 +482,66 @@ def test_header_only_file_gives_an_empty_table(tmp_path):
     assert t.rows == 0 and t.levels("c") == [] and t.column("c").tolist() == []
 
 
+@pytest.mark.parametrize("marker, dropped", [
+    ("?", 3), (" ?", 0), (" ", 0), ("NA", 1), ("\u00e9", 1), ("", 1), ("1,", 0)])
+def test_projected_load_drops_the_rows_a_full_load_drops(tmp_path, marker, dropped):
+    # the marker inside a value, padded, in a column outside the schema, in
+    # the kept column g, and in c, which the projection leaves uncoded
+    p = tmp_path / "d.csv"
+    p.write_text("junk,g,x,o,c,y\n?,F,1,2,a?b,0\n1,M,2,3, ? ,1\n2,F,3,4,?,0\n3,M,4,5, NA,1\n"
+                 "4,F,5,6,\u00e9,0\n5,M,6,7,,1\n6,?,7,8,a,0\n7,F,8,9,\u00e9t\u00e9,1\n",
+                 encoding="utf-8")
+    schema = replace(schema_for(None), missing_marker=marker)
+    full = outcome(load_csv, p, schema)
+    with mock.patch.object(dataset.csv, "reader", side_effect=AssertionError("csv.reader")):
+        got = outcome(partial(load_csv, columns={"g"}), p, schema)
+    assert got[:2] == full[:2] == (8 - dropped, dropped)
+    assert got[2] == {k: v for k, v in full[2].items() if k != "c"}
+    assert got[3] == {"g": full[3]["g"]}
+
+
+PROJECTION_MARKERS = ["?", "NA", "\u00e9", "x,y", " ", " ?", ""]
+
+
+def check_projected_load_matches_full_load(seed: int) -> None:
+    """A load of some coded columns equals the full load without the others,
+    from either reader, with each '?' of a reference file rewritten as the
+    marker alone, padded or inside a value."""
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        schema = rng.choice([random_plain_csv, random_csv])(rng, path)
+        marker = rng.choice(PROJECTION_MARKERS)
+        schema = replace(schema, missing_marker=marker)
+        if marker and schema.delimiter not in marker:
+            first, *rest = path.read_bytes().split(b"?")
+            subs = [marker, f" {marker} ", f"a{marker}b"]
+            path.write_bytes(first + b"".join(rng.choice(subs).encode() + r for r in rest))
+        coded = [c.name for c in schema.columns if c.kind in CODED]
+        columns = set(rng.sample(coded, rng.randint(0, len(coded))))
+        held = [c.name for c in schema.columns if c.kind not in CODED or c.name in columns]
+        for patch in ({"wraps": dataset._read_plain}, {"return_value": None}):
+            with mock.patch.object(dataset, "_read_plain", **patch):
+                full = outcome(load_csv, path, schema)
+                got = outcome(partial(load_csv, columns=columns), path, schema)
+            if isinstance(full[0], str):
+                # only a held protected column is checked for two levels
+                assert got == full or ("g" not in columns and "fewer than 2" in full[1])
+                continue
+            assert got == (full[0], full[1], {k: full[2][k] for k in held},
+                           {k: full[3][k] for k in held if k in full[3]})
+            assert full[1] == 0 or marker not in (" ", " ?")
+
+
+if given is not None:
+    test_projected_load_matches_full_load = settings(
+        max_examples=300, deadline=None, derandomize=True, database=None)(
+        given(st.integers(0, 2**32 - 1))(check_projected_load_matches_full_load))
+else:
+    test_projected_load_matches_full_load = pytest.mark.parametrize(
+        "seed", range(300))(check_projected_load_matches_full_load)
+
+
 # ---------------------------------------------------------------------------
 # Table codes and levels
 # ---------------------------------------------------------------------------
@@ -593,3 +655,16 @@ def test_cli_audit_imports_only_numpy_among_heavy_modules(tmp_path):
     assert done.returncode == 0, done.stderr
     rc, heavy = done.stdout.strip().splitlines()[-1].split(" ", 1)
     assert rc in ("0", "1") and heavy == "[]"
+
+
+def test_importing_the_cli_leaves_out_the_network_modules():
+    # every fresh interpreter pays for what `import fairsep.cli` pulls in
+    src = str(Path(fairsep.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    script = ("import sys, fairsep.cli\n"
+              "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
