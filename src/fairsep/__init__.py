@@ -16,7 +16,7 @@ from .dataset import (ColumnSpec, Design, FeatureEncoder, Schema, Table, Thresho
 from .errors import (AlignmentError, ConfigError, DegenerateThresholdError,
                      EncodingError, ExtractionError, FairsepError, ParseError,
                      PredicateError, SchemaError)
-from .groupstats import SubgroupFrame, as_scores, mask, positive_scores, stats
+from .groupstats import SubgroupFrame, mask, positive_scores, stats
 from .learner import (BaseLearner, ExpGradHP, LearnerHP, MomentConstraint,
                       ReducedModel, compile_constraints,
                       exponentiated_gradient, fit_base, load_model, save_model)
@@ -36,7 +36,7 @@ __all__ = [
     "NotionConfig", "PSweepResult", "ParseError",
     "PredicateError", "ReducedModel", "Schema", "SchemaError",
     "SubgroupFrame", "Table", "Thresholds", "ViolationReport",
-    "adult_schema_path", "as_scores", "compile_constraints",
+    "adult_schema_path", "compile_constraints",
     "effort_threshold", "encode_features", "exponentiated_gradient",
     "extract_privilege_attribute", "fixture_path", "fit_base", "load_csv",
     "load_model", "mask", "permutation_importance", "positive_scores",

@@ -115,6 +115,9 @@ def _merged_config(args) -> dict:
     for key in ("data", "schema", "predictions", "model", "out"):
         if key in cfg and not isinstance(cfg[key], str):
             raise ConfigError(f"config '{key}' must be a path string, got {cfg[key]!r}")
+    for key in ("column", "group"):
+        if cfg.get(key) is not None and not isinstance(cfg[key], str):
+            raise ConfigError(f"config '{key}' must be a string, got {cfg[key]!r}")
     return cfg
 
 
@@ -197,20 +200,19 @@ def _command_string(args) -> str:
 # stats tables
 # ---------------------------------------------------------------------------
 
-def _stats_row(scope, category, group, table, predictions, rows, cutoff, mode):
-    frame = stats(table, predictions, rows, cutoff=cutoff, mode=mode)
+def _stats_row(scope, category, group, h, target, rows):
+    frame = stats(h, target, rows)
     return [scope, category, group, frame.n, frame.positives, frame.tp, frame.fp,
             frame.tn, frame.fn, frame.ppr, frame.tpr, frame.fpr]
 
 
-def _stats_rows(table: Table, predictions, ncfg: NotionConfig,
-                cutoff: float, mode: str) -> list[list]:
-    rows = [_stats_row("overall", "", "", table, predictions, None, cutoff, mode)]
+def _stats_rows(table: Table, h: np.ndarray, ncfg: NotionConfig) -> list[list]:
+    y = table.target
+    rows = [_stats_row("overall", "", "", h, y, None)]
     names = table.levels(ncfg.protected)
     group_ppr: dict[str, float | None] = {}
     for g in names:
-        row = _stats_row("group", "", g, table, predictions,
-                         subgroup_mask(table, ((ncfg.protected, g),)), cutoff, mode)
+        row = _stats_row("group", "", g, h, y, subgroup_mask(table, ((ncfg.protected, g),)))
         rows.append(row)
         group_ppr[g] = row[9]
     if ncfg.conditional:
@@ -218,8 +220,7 @@ def _stats_rows(table: Table, predictions, ncfg: NotionConfig,
         key = table.codes(ncfg.conditional) * len(names) + table.codes(ncfg.protected)
         for (a, g), cell in zip(itertools.product(categories, names),
                                 cell_rows(key, len(categories) * len(names))):
-            rows.append(_stats_row("category_group", a, g, table, predictions, cell,
-                                   cutoff, mode))
+            rows.append(_stats_row("category_group", a, g, h, y, cell))
     for g1, g2 in itertools.permutations(names, 2):
         ppr1, ppr2 = group_ppr[g1], group_ppr[g2]
         ratio = ppr1 / ppr2 if ppr1 is not None and ppr2 else None
@@ -273,7 +274,7 @@ def _write_stats(out_dir: Path, table: Table, predictions, ncfg: NotionConfig,
                  report, cutoff: float, mode: str) -> list[Path]:
     """Write stats.csv (plus effort_bins.csv for the SEP family); return their paths."""
     h = positive_scores(predictions, table, mode, cutoff)
-    rows = _stats_rows(table, predictions, ncfg, cutoff, mode)
+    rows = _stats_rows(table, h, ncfg)
     written = [out_dir / "stats.csv"]
     if ncfg.kind in SEP_FAMILY:
         thresholds = report.thresholds or ncfg.resolve_thresholds(table)

@@ -491,20 +491,20 @@ def privilege_threshold(table: Table, p: float, column: str | None = None) -> Th
     x = table.column(column)
     if table.rows == 0:
         raise DegenerateThresholdError("empty table")
-    values = np.unique(x)
-    if len(values) < 2:
+    xs = np.sort(x)
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])  # first position of each value
+    if len(starts) < 2:
         raise DegenerateThresholdError(
             f"column {column!r} is constant; privileged set would be everything"
         )
-    xs = np.sort(x)
-    fracs = (table.rows - np.searchsorted(xs, values, side="left")) / table.rows
+    fracs = (table.rows - starts) / table.rows
     hits = np.flatnonzero(fracs <= p / 100.0)
     if hits.size:
-        return Thresholds(privilege_cutoff=float(values[hits[0]]), p=p,
+        return Thresholds(privilege_cutoff=float(xs[starts[hits[0]]]), p=p,
                           realized_fraction=float(fracs[hits[0]]))
     raise DegenerateThresholdError(
         f"column {column!r}: no observed cutoff reaches a top fraction <= {p}% "
-        f"(smallest attainable tail is {np.mean(xs == values[-1]):.4f})"
+        f"(smallest attainable tail is {fracs[-1]:.4f})"
     )
 
 

@@ -28,9 +28,9 @@ def mask(table: Table, selection: tuple = ()) -> np.ndarray:
 class SubgroupFrame:
     """Confusion counts and rates over a row subset.
 
-    Rates with an empty denominator are None and listed in ``undefined``; in
-    expected mode the counts are fractional (sums of scores).  ``positives``
-    is the number of rows with target 1.
+    A rate with an empty denominator is None; in expected mode the counts are
+    fractional (sums of scores).  ``positives`` is the number of rows with
+    target 1.
     """
 
     n: int
@@ -41,32 +41,26 @@ class SubgroupFrame:
     ppr: float | None
     tpr: float | None
     fpr: float | None
-    undefined: tuple[str, ...] = ()
     positives: int = 0
-
-
-def as_scores(predictions: np.ndarray, table: Table) -> np.ndarray:
-    """Validate and align a predictions vector (scores in [0,1] or 0/1 labels)."""
-    arr = np.asarray(predictions, dtype=np.float64)
-    if arr.ndim != 1 or len(arr) != table.rows:
-        raise AlignmentError(
-            f"predictions length {arr.shape} does not match {table.rows} rows"
-        )
-    if not np.isfinite(arr).all():
-        raise AlignmentError("predictions must be finite")
-    if len(arr) and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise AlignmentError("predictions must lie in [0, 1]")
-    return arr
 
 
 def positive_scores(predictions: np.ndarray, table: Table, mode: str = "hard",
                     cutoff: float = 0.5) -> np.ndarray:
-    """Per-row probability of a positive decision under the chosen mode.
+    """Validate a predictions vector and return each row's probability of a positive decision.
 
-    ``hard`` thresholds scores at the cutoff (0/1 inputs pass through);
-    ``expected`` keeps scores as-is, reading them as randomized decisions.
+    Predictions are scores in [0,1] or 0/1 labels, one per table row.  ``hard``
+    thresholds them at the cutoff (0/1 inputs pass through); ``expected``
+    keeps them as-is, reading them as randomized decisions.
     """
-    scores = as_scores(predictions, table)
+    scores = np.asarray(predictions, dtype=np.float64)
+    if scores.ndim != 1 or len(scores) != table.rows:
+        raise AlignmentError(
+            f"predictions length {scores.shape} does not match {table.rows} rows"
+        )
+    if not np.isfinite(scores).all():
+        raise AlignmentError("predictions must be finite")
+    if len(scores) and (scores.min() < 0.0 or scores.max() > 1.0):
+        raise AlignmentError("predictions must lie in [0, 1]")
     if mode == "hard":
         if not 0.0 < cutoff < 1.0:
             raise ValueError(f"cutoff must lie in (0, 1), got {cutoff}")
@@ -76,17 +70,15 @@ def positive_scores(predictions: np.ndarray, table: Table, mode: str = "hard",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def stats(table: Table, predictions: np.ndarray, rows: np.ndarray | None = None,
-          cutoff: float = 0.5, mode: str = "hard") -> SubgroupFrame:
-    """Confusion statistics over a boolean row mask or an ascending row index (default all)."""
-    h = positive_scores(predictions, table, mode, cutoff)
+def stats(h: np.ndarray, target: np.ndarray, rows: np.ndarray | None = None) -> SubgroupFrame:
+    """Confusion statistics of decisions ``h`` (from ``positive_scores``) against
+    the target, over a boolean row mask or an ascending row index (default all)."""
     m = slice(None) if rows is None else rows
-    y = table.target[m]
+    y = target[m]
     hm = h[m]
     n = y.size
     if n == 0:
-        return SubgroupFrame(0, 0.0, 0.0, 0.0, 0.0, None, None, None,
-                             undefined=("ppr", "tpr", "fpr"))
+        return SubgroupFrame(0, 0.0, 0.0, 0.0, 0.0, None, None, None)
     pos = y == 1
     tp = float(np.sum(hm[pos]))
     fn = float(np.sum(1.0 - hm[pos]))
@@ -94,6 +86,5 @@ def stats(table: Table, predictions: np.ndarray, rows: np.ndarray | None = None,
     tn = float(np.sum(1.0 - hm[~pos]))
     tpr = tp / (tp + fn) if pos.any() else None
     fpr = fp / (fp + tn) if (~pos).any() else None
-    undefined = tuple(name for name, rate in (("tpr", tpr), ("fpr", fpr)) if rate is None)
-    return SubgroupFrame(n, tp, fp, tn, fn, (tp + fp) / n, tpr, fpr, undefined,
+    return SubgroupFrame(n, tp, fp, tn, fn, (tp + fp) / n, tpr, fpr,
                          positives=int(np.count_nonzero(pos)))

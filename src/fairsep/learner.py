@@ -26,6 +26,7 @@ import logging
 import math
 import numbers
 import reprlib
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -88,7 +89,10 @@ class LearnerHP:
 
 _MODEL_KINDS = {  # the JSON values each noun of a ``_model_field`` ``want`` admits
     "object": lambda v: isinstance(v, dict), "boolean": lambda v: type(v) is bool,
-    "number": lambda v: isinstance(v, numbers.Real) and type(v) is not bool,
+    # "positive" before "number", which "a positive number" also names
+    "positive": lambda v: _MODEL_KINDS["number"](v) and v > 0,
+    "number": lambda v: (isinstance(v, numbers.Real) and type(v) is not bool
+                         and abs(v) <= sys.float_info.max),  # no NaN or +-Infinity
     "integer": lambda v: isinstance(v, int) and type(v) is not bool,
     "pair": lambda v: type(v) is list and len(v) == 2 and {*map(type, v)} <= {str, type(None)}}
 
@@ -365,15 +369,6 @@ class ReducedModel:
             out += w * member.predict_proba(X)
         return out
 
-    def predict(self, X: Design | np.ndarray, mode: str = "hard",
-                cutoff: float = 0.5) -> np.ndarray:
-        scores = self.predict_scores(X)
-        if mode == "score":
-            return scores
-        if mode == "hard":
-            return (scores >= cutoff).astype(np.int64)
-        raise ConfigError(f"unknown prediction mode {mode!r}")
-
     def to_dict(self) -> dict:
         doc = {
             "members": [m.to_dict() for m in self.members],
@@ -406,11 +401,19 @@ class ReducedModel:
         encoder = None
         if doc.get("encoder") is not None:
             enc, owner = _model_field(doc, "encoder", "an object"), "model encoder"
-            pairs = _model_field(enc, "feature_map", "a list of [column, level] pairs", owner)
-            encoder = FeatureEncoder(
-                [tuple(pair) for pair in pairs],
-                *(_model_field(enc, key, "an object", owner) for key in ("levels", "means", "sds")),
-                _model_field(enc, "include_protected", "a boolean", owner))
+            fmap = [tuple(pair) for pair in _model_field(
+                enc, "feature_map", "a list of [column, level] pairs", owner)]
+            levels, means, sds = (_model_field(enc, key, "an object", owner)
+                                  for key in ("levels", "means", "sds"))
+            for name, level in fmap:
+                if level is None:
+                    _model_field(means, name, "a number", f"{owner} 'means'")
+                    _model_field(sds, name, "a positive number", f"{owner} 'sds'")
+                elif levels.get(name) != [v for n, v in fmap if n == name and v is not None]:
+                    raise ConfigError(f"{owner} 'levels' of {name!r} must list its feature_map "
+                                      f"levels in order, got {reprlib.repr(levels.get(name))}")
+            encoder = FeatureEncoder(fmap, levels, means, sds,
+                                     _model_field(enc, "include_protected", "a boolean", owner))
         return cls(
             members=[BaseLearner.from_dict(m, hp.base) for m in members],
             mixture_weights=np.asarray(mixture, dtype=np.float64),

@@ -227,6 +227,8 @@ def select_p(
         if spec is None:
             raise SchemaError("no column tagged 'privilege' and none named")
         column = spec.name
+    if table.schema[column].kind not in NUMERIC_KINDS:
+        raise ConfigError(f"column {column!r} is not ordinal/numerical")
 
     y = table.target
     names = table.levels(prot.name)

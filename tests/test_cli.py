@@ -205,6 +205,38 @@ def test_stats_rows_build_each_subgroup_mask_once(tmp_path, monkeypatch):
     assert [r["positives"] for r in groups] == ["1", "1"]
 
 
+@pytest.mark.parametrize("command", [
+    ["--notion", "CDP", "--conditional", "occ"],
+    ["--notion", "DP"],
+    ["--notion", "CSEP", "--conditional", "occ", "--p", "25"],
+    ["train", "--notion", "DP"],
+])
+def test_each_command_thresholds_its_predictions_at_most_twice(tmp_path, monkeypatch, command):
+    # once inside violation and once for every stats.csv row, not once per row
+    import fairsep.cli as cli
+    import fairsep.groupstats as groupstats
+    import fairsep.notions as notions
+
+    calls = []
+    real = groupstats.positive_scores
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (groupstats, notions, cli):
+        monkeypatch.setattr(module, "positive_scores", counted)
+    out = tmp_path / "run"
+    if command[0] == "train":
+        argv = ["train", "--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--out", str(out),
+                "--test-fraction", "0.5", *command[1:]]
+    else:
+        argv = audit_argv(out, write_predictions(tmp_path / "preds.csv", HPRED), *command)
+    assert main(argv) in (0, 1)
+    assert (out / "stats.csv").exists()
+    assert 1 <= len(calls) <= 2
+
+
 def brute_stats_row(rows, decisions):
     """n, positives, tp, fp, tn, fn, ppr, tpr, fpr of a row subset, counted one by one."""
     n = len(rows)
@@ -698,7 +730,23 @@ ENCODER = {"feature_map": [["cap", None]], "levels": {}, "means": {"cap": 0.0},
                            (dict(ENCODER, levels=[]), "levels"),
                            (dict(ENCODER, means=5), "means"),
                            (dict(ENCODER, sds=None), "sds"),
-                           (dict(ENCODER, include_protected="no"), "include_protected")]],
+                           (dict(ENCODER, include_protected="no"), "include_protected"),
+                           (dict(ENCODER, means={"cap": "x"}), "means"),
+                           (dict(ENCODER, means={}), "means"),
+                           (dict(ENCODER, means={"cap": float("nan")}), "means"),
+                           (dict(ENCODER, sds={"cap": "1"}), "sds"),
+                           (dict(ENCODER, sds={"cap": 0.0}), "sds"),
+                           (dict(ENCODER, sds={"cap": float("inf")}), "sds"),
+                           (dict(ENCODER, feature_map=[["occ", "A"], ["occ", "B"]],
+                                 levels={"occ": [1, 2]}), "levels"),
+                           (dict(ENCODER, feature_map=[["occ", "A"], ["occ", "B"]],
+                                 levels={"occ": ["B", "A"]}), "levels"),
+                           (dict(ENCODER, feature_map=[["occ", "A"], ["occ", "B"]],
+                                 levels={}), "levels")]],
+    ({"hp": {}, "members": [dict(MEMBER, weights=[float("nan")])], "mixture_weights": [1.0]},
+     "'weights'"),
+    ({"hp": {}, "members": [dict(MEMBER, intercept=float("-inf"))], "mixture_weights": [1.0]},
+     "'intercept'"),
 ])
 def test_model_missing_or_mistyped_key_is_a_usage_error(tmp_path, capsys, caplog, doc, key):
     bad = tmp_path / "model.json"
@@ -708,6 +756,27 @@ def test_model_missing_or_mistyped_key_is_a_usage_error(tmp_path, capsys, caplog
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: ") and key in err, err
     assert "unhandled error" not in caplog.text
+
+
+@pytest.mark.parametrize("argv, config, code, words", [
+    (["sweep-p"], {"column": ["cap"]}, 2, "'column'"),
+    (["sweep-p", "--column", "occ"], {}, 2, "'occ' is not ordinal/numerical"),
+    (["sweep-p", "--column", "sex"], {}, 2, "'sex' is not ordinal/numerical"),
+    (["sweep-p", "--column", "y"], {}, 2, "'y' is not ordinal/numerical"),
+    (["extract-privilege"], {"group": ["M"]}, 2, "'group'"),
+    (["extract-privilege", "--group", "X"], {}, 3, "group 'X' has no rows"),
+])
+def test_sweep_column_and_extract_group_are_checked(tmp_path, capsys, caplog,
+                                                    argv, config, code, words):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(argv + ["--config", str(cfg_path), "--data", TOY8_DATA,
+                        "--schema", TOY8_SCHEMA, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and words in err, err
+    assert "unhandled error" not in caplog.text
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("notion, key", [

@@ -7,7 +7,6 @@ from fairsep import (
     AlignmentError,
     PredicateError,
     SchemaError,
-    as_scores,
     mask,
     positive_scores,
     stats,
@@ -61,13 +60,13 @@ def test_equality_on_absent_level_is_an_error(toy8):
 
 def test_as_scores_alignment_errors(toy8):
     with pytest.raises(AlignmentError, match="does not match"):
-        as_scores(np.zeros(5), toy8)
+        positive_scores(np.zeros(5), toy8, mode="expected")
     with pytest.raises(AlignmentError, match="does not match"):
-        as_scores(np.zeros((8, 1)), toy8)
+        positive_scores(np.zeros((8, 1)), toy8, mode="expected")
     with pytest.raises(AlignmentError, match=r"\[0, 1\]"):
-        as_scores(np.full(8, 1.5), toy8)
+        positive_scores(np.full(8, 1.5), toy8, mode="expected")
     with pytest.raises(AlignmentError, match=r"\[0, 1\]"):
-        as_scores(np.array([0.5] * 7 + [-0.1]), toy8)
+        positive_scores(np.array([0.5] * 7 + [-0.1]), toy8, mode="expected")
 
 
 def test_as_scores_rejects_non_finite_predictions(toy8):
@@ -75,7 +74,7 @@ def test_as_scores_rejects_non_finite_predictions(toy8):
     for bad in (np.nan, np.inf, -np.inf):
         scores = np.array([0.5] * 7 + [bad])
         with pytest.raises(AlignmentError, match="finite"):
-            as_scores(scores, toy8)
+            positive_scores(scores, toy8, mode="expected")
         for mode in ("hard", "expected"):
             with pytest.raises(AlignmentError, match="finite"):
                 positive_scores(scores, toy8, mode=mode)
@@ -108,22 +107,21 @@ def test_mode_and_cutoff_validation(toy8):
 # ---------------------------------------------------------------------------
 
 def test_stats_overall_counts(toy8):
-    f = stats(toy8, HPRED)
+    f = stats(positive_scores(HPRED, toy8), toy8.target)
     assert (f.n, f.tp, f.fp, f.tn, f.fn) == (8, 1.0, 3.0, 3.0, 1.0)
     assert f.ppr == 0.5
     assert f.tpr == 0.5
     assert f.fpr == 0.5
-    assert f.undefined == ()
 
 
 def test_stats_per_group_counts(toy8):
-    f = stats(toy8, HPRED, mask(toy8, (("sex", "F"),)))
+    f = stats(positive_scores(HPRED, toy8), toy8.target, mask(toy8, (("sex", "F"),)))
     assert (f.n, f.tp, f.fp, f.tn, f.fn) == (4, 1.0, 1.0, 2.0, 0.0)
     assert f.ppr == 0.5
     assert f.tpr == 1.0
     assert f.fpr == 1.0 / 3.0
 
-    m = stats(toy8, HPRED, mask(toy8, (("sex", "M"),)))
+    m = stats(positive_scores(HPRED, toy8), toy8.target, mask(toy8, (("sex", "M"),)))
     assert (m.n, m.tp, m.fp, m.tn, m.fn) == (4, 0.0, 2.0, 1.0, 1.0)
     assert m.ppr == 0.5
     assert m.tpr == 0.0
@@ -131,15 +129,15 @@ def test_stats_per_group_counts(toy8):
 
 
 def test_stats_all_positive_predictor(toy8):
-    f = stats(toy8, np.ones(8))
+    f = stats(positive_scores(np.ones(8), toy8), toy8.target)
     assert f.ppr == 1.0 and f.tpr == 1.0 and f.fpr == 1.0
-    z = stats(toy8, np.zeros(8))
+    z = stats(positive_scores(np.zeros(8), toy8), toy8.target)
     assert z.ppr == 0.0 and z.tpr == 0.0 and z.fpr == 0.0
 
 
 def test_stats_expected_mode_fractional_counts(toy8):
     scores = np.array([0.5, 0.25, 1.0, 0.0, 0.75, 0.5, 0.25, 0.0])
-    f = stats(toy8, scores, mode="expected")
+    f = stats(positive_scores(scores, toy8, "expected"), toy8.target)
     # positives are rows 3 and 5 (scores 1.0 and 0.75)
     assert f.tp == 1.75
     assert f.fp == 1.5
@@ -151,27 +149,29 @@ def test_stats_expected_mode_fractional_counts(toy8):
 
 
 def test_stats_empty_subgroup_is_flagged(toy8):
-    f = stats(toy8, HPRED, np.zeros(8, dtype=bool))
+    f = stats(positive_scores(HPRED, toy8), toy8.target, np.zeros(8, dtype=bool))
     assert f.n == 0
     assert f.ppr is None and f.tpr is None and f.fpr is None
-    assert f.undefined == ("ppr", "tpr", "fpr")
 
 
 def test_stats_one_sided_subgroups(toy8):
     # all-negative subgroup: TPR has no support
-    f = stats(toy8, HPRED, toy8.mask("sex", "F") & (toy8.target == 0))
-    assert f.tpr is None and f.undefined == ("tpr",)
+    f = stats(positive_scores(HPRED, toy8), toy8.target,
+              toy8.mask("sex", "F") & (toy8.target == 0))
+    assert f.tpr is None
     assert f.fpr is not None
     # all-positive subgroup: FPR has no support
-    g = stats(toy8, HPRED, toy8.target == 1)
-    assert g.fpr is None and g.undefined == ("fpr",)
+    g = stats(positive_scores(HPRED, toy8), toy8.target, toy8.target == 1)
+    assert g.fpr is None
     assert g.tpr == 0.5
 
 
 def test_stats_counts_positives(toy8):
-    frames = [stats(toy8, HPRED), stats(toy8, HPRED, mask(toy8, (("sex", "F"),))),
-              stats(toy8, HPRED, np.zeros(8, dtype=bool)),
-              stats(toy8, np.ones(8) * 0.3, toy8.target == 1, mode="expected")]
+    frames = [stats(positive_scores(HPRED, toy8), toy8.target),
+              stats(positive_scores(HPRED, toy8), toy8.target, mask(toy8, (("sex", "F"),))),
+              stats(positive_scores(HPRED, toy8), toy8.target, np.zeros(8, dtype=bool)),
+              stats(positive_scores(np.ones(8) * 0.3, toy8, "expected"), toy8.target,
+                    toy8.target == 1)]
     assert [f.positives for f in frames] == [2, 1, 0, 2]
 
 

@@ -757,17 +757,6 @@ def test_model_json_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
-def test_predict_modes():
-    table = planted_dp_table(n=80, seed=12)
-    model = exponentiated_gradient(table, None)
-    X = model.encoder.transform(table)
-    scores = model.predict(X, mode="score")
-    hard = model.predict(X, mode="hard")
-    np.testing.assert_array_equal(hard, (scores >= 0.5).astype(np.int64))
-    with pytest.raises(ConfigError, match="unknown prediction mode"):
-        model.predict(X, mode="soft")
-
-
 def test_infeasible_targets_stop_early_with_warning(caplog):
     # a constraint no score vector can satisfy: mean(h) <= -1 effectively
     table = planted_dp_table(n=60, seed=13)
