@@ -19,6 +19,7 @@ import json
 import logging
 import shlex
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import charts
 from .dataset import (Schema, Table, cell_rows, effort_threshold, encode_features,
                       load_csv, stratified_split)
 from .errors import (ConfigError, FairsepError, ParseError, SchemaError, config_number,
-                     config_object, read_json)
+                     config_object, read_json, utf8_lines)
 from .groupstats import mask as subgroup_mask, positive_scores, stats
 from .learner import ExpGradHP, exponentiated_gradient, load_model, save_model
 from .notions import SEP_FAMILY, NotionConfig, violation
@@ -164,23 +165,33 @@ def _check_groups(ncfg: NotionConfig, table: Table) -> None:
 
 
 def _resolve_predictions(cfg: dict, table: Table) -> tuple[np.ndarray, str]:
+    """The scores to audit and their source.  A predictions file's lines, blank and
+    ``prediction`` ones skipped, go through numpy's C reader, which takes a subset of
+    what ``float`` takes; unless it reads one column without error or warning, the
+    exact fallback reads each line with ``float`` and names the first bad one."""
     spec = cfg.get("predictions")
     if spec == "ground_truth":
         return table.target.astype(np.float64), "ground_truth"
     if spec:
-        with open(spec, "r", encoding="utf-8") as fh:
-            lines = [line for line in map(str.strip, fh) if line and line != "prediction"]
+        with open(spec, "rb") as fh:
+            header = fh.readline().strip() == b"prediction"
         try:
-            return np.array(lines, dtype=np.float64), f"file:{spec}"
-        except ValueError:  # numpy parses as float() does; name the first line it refuses
-            with open(spec, "r", encoding="utf-8") as fh:
-                for number, line in enumerate(map(str.strip, fh), 1):
-                    if line and line != "prediction":
-                        try:
-                            float(line)
-                        except ValueError:
-                            raise ParseError(f"{spec}:{number}: not a number: {line!r}") from None
-            raise
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(spec, np.float64, delimiter=",", comments=None,
+                                    encoding="utf-8", ndmin=2, skiprows=int(header))
+            if values.shape[1] == 1:
+                return values[:, 0], f"file:{spec}"
+        except (ValueError, Warning):
+            pass
+        scores = []
+        for number, line in utf8_lines(spec):
+            if (line := line.strip()) and line != "prediction":
+                try:
+                    scores.append(float(line))
+                except ValueError:
+                    raise ParseError(f"{spec}:{number}: not a number: {line!r}") from None
+        return np.array(scores, np.float64), f"file:{spec}"
     if cfg.get("model"):
         model = load_model(cfg["model"])
         if model.encoder is None:
@@ -296,9 +307,10 @@ def cmd_audit(args) -> int:
     mode, cutoff, _ = _run_options(cfg)
     schema = _schema(cfg)
     ncfg = NotionConfig.from_dict(cfg["notion"], schema)
-    # scores from a file or the target need only the notion's coded columns; a model needs all
-    coded = {schema.protected.name, ncfg.protected, ncfg.conditional}
-    table = load_csv(cfg["data"], schema, coded if cfg.get("predictions") else None)
+    # scores from a file or the target need only the notion's columns; a model needs all
+    read = {schema.protected.name, ncfg.protected, ncfg.conditional} | (
+        {ncfg.privilege_column, ncfg.effort_column} if ncfg.kind in SEP_FAMILY else set())
+    table = load_csv(cfg["data"], schema, read if cfg.get("predictions") else None)
     _check_groups(ncfg, table)
     predictions, source = _resolve_predictions(cfg, table)
     report = violation(table, predictions, ncfg, mode=mode, cutoff=cutoff)
@@ -408,8 +420,8 @@ def cmd_extract_privilege(args) -> int:
 def cmd_sweep_p(args) -> int:
     cfg = _merged_config(args)
     schema = _schema(cfg)
-    protected = schema.protected and schema.protected.name
-    table = load_csv(cfg["data"], schema, {protected, cfg.get("column")})
+    column = cfg.get("column") or getattr(schema.tagged("privilege"), "name", None)
+    table = load_csv(cfg["data"], schema, {schema.protected and schema.protected.name, column})
     result = select_p(
         table,
         column=cfg.get("column"),

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (DegenerateThresholdError, EncodingError, ParseError, SchemaError, read_json,
-                     string_list)
+                     string_list, utf8_lines)
 
 log = logging.getLogger(__name__)
 
@@ -48,6 +48,8 @@ CHUNK_BYTES = 1 << 19
 # masks keeping the low 0..8 bytes of a little-endian uint64 word
 _WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so invertible mod 2**64; mixes a field's words
+# a word's bytes are all ASCII digits iff (w & _HIGH) | ((w + _SIXES) & _HIGH) >> 4 == _THREES
+_ZEROS, _HIGH, _SIXES, _THREES = (np.uint64(0x0101010101010101 * b) for b in (0x30, 0xF0, 6, 0x33))
 
 # Effort scopes, ordered from coarse to fine; a cell with fewer than
 # MIN_CELL_ROWS rows inherits the mean of its parent scope.
@@ -249,16 +251,16 @@ def load_csv(path: str | Path, schema: Schema, columns=None) -> Table:
     time.  Each field is coded by its raw string; each column's distinct raw
     strings are parsed once per file.  The first faulty kept row or short/long
     row raises ``ParseError`` naming the physical line the row starts on; a
-    record the ``csv`` module cannot read raises it first, naming the line.
-    ``columns`` (default: all) names the protected and categorical columns to
-    code and keep; the Table's schema lists only what it holds.  Every schema
-    column is still checked, its missing markers drop rows, and numeric and
-    target columns are always parsed and kept.
+    record the ``csv`` module cannot read, or a line that is not UTF-8, raises
+    it first, naming the line.  ``columns`` (default: all) names the columns to
+    keep, of any kind, and the target is always kept; the Table's schema lists
+    only what it holds.  Every schema column is still checked: its missing
+    markers drop rows, and an unkept numeric column is parsed, not stored.
     """
     path = Path(path)
     held = tuple(c for c in schema.columns
-                 if columns is None or c.kind not in CODED_KINDS or c.name in columns)
-    skip = {c.name for c in schema.columns if c not in held} if schema.missing_marker else set()
+                 if columns is None or c.kind == "target" or c.name in columns)
+    skip = {c.name for c in schema.columns if c not in held}
     distinct, parts, faults = _read_plain(path, schema, skip) or _read_records(path, schema)
     levels: dict[str, dict] = {c.name: {} for c in held if c.kind in CODED_KINDS}
     raw = [np.concatenate(arrs) for arrs in parts]
@@ -270,14 +272,15 @@ def load_csv(path: str | Path, schema: Schema, columns=None) -> Table:
             drop |= np.array([v == schema.missing_marker for v in values], dtype=bool)[codes]
     keep, cols = np.flatnonzero(~drop), {}
     for spec, codes, values in zip(schema.columns, raw, stripped):
-        if spec not in held:
+        if spec not in held and spec.kind in CODED_KINDS:
             continue
         parsed = [_parse_field(spec, v, levels.get(spec.name)) for v in values]
         if any(e is not None for _, e in parsed):
             bad = np.flatnonzero(np.array([e is not None for _, e in parsed], bool)[codes] & ~drop)
             faults += [(bad[0], parsed[codes[bad[0]]][1])] if bad.size else []
-        dtype = float if spec.kind in NUMERIC_KINDS else np.int32
-        cols[spec.name] = np.array([v for v, _ in parsed], dtype)[codes[keep]]
+        if spec in held:
+            dtype = float if spec.kind in NUMERIC_KINDS else np.int32
+            cols[spec.name] = np.array([v for v, _ in parsed], dtype)[codes[keep]]
     del raw, keep  # as large as the table: release them before Table renumbers it
     if faults:
         row, message = min(faults, key=lambda f: f[0])
@@ -333,6 +336,10 @@ def _read_records(path: Path, schema: Schema) -> tuple[list, list, list]:
                 read += len(rows)
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            for _ in utf8_lines(path):  # raises, naming the line of the first bad byte
+                pass
+            raise
         finally:
             if collecting:
                 gc.enable()
@@ -347,15 +354,22 @@ def _read_plain(path: Path, schema: Schema, skip=frozenset()) -> tuple[list, lis
     uint64 words masked to its length (exact, as no NUL byte occurs).  A stable
     radix sort on 16 bits of a mix of those words groups equal fields; a field
     whose words differ from its sorted neighbour's looks up its string's code.
-    A column in ``skip`` has the values ``["", marker]``: a field holding the
-    (non-empty) marker's first byte is 1 if it strips to the marker, others 0.
+    The columns in ``skip`` are checked, not coded in full.  A coded one has
+    the values ``["", marker]``: a field holding the (non-empty) marker's first
+    byte is 1 if it strips to the marker, others 0.  Unless the marker is made
+    of ASCII digits, a numeric one codes each field of 1-8 ASCII digits, found
+    by one test of its word padded with ``'0'``, as ``"0"``: valid, not the marker.
     """
     delim, limit, not_plain = schema.delimiter, csv.field_size_limit(), (b'"', b"\r", b"\0")
     if len(delim) != 1 or delim in '"\r\n\0' or not delim.isascii():
         return None
     marker = schema.missing_marker
-    distinct = [["", marker] if c.name in skip else defaultdict(itertools.count().__next__)
-                for c in schema.columns]
+    flag = {name for name in skip if schema[name].kind in CODED_KINDS and marker}
+    digit = {name for name in skip if schema[name].kind in NUMERIC_KINDS
+             and not (marker.isascii() and marker.isdigit())}
+    distinct = [["", marker] if c.name in flag else  # code 0, "0", stands for a digit field
+                defaultdict(itertools.count(1).__next__, {"0": 0}) if c.name in digit else
+                defaultdict(itertools.count().__next__) for c in schema.columns]
     parts = [[np.zeros(0, np.int32)] for _ in schema.columns]
     with open(path, "rb") as fh:
         try:
@@ -381,7 +395,7 @@ def _read_plain(path: Path, schema: Schema, skip=frozenset()) -> tuple[list, lis
                 starts = np.empty((ncols, rows), np.int64)  # each field's first byte
                 starts[0, 0], starts[0, 1:], starts[1:] = 0, ends[-1, :-1] + 1, ends[:-1] + 1
                 sizes = ends - starts
-                if skip:  # the fields holding the marker's first byte, as (position, row)
+                if flag:  # the fields holding the marker's first byte, as (position, row)
                     hit = np.unique(np.searchsorted(ends.T.ravel(),
                                                     np.flatnonzero(buf[:-8] == marker.encode()[0])))
                     hit, flags = (hit % ncols, hit // ncols), np.zeros((ncols, rows), np.int8)
@@ -389,24 +403,41 @@ def _read_plain(path: Path, schema: Schema, skip=frozenset()) -> tuple[list, lis
                     flags[hit] = [block[a:b].decode().strip() == marker for a, b in pick]
                 words = np.ndarray((len(block) + 1,), "<u8", buf, 0, (1,))  # buf[i:i + 8]
                 for c, spec, codes, arrs in zip(columns, schema.columns, distinct, parts):
-                    if spec.name in skip:
-                        arrs.append(flags[c])
-                        continue
                     start, size = starts[c], sizes[c]
-                    keys = [_WORD_MASKS[np.clip(size - k, 0, 8)]
-                            & words[np.minimum(start + k, len(block)) if k else start]
-                            for k in range(0, max(int(size.max()), 1), 8)]
-                    mixed = reduce(lambda m, key: (m ^ key) * _MIX, keys, np.uint64(0))
-                    order = (mixed >> np.uint64(48)).astype(np.uint16).argsort(kind="stable")
-                    ordered = [k[order] for k in keys]
-                    new = np.append(True, np.any([k[1:] != k[:-1] for k in ordered], axis=0))
-                    pick = zip(start[order[new]].tolist(), size[order[new]].tolist())
-                    code = np.fromiter((codes[block[a:a + n].decode()] for a, n in pick), np.int32)
-                    arrs.append(np.empty(rows, np.int32))
-                    arrs[-1][order] = np.repeat(code, np.diff(np.flatnonzero(new), append=rows))
+                    if spec.name in flag:
+                        arrs.append(flags[c])
+                    elif spec.name in digit:  # code only the fields that are not 1-8 ASCII digits
+                        mask = _WORD_MASKS[np.minimum(size, 8)]
+                        word = words[start] & mask | _ZEROS & ~mask
+                        digits = (word & _HIGH) | ((word + _SIXES) & _HIGH) >> np.uint64(4)
+                        fields = np.flatnonzero((digits != _THREES) | (size == 0) | (size > 8))
+                        arrs.append(np.zeros(rows, np.int32))
+                        arrs[-1][fields] = _code_fields(block, words, start[fields], size[fields],
+                                                        codes)
+                    else:
+                        arrs.append(_code_fields(block, words, start, size, codes))
         except UnicodeDecodeError:
             return None
     return distinct, parts, []
+
+
+def _code_fields(block: bytes, words: np.ndarray, start: np.ndarray, size: np.ndarray,
+                 codes: dict) -> np.ndarray:
+    """The code in ``codes`` of each field at ``start``, ``size`` bytes long, of ``block``."""
+    if not size.size:
+        return np.zeros(0, np.int32)
+    keys = [_WORD_MASKS[np.clip(size - k, 0, 8)]
+            & words[np.minimum(start + k, len(block)) if k else start]
+            for k in range(0, max(int(size.max()), 1), 8)]
+    mixed = reduce(lambda m, key: (m ^ key) * _MIX, keys, np.uint64(0))
+    order = (mixed >> np.uint64(48)).astype(np.uint16).argsort(kind="stable")
+    ordered = [k[order] for k in keys]
+    new = np.append(True, np.any([k[1:] != k[:-1] for k in ordered], axis=0))
+    pick = zip(start[order[new]].tolist(), size[order[new]].tolist())
+    code = np.fromiter((codes[block[a:a + n].decode()] for a, n in pick), np.int32)
+    out = np.empty(len(size), np.int32)
+    out[order] = np.repeat(code, np.diff(np.flatnonzero(new), append=len(size)))
+    return out
 
 
 def _parse_field(spec: ColumnSpec, value: str, levels: dict | None) -> tuple:
@@ -725,6 +756,11 @@ class FeatureEncoder:
         return cls(feature_map, levels, means, sds, include_protected)
 
     def transform(self, table: Table, mask: np.ndarray | None = None) -> Design:
+        for name, level in self.feature_map:
+            kind = table.schema[name].kind
+            if kind not in (NUMERIC_KINDS if level is None else CODED_KINDS):
+                raise SchemaError(f"encoder 'feature_map' entry [{name!r}, {level!r}] names "
+                                  f"a {kind} column")
         rows = _row_index(mask)
         n = table.rows if mask is None else len(rows)
         numeric = [j for j, (_, level) in enumerate(self.feature_map) if level is None]

@@ -51,6 +51,17 @@ def read_json(path, what: str, error=ConfigError) -> dict:
     return doc
 
 
+def utf8_lines(path):
+    """Each (number, text) of the file's lines, split at LF, CR or CRLF as text
+    mode splits them; the first line that is not UTF-8 raises ``ParseError``."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh.read().splitlines(), 1):
+            try:
+                yield number, line.decode()
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}:{number}: not UTF-8") from None
+
+
 def config_number(doc: dict, key: str, default, convert=float):
     """``convert(doc[key])``, or of ``default`` when absent; what it refuses is a ConfigError.
 

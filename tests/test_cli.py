@@ -12,6 +12,8 @@ import hashlib
 import json
 import logging
 import random
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,11 @@ from fairsep.learner import ExpGradHP, ReducedModel, save_model
 
 from conftest import rows_to_table
 from synth import planted_dp_table, privilege_driven_table, random_rows
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # seeded fallback below
+    given = None
 
 TOY8_DATA, TOY8_SCHEMA = (str(p) for p in toy8_paths())
 
@@ -758,6 +765,26 @@ def test_model_missing_or_mistyped_key_is_a_usage_error(tmp_path, capsys, caplog
     assert "unhandled error" not in caplog.text
 
 
+@pytest.mark.parametrize("encoder", [
+    dict(ENCODER, feature_map=[["occ", None]], means={"occ": 0.0}, sds={"occ": 1.0}),
+    dict(ENCODER, feature_map=[["cap", None], ["y", None]], means={"cap": 0.0, "y": 0.0},
+         sds={"cap": 1.0, "y": 1.0}),
+    dict(ENCODER, feature_map=[["hours", "20"], ["hours", "40"]], levels={"hours": ["20", "40"]}),
+])
+def test_model_feature_map_must_name_columns_of_its_kind(tmp_path, capsys, caplog, encoder):
+    # the column kinds are known only once the table is loaded
+    model = tmp_path / "model.json"
+    member = dict(MEMBER, weights=[0.5] * len(encoder["feature_map"]))
+    model.write_text(json.dumps({"hp": {}, "members": [member], "mixture_weights": [1.0],
+                                 "encoder": encoder}), encoding="utf-8")
+    code = main(["audit", "--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--notion", "DP",
+                 "--model", str(model), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    name = encoder["feature_map"][-1][0]
+    assert code == 2 and "'feature_map'" in err and repr(name) in err, err
+    assert "unhandled error" not in caplog.text
+
+
 @pytest.mark.parametrize("argv, config, code, words", [
     (["sweep-p"], {"column": ["cap"]}, 2, "'column'"),
     (["sweep-p", "--column", "occ"], {}, 2, "'occ' is not ordinal/numerical"),
@@ -833,9 +860,12 @@ def test_audit_checks_the_columns_it_does_not_read(tmp_path, capsys, line, field
 def test_commands_code_only_the_columns_they_read(tmp_path, monkeypatch):
     held = []
 
-    def spy(*args, **kwargs):
-        table = load_csv(*args, **kwargs)
+    def spy(path, schema, columns=None):
+        table, full = load_csv(path, schema, columns), load_csv(path, schema)
         held.append([c.name for c in table.schema.columns])
+        assert (table.rows, table.dropped_rows) == (full.rows, full.dropped_rows)
+        for name in held[-1]:
+            assert table.column(name).tolist() == full.column(name).tolist()
         return table
     monkeypatch.setattr(fairsep.cli, "load_csv", spy)
     model = tmp_path / "model.json"
@@ -844,14 +874,17 @@ def test_commands_code_only_the_columns_they_read(tmp_path, monkeypatch):
     for argv in (audit_argv(tmp_path / "dp", "ground_truth", "--notion", "DP"),
                  audit_argv(tmp_path / "cdp", "ground_truth", "--notion", "CDP",
                             "--conditional", "occ"),
+                 audit_argv(tmp_path / "sep", "ground_truth", "--notion", "SEP", "--p", "30"),
                  ["audit", "--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--notion", "DP",
                   "--model", str(model), "--out", str(tmp_path / "model")],
                  ["sweep-p", "--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--grid", "30",
-                  "--out", str(tmp_path / "sweep")]):
+                  "--out", str(tmp_path / "sweep")],
+                 ["sweep-p", "--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--grid", "30",
+                  "--column", "hours", "--out", str(tmp_path / "sweep-hours")]):
         assert main(argv) in (0, 1)
     everything = ["sex", "cap", "hours", "occ", "y"]
-    assert held == [["sex", "cap", "hours", "y"], everything, everything,
-                    ["sex", "cap", "hours", "y"]]
+    assert held == [["sex", "y"], ["sex", "occ", "y"], ["sex", "cap", "hours", "y"],
+                    everything, ["sex", "cap", "y"], ["sex", "hours", "y"]]
 
 
 def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
@@ -896,6 +929,105 @@ def test_predictions_file_takes_the_spellings_float_takes(tmp_path):
         path.write_text(f"prediction\n0.5\n\n{bad}\n0.25\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"preds.csv:4: not a number: '{bad}'$"):
             _resolve_predictions({"predictions": str(path)}, None)
+
+
+@pytest.mark.parametrize("target, newline, line", [
+    ("predictions", "\n", 4), ("predictions", "\r", 4), ("data", "\n", 3),
+    ("data", "\r\n", 5)])
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, caplog, target, newline, line):
+    # the bad byte's physical line, from the plain reader, csv.reader and the predictions reader
+    if target == "data":
+        lines = Path(TOY8_DATA).read_bytes().splitlines()
+        lines[line - 1] = lines[line - 1].replace(b",A,", b",\xe9,").replace(b",B,", b",\xe9,")
+        path = tmp_path / "toy8.csv"
+        data, preds = str(path), "ground_truth"
+    else:
+        lines = [b"prediction", b"0.5", b"", b"\xff0.25"] + [b"0.0"] * 5
+        path = tmp_path / "preds.csv"
+        data, preds = TOY8_DATA, str(path)
+    path.write_bytes(newline.encode().join(lines) + newline.encode())
+    code = main(["audit", "--data", data, "--schema", TOY8_SCHEMA, "--notion", "DP",
+                 "--predictions", preds, "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert f"{path.name}:{line}: not UTF-8" in capsys.readouterr().err
+    assert "unhandled error" not in caplog.text
+
+
+PREDICTION_LINES = ["0.5", " 0.25 ", "1", "-0.0", "1e-3", "+.5", "nan", "-NaN", " infinity ",
+                    "1e400", "", " ", "\t", "\x0b", "prediction", " prediction ", "1_0",
+                    "\uff11\uff12", "\u2003 0.5", "0.5\x85", "0x10", "1,5", "0.5,", "1 2", "1.5d0",
+                    "abc", "#1", '"0.5"', "0.5\x00", "\ufeff0.5", "\udcff"]
+
+
+def reference_predictions(path: Path) -> np.ndarray:
+    """One physical line at a time: the first that is not UTF-8, or that is
+    not blank, not ``prediction`` and not a number to ``float``, raises."""
+    pieces = re.split(rb"\r\n|\r|\n", path.read_bytes())
+    scores = []
+    for number, raw in enumerate(pieces[:-1] if pieces[-1] == b"" else pieces, 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}:{number}: not UTF-8") from None
+        if line and line != "prediction":
+            try:
+                scores.append(float(line))
+            except ValueError:
+                raise ParseError(f"{path}:{number}: not a number: {line!r}") from None
+    return np.array(scores, np.float64)
+
+
+def assert_predictions_match_reference(path: Path) -> None:
+    """The predictions reader against ``float`` line by line: the same bits, or the same error."""
+    def outcome(reader):
+        try:
+            values = reader(path)
+        except ParseError as exc:
+            return "ParseError", str(exc)
+        return values.dtype.str, values.shape, values.tobytes()
+    got = outcome(lambda p: _resolve_predictions({"predictions": str(p)}, None)[0])
+    assert got == outcome(reference_predictions)
+
+
+def check_predictions_reader_matches_float_per_line(seed: int) -> None:
+    rng = random.Random(seed)
+    newline = rng.choice(["\n", "\r\n", "\r", "mixed"])
+    rare = rng.choice([0.0, 0.05, 0.5])
+    lines = ["prediction"] * rng.choice([0, 1, 1, 1, 2])
+    for _ in range(rng.choice([0, 1, rng.randint(2, 30)])):
+        lines.append(rng.choice(PREDICTION_LINES[4:] if rng.random() < rare
+                                else PREDICTION_LINES[:4]))
+    ends = [rng.choice(["\n", "\r\n", "\r"]) if newline == "mixed" else newline for _ in lines]
+    text = "".join(map(str.__add__, lines, ends))
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "preds.csv"
+        path.write_bytes(("\ufeff" if rng.random() < 0.1 else "").encode()
+                         + text.encode("utf-8", "surrogateescape"))
+        assert_predictions_match_reference(path)
+
+
+@pytest.mark.parametrize("text", [
+    "prediction\n1,5\n", "1,5\n", "prediction\n", "prediction", "", "\n\n",
+    "prediction\n0.5\n \n0.25\n", "prediction\n0.5\n\n\t\n0.25",
+    "prediction\nprediction\n0.5\n", "0.5\nprediction\n0.25\n", "prediction\r0.5\r0.25\r",
+    "prediction\r\n0.5\r\n", "\ufeffprediction\n0.5\n", "prediction\n\ufeff0.5\n",
+    "prediction\n1_0\n", "prediction\n\uff11\uff12\n", "prediction\n0.5\n\udcff\n",
+    "prediction\nabc\n\udcff\n", "prediction\n0.5\n1e400\n-1e400\n"])
+def test_predictions_reader_matches_float_per_line_on_edge_files(tmp_path, text):
+    path = tmp_path / "preds.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))  # '\udcff' is the byte 0xff
+    assert_predictions_match_reference(path)
+
+
+if given is not None:
+    test_predictions_reader_matches_float_per_line = settings(
+        max_examples=300, deadline=None, derandomize=True, database=None)(
+        given(st.integers(0, 2**32 - 1))(check_predictions_reader_matches_float_per_line))
+else:
+    test_predictions_reader_matches_float_per_line = pytest.mark.parametrize(
+        "seed", range(300))(check_predictions_reader_matches_float_per_line)
 
 
 def test_unreadable_csv_record_is_a_parse_error(tmp_path, capsys, caplog):

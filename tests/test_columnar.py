@@ -47,7 +47,15 @@ CODED = ("protected", "categorical")
 
 def reference_load(path, schema: Schema) -> Table:
     """One row and one field at a time: strip, drop on the missing marker,
-    parse, and raise on the first faulty field in file order."""
+    parse, and raise on the first faulty field in file order; a file that is
+    not UTF-8 raises first, naming the line of its first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ParseError(f"{path}:{line}: not UTF-8") from None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
@@ -246,9 +254,10 @@ def test_random_plain_csvs_reach_both_readers():
             schema = random_plain_csv(random.Random(seed), path)
             readers.add(plain(path, schema) is None)
             got = outcome(load_csv, path, schema)
-        kinds.add(got[0] if isinstance(got[0], str) else "table")
+        kinds.add(("not UTF-8" if "not UTF-8" in got[1] else got[0])
+                  if isinstance(got[0], str) else "table")
     assert readers == {True, False}
-    assert {"table", "ParseError", "UnicodeDecodeError"} <= kinds
+    assert {"table", "ParseError", "not UTF-8"} <= kinds
 
 
 def test_plain_file_is_read_without_csv_reader(tmp_path):
@@ -486,7 +495,7 @@ def test_header_only_file_gives_an_empty_table(tmp_path):
     ("?", 3), (" ?", 0), (" ", 0), ("NA", 1), ("\u00e9", 1), ("", 1), ("1,", 0)])
 def test_projected_load_drops_the_rows_a_full_load_drops(tmp_path, marker, dropped):
     # the marker inside a value, padded, in a column outside the schema, in
-    # the kept column g, and in c, which the projection leaves uncoded
+    # the kept column g, and in c, x and o, which the projection leaves out
     p = tmp_path / "d.csv"
     p.write_text("junk,g,x,o,c,y\n?,F,1,2,a?b,0\n1,M,2,3, ? ,1\n2,F,3,4,?,0\n3,M,4,5, NA,1\n"
                  "4,F,5,6,\u00e9,0\n5,M,6,7,,1\n6,?,7,8,a,0\n7,F,8,9,\u00e9t\u00e9,1\n",
@@ -496,7 +505,7 @@ def test_projected_load_drops_the_rows_a_full_load_drops(tmp_path, marker, dropp
     with mock.patch.object(dataset.csv, "reader", side_effect=AssertionError("csv.reader")):
         got = outcome(partial(load_csv, columns={"g"}), p, schema)
     assert got[:2] == full[:2] == (8 - dropped, dropped)
-    assert got[2] == {k: v for k, v in full[2].items() if k != "c"}
+    assert got[2] == {k: full[2][k] for k in ("g", "y")}
     assert got[3] == {"g": full[3]["g"]}
 
 
@@ -504,9 +513,9 @@ PROJECTION_MARKERS = ["?", "NA", "\u00e9", "x,y", " ", " ?", ""]
 
 
 def check_projected_load_matches_full_load(seed: int) -> None:
-    """A load of some coded columns equals the full load without the others,
-    from either reader, with each '?' of a reference file rewritten as the
-    marker alone, padded or inside a value."""
+    """A load of some columns equals the full load without the others, from
+    either reader, with each '?' of a reference file rewritten as the marker
+    alone, padded or inside a value."""
     rng = random.Random(seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
@@ -517,9 +526,9 @@ def check_projected_load_matches_full_load(seed: int) -> None:
             first, *rest = path.read_bytes().split(b"?")
             subs = [marker, f" {marker} ", f"a{marker}b"]
             path.write_bytes(first + b"".join(rng.choice(subs).encode() + r for r in rest))
-        coded = [c.name for c in schema.columns if c.kind in CODED]
-        columns = set(rng.sample(coded, rng.randint(0, len(coded))))
-        held = [c.name for c in schema.columns if c.kind not in CODED or c.name in columns]
+        names = [c.name for c in schema.columns if c.kind != "target"]
+        columns = set(rng.sample(names, rng.randint(0, len(names))))
+        held = [c.name for c in schema.columns if c.kind == "target" or c.name in columns]
         for patch in ({"wraps": dataset._read_plain}, {"return_value": None}):
             with mock.patch.object(dataset, "_read_plain", **patch):
                 full = outcome(load_csv, path, schema)
@@ -540,6 +549,51 @@ if given is not None:
 else:
     test_projected_load_matches_full_load = pytest.mark.parametrize(
         "seed", range(300))(check_projected_load_matches_full_load)
+
+
+NUMERIC_FIELDS = ["0", "7", "9", "40", "12345678", "00000009", "123456789", "1234567890",
+                  "1.5", "-3", "+4", " 42", "42 ", " 9 ", "9 9", "12345678?", "12345678x", "9?",
+                  "\uff19", "\u0663", "1e999", "nan", "abc", "", "?", " ? "]
+
+
+def check_unkept_numeric_columns_match_full_load(seed: int) -> None:
+    """A load that leaves numeric columns out equals the full load without
+    them, from either reader and over blocks of every size: the same rows,
+    drops and held columns, or the same error on the same line."""
+    rng = random.Random(seed)
+    marker = rng.choice(["9", "", "?"])
+    names = ["g", "a", "b", "n", "y"]
+    schema = Schema.from_dict({"missing_marker": marker, "columns": [
+        {"name": "g", "kind": "protected"}, {"name": "a", "kind": "numerical"},
+        {"name": "b", "kind": "ordinal"}, {"name": "n", "kind": "numerical"},
+        {"name": "y", "kind": "target"}]})
+    rare = rng.choice([0.0, 0.02, 0.1, 0.5])
+    rows = [[rng.choice("FM"), *(rng.choice(NUMERIC_FIELDS if rng.random() < rare
+                                            else NUMERIC_FIELDS[:5]) for _ in "abn"),
+             rng.choice("01")] for _ in range(rng.choice([0, 1, rng.randint(2, 60)]))]
+    columns = {"g"} | set(rng.sample("abn", rng.randint(0, 3)))
+    held = [name for name in names if name in columns or name == "y"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text("\n".join(map(",".join, [names] + rows)) + "\n", encoding="utf-8")
+        for patch in ({"wraps": dataset._read_plain}, {"return_value": None}):
+            with mock.patch.object(dataset, "_read_plain", **patch), \
+                    mock.patch.object(dataset, "CHUNK_BYTES", rng.choice([1, 9, 64, 1 << 19])):
+                full = outcome(load_csv, path, schema)
+                got = outcome(partial(load_csv, columns=columns), path, schema)
+            if isinstance(full[0], str):
+                assert got == full
+            else:
+                assert got == (full[0], full[1], {k: full[2][k] for k in held}, {"g": full[3]["g"]})
+
+
+if given is not None:
+    test_unkept_numeric_columns_match_full_load = settings(
+        max_examples=300, deadline=None, derandomize=True, database=None)(
+        given(st.integers(0, 2**32 - 1))(check_unkept_numeric_columns_match_full_load))
+else:
+    test_unkept_numeric_columns_match_full_load = pytest.mark.parametrize(
+        "seed", range(300))(check_unkept_numeric_columns_match_full_load)
 
 
 # ---------------------------------------------------------------------------
