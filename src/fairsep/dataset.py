@@ -359,6 +359,8 @@ def _read_plain(path: Path, schema: Schema, skip=frozenset()) -> tuple[list, lis
     byte is 1 if it strips to the marker, others 0.  Unless the marker is made
     of ASCII digits, a numeric one codes each field of 1-8 ASCII digits, found
     by one test of its word padded with ``'0'``, as ``"0"``: valid, not the marker.
+    After a block in which most fields fail that test, the column's later
+    blocks are coded in full, as a column of decimals gains nothing from it.
     """
     delim, limit, not_plain = schema.delimiter, csv.field_size_limit(), (b'"', b"\r", b"\0")
     if len(delim) != 1 or delim in '"\r\n\0' or not delim.isascii():
@@ -411,6 +413,8 @@ def _read_plain(path: Path, schema: Schema, skip=frozenset()) -> tuple[list, lis
                         word = words[start] & mask | _ZEROS & ~mask
                         digits = (word & _HIGH) | ((word + _SIXES) & _HIGH) >> np.uint64(4)
                         fields = np.flatnonzero((digits != _THREES) | (size == 0) | (size > 8))
+                        if 2 * fields.size > rows:  # mostly other fields: code later blocks in full
+                            digit.discard(spec.name)
                         arrs.append(np.zeros(rows, np.int32))
                         arrs[-1][fields] = _code_fields(block, words, start[fields], size[fields],
                                                         codes)

@@ -1,12 +1,12 @@
 """Paired benchmark runs of a parent and a change checkout, for a BENCH_<n>.json.
 
     python3 tools/paired_bench.py --parent DIR --change DIR --workload audit-wide \
-        --seeds 61-66 [--seconds 25] [--out BENCH_16.json --what TEXT]
+        --seeds 61-66 [--out BENCH_16.json --what TEXT]
 
 For each seed, runs ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once in each checkout: the parent first on even pairs, the change
-first on odd ones, so that both sides see the same drift of a shared machine.
-It prints each pair's change/parent ratio of every end-to-end metric, then the
+--trace 0`` once in each checkout, T being the ``run_seconds`` of the change's
+``BENCHMARK.json``: the parent first on even pairs, the change first on odd
+ones, so that both sides see the same drift of a shared machine.  It prints each pair's change/parent ratio of every end-to-end metric, then the
 median of each metric on each side and the median ratio.  ``--out`` writes a
 JSON file with ``what``, ``command``, ``machine``, ``runs`` (the change's) and
 ``parent_runs``, each a list per workload of ``{"pair", "seed", "first",
@@ -91,19 +91,19 @@ def main() -> None:
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=seed_list, required=True, help="'61-66' or '61,63,65'")
-    ap.add_argument("--seconds", type=float, default=25)
     ap.add_argument("--out", type=Path, help="BENCH json to write or add this workload to")
     ap.add_argument("--what", help="the 'what' text of a new --out file")
     args = ap.parse_args()
     checkouts = {"parent": args.parent, "change": args.change}
+    seconds = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
     def run(side, workload, seed):
-        return run_benchmark(checkouts[side], workload, seed, args.seconds)
+        return run_benchmark(checkouts[side], workload, seed, seconds)
     runs, machine = paired(run, args.workload, args.seeds)
     print("\n".join(summary(args.workload, runs)))
     if args.out:
         doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {
-            "what": args.what or "", "command": COMMAND.format(seconds=f"{args.seconds:g}"),
+            "what": args.what or "", "command": COMMAND.format(seconds=f"{seconds:g}"),
             "machine": machine, "runs": {}, "parent_runs": {}}
         doc["runs"][args.workload] = runs["change"]
         doc["parent_runs"][args.workload] = runs["parent"]
