@@ -358,9 +358,8 @@ def _read_plain(path: Path, schema: Schema, skip=frozenset()) -> tuple[list, lis
     the values ``["", marker]``: a field holding the (non-empty) marker's first
     byte is 1 if it strips to the marker, others 0.  Unless the marker is made
     of ASCII digits, a numeric one codes each field of 1-8 ASCII digits, found
-    by one test of its word padded with ``'0'``, as ``"0"``: valid, not the marker.
-    After a block in which most fields fail that test, the column's later
-    blocks are coded in full, as a column of decimals gains nothing from it.
+    by one test of its word padded with ``'0'``, as ``"0"``: valid, not the marker;
+    after a block where most fail the test (decimals), it codes the rest in full.
     """
     delim, limit, not_plain = schema.delimiter, csv.field_size_limit(), (b'"', b"\r", b"\0")
     if len(delim) != 1 or delim in '"\r\n\0' or not delim.isascii():
