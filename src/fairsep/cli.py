@@ -31,7 +31,7 @@ from .errors import (ConfigError, FairsepError, ParseError, SchemaError, config_
                      config_object, read_json, utf8_lines)
 from .groupstats import mask as subgroup_mask, positive_scores, stats
 from .learner import ExpGradHP, exponentiated_gradient, load_model, save_model
-from .notions import SEP_FAMILY, NotionConfig, violation
+from .notions import SEGMENTS, SEP_FAMILY, NotionConfig, segment_codes, violation
 from .privilege import extract_privilege_attribute, select_p
 
 log = logging.getLogger(__name__)
@@ -39,7 +39,6 @@ log = logging.getLogger(__name__)
 STATS_HEADER = ("scope", "category", "group", "n", "positives",
                 "tp", "fp", "tn", "fn", "ppr", "tpr", "fpr")
 BIN_COUNT = 5
-SEGMENTS = ("privileged", "under_high", "under_low")
 
 
 # ---------------------------------------------------------------------------
@@ -243,36 +242,32 @@ def _stats_rows(table: Table, h: np.ndarray, ncfg: NotionConfig) -> list[list]:
 def _sep_extra_rows(table: Table, h: np.ndarray, ncfg: NotionConfig, thresholds):
     """Descriptive privileged/effort segment stats + equal-width effort bins.
 
-    The high/low effort split is the audit's own, from a per-code array of
-    cell effort thresholds.  SEP_relaxed resolves no effort thresholds, so it
-    splits at the per-group mean.  Segments are the parts of one ``cell_rows``
-    of (group, segment), bins of one of (bin, group, privileged).  The last
-    bin is closed at the maximum effort.
+    Segments are the parts of one ``cell_rows`` of (group, segment), the
+    audit's ``segment_codes`` summed over categories; SEP_relaxed splits at
+    the per-group mean effort.  Bins are the parts of one of (bin, group,
+    privileged); the last is closed at the maximum effort.
     """
     if ncfg.effort_column is None:
         return [], []
-    names, groups = table.levels(ncfg.protected), table.codes(ncfg.protected)
-    privileged = table.column(ncfg.privilege_column) >= thresholds.privilege_cutoff
-    y = table.target
-    xe = table.column(ncfg.effort_column)
+    names = table.levels(ncfg.protected)
     if ncfg.kind == "SEP_relaxed":
+        cutoff = thresholds.privilege_cutoff
         thresholds = effort_threshold(table, "per_group", ncfg.effort_column)
-    cats = table.levels(ncfg.conditional) if ncfg.kind == "CSEP" else [None]
-    per_code = np.array([[thresholds.effort_at((a, g)) for g in names] for a in cats])
-    cat_codes = table.codes(ncfg.conditional) if ncfg.kind == "CSEP" else 0
-    high = xe >= per_code[cat_codes, groups]
-    segment = np.where(privileged, 0, 2 - high)  # each row's index into SEGMENTS
-    cells = cell_rows(groups * 3 + segment, 3 * len(names))
+        thresholds.privilege_cutoff = cutoff
+    code = segment_codes(table, ncfg, thresholds)[0] % (3 * len(names))  # group * 3 + segment
     segments = []
-    for (g, name), cell in zip(itertools.product(names, SEGMENTS), cells):
+    for (g, name), cell in zip(itertools.product(names, SEGMENTS),
+                               cell_rows(code, 3 * len(names))):
         ppr = float(np.mean(h[cell])) if cell.size else None
-        segments.append(["segment", name, g, cell.size, int(np.count_nonzero(y[cell] == 1)),
+        segments.append(["segment", name, g, cell.size, int(np.count_nonzero(table.target[cell])),
                          None, None, None, None, ppr, None, None])
+    xe = table.column(ncfg.effort_column)
     lo, hi = float(np.min(xe)), float(np.max(xe))
     span = (hi - lo) or 1.0
     edges = [lo + span * i / BIN_COUNT for i in range(BIN_COUNT)] + [hi if hi > lo else lo + 1.0]
     in_bin = np.searchsorted(edges[1:-1], xe, side="right")
-    cells = cell_rows((in_bin * len(names) + groups) * 2 + ~privileged, 2 * BIN_COUNT * len(names))
+    cells = cell_rows((in_bin * len(names) + code // 3) * 2 + (code % 3 > 0),
+                      2 * BIN_COUNT * len(names))
     bins = []
     for (b, g, flag), cell in zip(itertools.product(range(BIN_COUNT), names, (1, 0)), cells):
         label = f"[{edges[b]:g},{edges[b + 1]:g}{')' if b < BIN_COUNT - 1 else ']'}"
@@ -288,8 +283,7 @@ def _write_stats(out_dir: Path, table: Table, predictions, ncfg: NotionConfig,
     rows = _stats_rows(table, h, ncfg)
     written = [out_dir / "stats.csv"]
     if ncfg.kind in SEP_FAMILY:
-        thresholds = report.thresholds or ncfg.resolve_thresholds(table)
-        segments, bins = _sep_extra_rows(table, h, ncfg, thresholds)
+        segments, bins = _sep_extra_rows(table, h, ncfg, report.thresholds)
         rows.extend(segments)
         _write_csv(out_dir / "effort_bins.csv",
                    ("group", "privileged", "bin", "lo", "hi", "n", "ppr"), bins)

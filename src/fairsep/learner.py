@@ -34,7 +34,7 @@ import numpy as np
 
 from .dataset import Design, FeatureEncoder, Table, Thresholds, as_design, encode_features
 from .errors import ConfigError, EncodingError, config_object, read_json
-from .notions import SEP_FAMILY, NotionConfig, cells
+from .notions import NotionConfig, cells
 
 log = logging.getLogger(__name__)
 
@@ -299,11 +299,9 @@ def compile_constraints(
     is 0 except for T3 under literal B, where it is B0/B - 1.  At any score
     vector |value| equals the audited term.
     """
-    if thresholds is None and cfg.kind in SEP_FAMILY:
-        thresholds = cfg.resolve_thresholds(table)
     ones = np.ones(table.rows)
     out: list[MomentConstraint] = []
-    for cell in cells(table, cfg, thresholds):
+    for cell in cells(table, cfg, thresholds or cfg.resolve_thresholds(table)):
         for msg in cell.skipped:
             log.info("constraint compile: %s", msg)
         for term in cell.terms:

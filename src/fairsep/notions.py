@@ -37,6 +37,7 @@ log = logging.getLogger(__name__)
 
 NOTIONS = ("EP", "DP", "CDP", "SEP", "CSEP", "SEP_relaxed")
 SEP_FAMILY = ("SEP", "CSEP", "SEP_relaxed")
+SEGMENTS = ("privileged", "under_high", "under_low")
 
 
 @dataclass(frozen=True)
@@ -286,98 +287,107 @@ _T1_DENOMINATORS = {"EP": ("n_group", "n"), "DP": ("n_group", "n"),
                     "SEP_relaxed": ("n_underprivileged",)}
 
 
+def segment_codes(table: Table, cfg: NotionConfig, thresholds: Thresholds | None = None):
+    """Each row's code over (category, group, segment), and the count of codes of cells.
+
+    The code is ``(category * groups + group) * segments + segment``, with
+    categories for CDP and CSEP only.  The SEP family's ``SEGMENTS`` are
+    privileged (privilege >= the cutoff), else high effort iff effort >= the
+    row's cell ``thresholds.effort_at``, else low.  SEP_relaxed resolves no
+    effort thresholds; stats.csv passes it the per-group mean efforts, so it
+    splits at its group's mean effort.  Other notions have one segment, and
+    EP's rows with y = 0 take the count.
+    """
+    names, conditional = table.levels(cfg.protected), cfg.kind in ("CDP", "CSEP")
+    categories = table.levels(cfg.conditional) if conditional else [None]
+    key = table.codes(cfg.protected) + (
+        table.codes(cfg.conditional) * len(names) if conditional else 0)
+    size = len(categories) * len(names)
+    if cfg.kind not in SEP_FAMILY:
+        return (np.where(table.target == 1, key, size) if cfg.kind == "EP" else key), size
+    at = [thresholds.effort_at((a, g)) for a in categories for g in names if thresholds.effort]
+    high = bool(at) and table.column(cfg.effort_column) >= np.array(at)[key]
+    privileged = table.column(cfg.privilege_column) >= thresholds.privilege_cutoff
+    return key * 3 + np.where(privileged, 0, 2 - high), 3 * size
+
+
+def _union(parts) -> np.ndarray:
+    """The ascending union of disjoint ascending row indexes: a merge of their runs."""
+    return np.sort(np.concatenate(parts), kind="stable")
+
+
 def cells(table: Table, cfg: NotionConfig, thresholds: Thresholds | None = None):
     """Yield the notion's cells one at a time, by category, then by group.
 
-    Each category's rows come from ``cell_rows`` of the conditional codes, so
-    every row index is ascending and a cell's subsets are found within its
-    category's rows only.  The SEP family needs ``thresholds``.
+    Every side is a ``cell_rows`` part of the ``segment_codes`` or the union of
+    the parts it spans, so its rows ascend; the SEP family needs ``thresholds``.
     """
-    kind = cfg.kind
-    levels = table.levels(cfg.protected)
-    group_names = list(cfg.groups) if cfg.groups is not None else levels
-    group_codes = table.codes(cfg.protected)
-    if kind in SEP_FAMILY:
-        privileged = table.column(cfg.privilege_column) >= thresholds.privilege_cutoff
-        negative = table.target == 0
-    if kind in ("CDP", "CSEP"):
-        categories = table.levels(cfg.conditional)
-        slices = zip(categories, cell_rows(table.codes(cfg.conditional), len(categories)))
-    else:
-        slices = [(None, np.flatnonzero(table.target == 1) if kind == "EP"
-                   else np.arange(table.rows))]
+    kind, levels = cfg.kind, table.levels(cfg.protected)
+    categories = table.levels(cfg.conditional) if kind in ("CDP", "CSEP") else [None]
+    code, size = segment_codes(table, cfg, thresholds)
+    parts = cell_rows(code, size + 1)  # the last part holds the rows of no cell
+    width = size // len(categories)  # parts per category
+    segments = width // len(levels)
 
-    def build(a, s, base) -> Cell:
-        # a function of its own, so the group's row index is freed before the yield
+    def build(a, s, segs, base, priv_neg) -> Cell:
         key = (s,) if a is None else (a, s)
         label = f"{kind}/{s}" if a is None else f"{kind}/({a},{s})"
-        rows = base[group_codes[base] == (levels.index(s) if s in levels else -1)]
+        left = _union(segs[1:]) if kind in SEP_FAMILY else segs[0]
         if not base.size:
             reason = "conditioning event empty"
-        elif a is not None and not rows.size:
+        elif a is not None and not any(p.size for p in segs):
             reason = "empty cell"
+        elif left.size:
+            cell = Cell(label, key, [Term("T1", Side(left, left.size), Side(base, base.size))],
+                        denominators=dict(zip(_T1_DENOMINATORS.get(kind, ()),
+                                              (left.size, base.size))), support=left.size)
+            if kind in ("SEP", "CSEP"):
+                _sep_terms(cell, segs, priv_neg, table, cfg, thresholds.effort_at(key))
+            return cell
         elif kind in ("SEP", "CSEP"):
-            return _sep_cell(label, key, rows, base, privileged, negative, table, cfg,
-                             thresholds.effort_at(key))
+            return Cell(label, key, denominators=dict.fromkeys(("A", "B", "B0", "C")),
+                        skipped=[f"{label}: T1,T2,T3 skipped (no underprivileged rows)"])
         else:
-            left = rows[~privileged[rows]] if kind == "SEP_relaxed" else rows
-            if left.size:
-                return Cell(label, key, [Term("T1", Side(left, left.size), Side(base, base.size))],
-                            denominators=dict(zip(_T1_DENOMINATORS[kind], (left.size, base.size))),
-                            support=left.size)
             reason = ("no underprivileged rows" if kind == "SEP_relaxed"
                       else "no rows in conditioning event")
         return Cell(label, key, skipped=[f"{label}: {reason}"])
 
-    for a, base in slices:
-        for s in group_names:
-            yield build(a, s, base)
+    for i, a in enumerate(categories):
+        own = parts[i * width:(i + 1) * width]
+        base = np.arange(table.rows) if kind in ("DP", "SEP", "SEP_relaxed") else _union(own)
+        priv = _union(own[0::3]) if kind in ("SEP", "CSEP") else base[:0]
+        priv_neg = priv[table.target[priv] == 0]
+        for s in cfg.groups if cfg.groups is not None else levels:
+            at = levels.index(s) * segments if s in levels else width
+            segs = own[at:at + segments] or [base[:0]] * segments  # no rows for an unknown group
+            yield build(a, s, segs, base, priv_neg)
 
 
-def _sep_cell(label, key, rows, base, privileged, negative, table, cfg, threshold) -> Cell:
-    """T1/T2/T3 of one SEP cell: ``rows`` is the group's part of the slice ``base``.
+def _sep_terms(cell: Cell, segs, priv_neg, table, cfg, threshold) -> None:
+    """Add T2 and T3 to an SEP cell from its privileged, high- and low-effort rows ``segs``.
 
-    T1 compares the underprivileged rows with the slice.  T2 compares their
-    low-effort rows with the effort-weighted high-effort ones.  T3 compares
-    the slice's privileged negatives with the weighted high-effort
-    underprivileged negatives, normalized by B0 (or by B if ``t3_literal_b``).
-    Every subset is a selection of ``rows`` or ``base``, never of the table.
+    T2 compares the low-effort rows with the effort-weighted high-effort ones.
+    T3 compares the category's privileged negatives ``priv_neg`` with the
+    weighted high-effort negatives, normalized by B0 (or by B if ``t3_literal_b``).
     """
-    under = ~privileged[rows]
-    cell = Cell(label, key, denominators={"A": None, "B": None, "B0": None, "C": None},
-                support=int(under.sum()))
-    d = cell.denominators
-    if not cell.support:
-        cell.skipped.append(f"{label}: T1,T2,T3 skipped (no underprivileged rows)")
-        return cell
-    cell.terms.append(Term("T1", Side(rows[under], cell.support), Side(base, base.size)))
-
-    efforts = table.column(cfg.effort_column)[rows]
-    zeta = cfg.weighting.weights(efforts, threshold, float(np.max(efforts)))
-    low = rows[under & (efforts < threshold)]
-    high = under & (efforts >= threshold)
-    high, zeta = rows[high], zeta[high]
-    d["A"] = low.size
-    if high.size:
-        d["B"] = float(np.sum(zeta))
+    _, high, low = segs
+    efforts = table.column(cfg.effort_column)
+    cell_max = float(np.max(efforts[np.concatenate(segs)]))
+    zeta = cfg.weighting.weights(efforts[high], threshold, cell_max)
+    neg = table.target[high] == 0
+    b = float(np.sum(zeta)) if high.size else None
+    b0 = float(np.sum(zeta[neg])) if neg.any() else None
+    cell.denominators = {"A": low.size, "B": b, "B0": b0, "C": priv_neg.size}
     if low.size and high.size:
-        cell.terms.append(Term("T2", Side(low, d["A"]), Side(high, d["B"], zeta)))
+        cell.terms.append(Term("T2", Side(low, low.size), Side(high, b, zeta)))
     else:
-        cell.skipped.append(f"{label}: T2 skipped (effort split leaves an empty side)")
-
-    priv_neg = base[privileged[base] & negative[base]]
-    high_neg = negative[high]
-    d["C"] = priv_neg.size
-    if high_neg.any():
-        d["B0"] = float(np.sum(zeta[high_neg]))
-    if priv_neg.size and high_neg.any():
-        norm = d["B"] if cfg.t3_literal_b else d["B0"]
-        cell.terms.append(Term("T3", Side(priv_neg, d["C"]),
-                               Side(high[high_neg], norm, zeta[high_neg])))
+        cell.skipped.append(f"{cell.label}: T2 skipped (effort split leaves an empty side)")
+    if priv_neg.size and neg.any():
+        cell.terms.append(Term("T3", Side(priv_neg, priv_neg.size),
+                               Side(high[neg], b if cfg.t3_literal_b else b0, zeta[neg])))
     else:
-        cell.skipped.append(f"{label}: T3 skipped (no privileged negatives or no "
+        cell.skipped.append(f"{cell.label}: T3 skipped (no privileged negatives or no "
                             f"high-effort underprivileged negatives)")
-    return cell
 
 
 def violation(table: Table, predictions, cfg: NotionConfig,
@@ -390,10 +400,7 @@ def violation(table: Table, predictions, cfg: NotionConfig,
     totals.
     """
     h = positive_scores(predictions, table, mode, cutoff)
-    if cfg.kind not in SEP_FAMILY:
-        thresholds = None
-    elif thresholds is None:
-        thresholds = cfg.resolve_thresholds(table)
+    thresholds = (thresholds or cfg.resolve_thresholds(table)) if cfg.kind in SEP_FAMILY else None
     neg = 1.0 - h
     over = {"T1": h, "T2": neg, "T3": neg}
     conditional = cfg.kind in ("CDP", "CSEP")
