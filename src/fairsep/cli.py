@@ -697,7 +697,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ConfigError, SchemaError, FileNotFoundError) as exc:
+    except (ConfigError, SchemaError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as exc:  # a path error names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FairsepError as exc:

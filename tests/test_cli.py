@@ -25,8 +25,10 @@ from fairsep.cli import _resolve_predictions, _write_json, main
 from fairsep.dataset import Schema, load_csv
 from fairsep.errors import ParseError
 from fairsep.learner import ExpGradHP, ReducedModel, save_model
+from fairsep.notions import NotionConfig, cells
 
 from conftest import rows_to_table
+from oracles import brute_violation
 from synth import planted_dp_table, privilege_driven_table, random_rows
 
 try:
@@ -474,6 +476,22 @@ def test_nonexistent_data_file_is_usage_error(tmp_path):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--data", "--predictions", "--schema", "--config", "--model",
+                                  "--out"])
+def test_a_path_of_the_wrong_kind_is_a_usage_error_naming_it(tmp_path, capsys, caplog, flag):
+    # a directory where a file is read, or an existing file where the output directory goes
+    bad = tmp_path / "bad"
+    bad.write_text("", encoding="utf-8") if flag == "--out" else bad.mkdir()
+    args = {"--data": TOY8_DATA, "--schema": TOY8_SCHEMA, "--out": str(tmp_path / "run"),
+            "--predictions": "ground_truth", flag: str(bad)}
+    if flag == "--model":  # predictions take precedence over a model
+        del args["--predictions"]
+    code = main(["audit", "--notion", "DP"] + [v for item in args.items() for v in item])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and str(bad) in err, err
+    assert "unhandled error" not in caplog.text
 
 
 def test_degenerate_privilege_cutoff_is_runtime_error(tmp_path):
@@ -1081,6 +1099,118 @@ def test_segment_rows_use_the_audit_effort_split(tmp_path, notion):
             assert segments[("under_high", g)] == high, (i, g)
         checked += 1
     assert checked >= 6
+
+
+def test_segment_rows_sum_the_csep_cells_over_categories(tmp_path):
+    # linear_capped weighting makes B a weight sum, so the high-effort rows are
+    # counted through each cell's support: its underprivileged rows
+    table = privilege_driven_table(n=600)
+    data = write_table_csv(tmp_path / "t.csv", table)
+    schema = write_schema_json(tmp_path / "t.json", table)
+    notion = {"kind": "CSEP", "conditional": "cat", "p": 25}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"notion": notion}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["audit", "--config", str(config), "--data", data, "--schema", schema,
+                 "--predictions", "ground_truth", "--out", str(out)]) in (0, 1)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    with (out / "stats.csv").open(encoding="utf-8", newline="") as fh:
+        segments = {(r["category"], r["group"]): int(r["n"])
+                    for r in csv.DictReader(fh) if r["scope"] == "segment"}
+    loaded = load_csv(data, Schema.from_json(schema))
+    cfg = NotionConfig.from_dict(notion, loaded.schema)
+    support = {}
+    for cell in cells(loaded, cfg, cfg.resolve_thresholds(loaded)):
+        support[cell.key[1]] = support.get(cell.key[1], 0) + cell.support
+    for g in ("F", "M"):
+        low = sum(by_group[g]["denominators"]["A"] or 0
+                  for by_group in report["categories"].values())
+        assert segments[("under_low", g)] == low > 0, g
+        assert segments[("under_high", g)] + low == support[g] > low, g
+
+
+# ---------------------------------------------------------------------------
+# contract: a run config with one leaf replaced or deleted
+# ---------------------------------------------------------------------------
+
+CONTRACT_NOTION = {"kind": "SEP", "p": 25, "epsilon": 0.05, "effort_scope": "per_group",
+                   "zeta": {"kind": "linear_capped", "cap": 1.5}, "t3_literal_b": False}
+CONTRACT_SCORES = [0.9, 0.2, 0.7, 0.4, 0.1, 0.6, 0.3, 0.8]
+DELETE = object()
+
+
+def _leaf_paths(doc: dict, prefix=()):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def _with_leaf(doc: dict, path: tuple, value) -> dict:
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _oracle_aggregate(doc: dict, report: dict) -> float:
+    """The brute-force aggregate of the reported notion on the table as the run loaded it."""
+    table = load_csv(doc["data"], Schema.from_json(doc["schema"]))
+    scores = [float(line) for line in Path(doc["predictions"]).read_text().split()[1:]]
+    if doc.get("mode", "hard") == "hard":
+        scores = [float(v >= doc.get("cutoff", 0.5)) for v in scores]
+    rows = [{"group": g, "xp": xp, "xe": xe, "cat": a, "y": y, "h": h} for g, xp, xe, a, y, h in
+            zip(table.column("sex"), table.column("cap"), table.column("hours"),
+                table.column("occ"), table.target, scores)]
+    zeta = doc["notion"].get("zeta", {})
+    thresholds = report.get("thresholds") or {}
+    return brute_violation(rows, report["notion"], p=thresholds.get("p"),
+                           scope=thresholds.get("effort_scope"),
+                           kind=zeta.get("kind", "linear_capped"), cap=zeta.get("cap", 2.0),
+                           literal_b=doc["notion"].get("t3_literal_b", False),
+                           epsilon=report["epsilon"])["aggregate"]
+
+
+def test_one_changed_config_leaf_keeps_the_exit_code_contract(tmp_path, monkeypatch, caplog):
+    monkeypatch.chdir(tmp_path)  # an empty 'out' writes to the working directory
+    rng = random.Random(5)
+    a_dir, a_file = tmp_path / "a_dir", tmp_path / "a_file.txt"
+    a_dir.mkdir()
+    a_file.write_text("prediction\n1\n", encoding="utf-8")
+    base = {"data": TOY8_DATA, "schema": TOY8_SCHEMA, "mode": "expected", "cutoff": 0.5,
+            "predictions": write_predictions(tmp_path / "preds.csv", CONTRACT_SCORES),
+            "notion": CONTRACT_NOTION}
+    probes = [(("out",), str(a_dir)), (("out",), str(a_file))]
+    for path in _leaf_paths(base):
+        if path[0] in ("data", "schema", "predictions"):
+            probes += [(path, str(a_dir)), (path, str(a_file)), (path, TOY8_DATA)]
+        wrong = rng.sample([True, 7, 2.5, "x", [1], {"a": 1}, None], 3)
+        probes += [(path, v) for v in wrong + [float("nan"), "", DELETE]]
+    codes, aggregates = [], set()
+    for i, (path, value) in enumerate(probes):
+        doc = _with_leaf(dict(base, out=str(tmp_path / f"run{i}")), path, value)
+        config = tmp_path / f"config{i}.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        caplog.clear()
+        code = main(["audit", "--config", str(config)])
+        codes.append(code)
+        assert code in (0, 1, 2, 3), (path, value, code)
+        assert "unhandled error" not in caplog.text, (path, value)
+        if code in (0, 1):
+            out = Path(doc.get("out") or ".")
+            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            assert code == (0 if report["pass"] else 1), (path, value)
+            assert abs(report["aggregate"] - _oracle_aggregate(doc, report)) <= 1e-12, \
+                (path, value)
+            aggregates.add(report["aggregate"])
+    # some probes run, with aggregates that tell the leaves apart; others are refused
+    assert len(aggregates) >= 3 and 2 in codes
 
 
 # ---------------------------------------------------------------------------

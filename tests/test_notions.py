@@ -15,9 +15,16 @@ from fairsep import (
     compile_constraints,
     violation,
 )
+from fairsep.dataset import effort_threshold
+from fairsep.notions import segment_codes
 from conftest import rows_to_table, scores_of
 from oracles import brute_violation
 from synth import random_rows
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # seeded fallback below
+    given = None
 
 # Fixed prediction vector paired with the 8-row fixture; every constant
 # below was produced by the brute-force implementation in oracles.py.
@@ -532,3 +539,56 @@ def test_matches_brute_force_on_random_tables():
                                       weighting=weighting, t3_literal_b=literal):
                 evaluated += 1
     assert evaluated >= 200
+
+
+# ---------------------------------------------------------------------------
+# The segment code: one privileged / high / low split of every row
+# ---------------------------------------------------------------------------
+
+SEGMENT_CASES = [("SEP", "global"), ("SEP", "per_group"), ("CSEP", "global"),
+                 ("CSEP", "per_group"), ("CSEP", "per_category_group"),
+                 ("SEP_relaxed", None), ("SEP_relaxed", "group means")]
+
+
+def check_segment_codes_match_the_per_row_rule(seed: int) -> None:
+    rng = random.Random(seed)
+    rows = random_rows(rng)
+    rows.append(dict(rows[-1], cat="D"))  # a one-row category, so one cell falls back
+    table = rows_to_table(rows)
+    kind, scope = SEGMENT_CASES[seed % len(SEGMENT_CASES)]
+    cfg = syn_cfg(kind, p=rng.choice([10.0, 25.0, 50.0]),
+                  effort_scope=None if kind == "SEP_relaxed" else scope)
+    try:
+        thresholds = cfg.resolve_thresholds(table)
+    except DegenerateThresholdError:
+        return
+    if scope == "group means":  # the effort split stats.csv gives SEP_relaxed
+        cutoff = thresholds.privilege_cutoff
+        thresholds = effort_threshold(table, "per_group", "xe")
+        thresholds.privilege_cutoff = cutoff
+    if scope == "per_category_group":
+        assert any("'D'" in f for f in thresholds.fallbacks), thresholds.fallbacks
+    code, count = segment_codes(table, cfg, thresholds)
+    groups = table.levels("group")
+    cats = table.levels("cat") if kind == "CSEP" else [None]
+    assert count == 3 * len(cats) * len(groups)
+    expected = []
+    for r in rows:
+        a = r["cat"] if kind == "CSEP" else None
+        if r["xp"] >= thresholds.privilege_cutoff:
+            segment = 0
+        elif thresholds.effort and r["xe"] >= thresholds.effort_at((a, r["group"])):
+            segment = 1
+        else:
+            segment = 2
+        expected.append((cats.index(a) * len(groups) + groups.index(r["group"])) * 3 + segment)
+    assert code.tolist() == expected
+
+
+if given is not None:
+    test_segment_codes_match_the_per_row_rule = settings(
+        max_examples=200, deadline=None, derandomize=True, database=None)(
+        given(st.integers(0, 2**32 - 1))(check_segment_codes_match_the_per_row_rule))
+else:
+    test_segment_codes_match_the_per_row_rule = pytest.mark.parametrize(
+        "seed", range(200))(check_segment_codes_match_the_per_row_rule)
