@@ -287,7 +287,7 @@ _T1_DENOMINATORS = {"EP": ("n_group", "n"), "DP": ("n_group", "n"),
                     "SEP_relaxed": ("n_underprivileged",)}
 
 
-def segment_codes(table: Table, cfg: NotionConfig, thresholds: Thresholds | None = None):
+def segment_codes(table: Table, cfg: NotionConfig, thresholds: Thresholds | None):
     """Each row's code over (category, group, segment), and the count of codes of cells.
 
     The code is ``(category * groups + group) * segments + segment``, with
