@@ -27,10 +27,10 @@ import numpy as np
 from . import charts
 from .dataset import (Schema, Table, cell_rows, effort_threshold, encode_features,
                       load_csv, stratified_split)
-from .errors import (ConfigError, FairsepError, ParseError, SchemaError, config_number,
-                     config_object, read_json, utf8_lines)
+from .errors import (P_GRID, ConfigError, FairsepError, ParseError, SchemaError,
+                     checked, read_json, utf8_lines)
 from .groupstats import mask as subgroup_mask, positive_scores, stats
-from .learner import ExpGradHP, exponentiated_gradient, load_model, save_model
+from .learner import EXPGRAD, ExpGradHP, exponentiated_gradient, load_model, save_model
 from .notions import SEGMENTS, SEP_FAMILY, NotionConfig, segment_codes, violation
 from .privilege import extract_privilege_attribute, select_p
 
@@ -39,6 +39,20 @@ log = logging.getLogger(__name__)
 STATS_HEADER = ("scope", "category", "group", "n", "positives",
                 "tp", "fp", "tn", "fn", "ppr", "tpr", "fpr")
 BIN_COUNT = 5
+# Every top-level key of a run config: its kind and its default.  One config
+# file serves every command, so a key that any command reads is known to all.
+CONFIG = {
+    "data": ("a non-empty string", None), "schema": ("a non-empty string", None),
+    "predictions": ("a non-empty string", None), "model": ("a non-empty string", None),
+    "out": ("a non-empty string", "."), "seed": ("an integer", 42),
+    "mode": ("a string", "hard"), "cutoff": ("a number", 0.5),
+    "test_fraction": ("a number", None), "group": ("a string", None),
+    "repeats": ("an integer", 10), "ratio_rule": ("a number", 0.8),
+    "column": ("a string", None), "advantaged": ("a string", None), "grid": (P_GRID, None),
+    "notion": ("an object", None), "train": ("an object", None), "learner": ("an object", None),
+}
+# the train block: the trainer's options plus two that only the train command reads
+TRAIN = dict(EXPGRAD, test_fraction=("a number", 0.3), include_protected=("a boolean", False))
 
 
 # ---------------------------------------------------------------------------
@@ -94,65 +108,36 @@ def _update_manifest(out_dir: Path, files: list[Path], command: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _merged_config(args) -> dict:
-    cfg: dict = {}
-    if getattr(args, "config", None):
-        cfg = read_json(args.config, "config")
-    for key in ("data", "schema", "out", "seed", "mode", "cutoff",
-                "predictions", "model", "group", "repeats", "ratio_rule",
-                "test_fraction", "column", "advantaged", "grid"):
-        v = getattr(args, key.replace("-", "_"), None)
-        if v is not None:
-            cfg[key] = v
-    notion = cfg["notion"] = config_object(cfg, "notion")
-    if getattr(args, "notion", None):
-        notion["kind"] = args.notion
-    if getattr(args, "p", None) is not None:
-        notion["p"] = args.p
-    if getattr(args, "epsilon", None) is not None:
-        notion["epsilon"] = args.epsilon
-    if getattr(args, "conditional", None):
-        notion["conditional"] = args.conditional
-    for key in ("data", "schema", "predictions", "model", "out"):
-        if key in cfg and not isinstance(cfg[key], str):
-            raise ConfigError(f"config '{key}' must be a path string, got {cfg[key]!r}")
-    for key in ("column", "group"):
-        if cfg.get(key) is not None and not isinstance(cfg[key], str):
-            raise ConfigError(f"config '{key}' must be a string, got {cfg[key]!r}")
+    """The run config with the flags on top (flags win), every top-level key checked."""
+    doc = read_json(args.config, "config") if getattr(args, "config", None) else {}
+    for key in CONFIG:
+        if key != "notion" and getattr(args, key, None) is not None:  # --notion is its kind
+            doc[key] = getattr(args, key)
+    cfg = checked(doc, CONFIG, "config key")
+    notion = cfg["notion"] = dict(cfg["notion"] or {})
+    for key, flag in (("kind", "notion"), ("p", "p"), ("epsilon", "epsilon"),
+                      ("conditional", "conditional")):
+        if getattr(args, flag, None) not in (None, ""):
+            notion[key] = getattr(args, flag)
     return cfg
 
 
-def _parse_grid(text) -> list[float] | None:
-    """A p grid from a list of numbers, a comma list '1,2,5' or an integer range '1:20'."""
-    if text is None or isinstance(text, list):
-        return text and [config_number({"grid": v}, "grid", None) for v in text]
-    try:
-        if ":" not in text:
-            return [float(v) for v in text.split(",") if v.strip()]
-        lo, hi = map(int, text.split(":", 1))
-    except (TypeError, ValueError):
-        raise ConfigError(f"p grid must be numbers, as '1,2,5' or '1:20', got {text!r}") from None
-    if lo < 1 or hi > 99:  # before the range is built
-        raise ConfigError(f"p grid values must lie in (0, 100), got {text!r}")
-    return [float(p) for p in range(lo, hi + 1)]
+def _fraction(key: str, value: float) -> float:
+    if not 0 < value < 1:
+        raise ConfigError(f"config key {key!r} must lie in (0, 1), got {value}")
+    return value
 
 
-def _run_options(cfg: dict) -> tuple[str, float, float]:
-    """The decision mode, the hard-decision cutoff and the held-out fraction, checked."""
-    mode = cfg.get("mode", "hard")
-    if mode not in ("hard", "expected"):
-        raise ConfigError(f"mode must be 'hard' or 'expected', got {mode!r}")
-    cutoff = config_number(cfg, "cutoff", 0.5)
-    test_fraction = config_number(cfg, "test_fraction",
-                                  config_object(cfg, "train").get("test_fraction", 0.3))
-    for key, value in (("cutoff", cutoff), ("test_fraction", test_fraction)):
-        if not 0 < value < 1:
-            raise ConfigError(f"{key} must lie in (0, 1), got {value}")
-    return mode, cutoff, test_fraction
+def _run_options(cfg: dict) -> tuple[str, float]:
+    """The decision mode and the hard-decision cutoff, checked."""
+    if cfg["mode"] not in ("hard", "expected"):
+        raise ConfigError(f"config key 'mode' must be 'hard' or 'expected', got {cfg['mode']!r}")
+    return cfg["mode"], _fraction("cutoff", cfg["cutoff"])
 
 
 def _schema(cfg: dict) -> Schema:
     for key in ("data", "schema"):
-        if not cfg.get(key):
+        if cfg[key] is None:
             raise ConfigError(f"missing required input: --{key} (or config '{key}')")
     return Schema.from_json(cfg["schema"])
 
@@ -168,7 +153,7 @@ def _resolve_predictions(cfg: dict, table: Table) -> tuple[np.ndarray, str]:
     ``prediction`` ones skipped, go through numpy's C reader, which takes a subset of
     what ``float`` takes; unless it reads one column without error or warning, the
     exact fallback reads each line with ``float`` and names the first bad one."""
-    spec = cfg.get("predictions")
+    spec = cfg["predictions"]
     if spec == "ground_truth":
         return table.target.astype(np.float64), "ground_truth"
     if spec:
@@ -191,7 +176,7 @@ def _resolve_predictions(cfg: dict, table: Table) -> tuple[np.ndarray, str]:
                 except ValueError:
                     raise ParseError(f"{spec}:{number}: not a number: {line!r}") from None
         return np.array(scores, np.float64), f"file:{spec}"
-    if cfg.get("model"):
+    if cfg["model"]:
         model = load_model(cfg["model"])
         if model.encoder is None:
             raise ConfigError(f"{cfg['model']}: model carries no feature encoder")
@@ -298,18 +283,18 @@ def _write_stats(out_dir: Path, table: Table, predictions, ncfg: NotionConfig,
 
 def cmd_audit(args) -> int:
     cfg = _merged_config(args)
-    mode, cutoff, _ = _run_options(cfg)
+    mode, cutoff = _run_options(cfg)
     schema = _schema(cfg)
     ncfg = NotionConfig.from_dict(cfg["notion"], schema)
     # scores from a file or the target need only the notion's columns; a model needs all
     read = {schema.protected.name, ncfg.protected, ncfg.conditional} | (
         {ncfg.privilege_column, ncfg.effort_column} if ncfg.kind in SEP_FAMILY else set())
-    table = load_csv(cfg["data"], schema, read if cfg.get("predictions") else None)
+    table = load_csv(cfg["data"], schema, read if cfg["predictions"] else None)
     _check_groups(ncfg, table)
     predictions, source = _resolve_predictions(cfg, table)
     report = violation(table, predictions, ncfg, mode=mode, cutoff=cutoff)
 
-    out_dir = Path(cfg.get("out", "."))
+    out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = report.to_dict()
     doc["predictions_source"] = source
@@ -326,20 +311,20 @@ def cmd_audit(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
-    mode, cutoff, test_fraction = _run_options(cfg)
-    train_opts = dict(config_object(cfg, "train"))
-    train_opts.pop("test_fraction", None)
-    include_protected = train_opts.pop("include_protected", False)
-    if not isinstance(include_protected, bool):
-        raise ConfigError(f"config 'train.include_protected' must be true or false, "
-                          f"got {include_protected!r}")
-    train_opts.setdefault("base", dict(config_object(cfg, "learner")))
-    hp = ExpGradHP.from_dict(train_opts)
+    mode, cutoff = _run_options(cfg)
+    train = checked(cfg["train"] or {}, TRAIN, "training option")
+    test_fraction, include_protected = train.pop("test_fraction"), train.pop("include_protected")
+    if cfg["test_fraction"] is not None:  # the top-level key wins
+        test_fraction = cfg["test_fraction"]
+    _fraction("test_fraction", test_fraction)
+    if "base" not in (cfg["train"] or {}):  # the learner block, unless train names its own
+        train["base"] = cfg["learner"]
+    hp = ExpGradHP.from_dict(train)
     schema = _schema(cfg)
     ncfg = NotionConfig.from_dict(cfg["notion"], schema)
     table = load_csv(cfg["data"], schema)
     _check_groups(ncfg, table)
-    seed = config_number(cfg, "seed", 42, int)
+    seed = cfg["seed"]
 
     train_mask, test_mask = stratified_split(table, test_fraction, seed)
     train_table = table.take(train_mask)
@@ -349,7 +334,7 @@ def cmd_train(args) -> int:
     model = exponentiated_gradient(train_table, ncfg, hp,
                                    features=X_train, encoder=encoder)
 
-    out_dir = Path(cfg.get("out", "."))
+    out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_dir / "model.json")
     traj_rows = [[t["iter"], t["member_max_violation"], t["mixture_max_violation"],
@@ -388,15 +373,11 @@ def cmd_train(args) -> int:
 def cmd_extract_privilege(args) -> int:
     cfg = _merged_config(args)
     table = load_csv(cfg["data"], _schema(cfg))
-    group = cfg.get("group")
-    if not group:
+    if not cfg["group"]:
         raise ConfigError("extract-privilege needs --group")
-    result = extract_privilege_attribute(
-        table, group,
-        repeats=config_number(cfg, "repeats", 10, int),
-        seed=config_number(cfg, "seed", 42, int),
-    )
-    out_dir = Path(cfg.get("out", "."))
+    result = extract_privilege_attribute(table, cfg["group"], repeats=cfg["repeats"],
+                                         seed=cfg["seed"])
+    out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "importance.json", result.to_dict())
     rows = [[i + 1, r["attribute"], r["importance"], r["sd"],
@@ -414,16 +395,11 @@ def cmd_extract_privilege(args) -> int:
 def cmd_sweep_p(args) -> int:
     cfg = _merged_config(args)
     schema = _schema(cfg)
-    column = cfg.get("column") or getattr(schema.tagged("privilege"), "name", None)
+    column = cfg["column"] or getattr(schema.tagged("privilege"), "name", None)
     table = load_csv(cfg["data"], schema, {schema.protected and schema.protected.name, column})
-    result = select_p(
-        table,
-        column=cfg.get("column"),
-        grid=_parse_grid(cfg.get("grid")),
-        ratio_rule=config_number(cfg, "ratio_rule", 0.8),
-        advantaged=cfg.get("advantaged"),
-    )
-    out_dir = Path(cfg.get("out", "."))
+    result = select_p(table, column=cfg["column"], grid=cfg["grid"],
+                      ratio_rule=cfg["ratio_rule"], advantaged=cfg["advantaged"])
+    out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "sweep.json", result.to_dict())
     names = table.levels(table.schema.protected.name)
@@ -460,7 +436,7 @@ def _read_stats(path: Path) -> list[dict]:
 
 def cmd_report(args) -> int:
     cfg = _merged_config(args)
-    out_dir = Path(cfg.get("out", "."))
+    out_dir = Path(cfg["out"])
     report_path = out_dir / "report.json"
     stats_path = out_dir / "stats.csv"
     for path in (report_path, stats_path):

@@ -34,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DegenerateThresholdError, EncodingError, ParseError, SchemaError, read_json,
-                     string_list, utf8_lines)
+from .errors import (REQUIRED, DegenerateThresholdError, EncodingError, ParseError, SchemaError,
+                     checked, read_json, utf8_lines)
 
 log = logging.getLogger(__name__)
 
@@ -55,6 +55,12 @@ _ZEROS, _HIGH, _SIXES, _THREES = (np.uint64(0x0101010101010101 * b) for b in (0x
 # MIN_CELL_ROWS rows inherits the mean of its parent scope.
 EFFORT_SCOPES = ("global", "per_group", "per_category_group")
 MIN_CELL_ROWS = 2
+# The keys of a schema document and of each of its columns; a key declared
+# without a default takes that of Schema or ColumnSpec.
+SCHEMA = {"columns": ("a list of objects", REQUIRED), "missing_marker": "a string",
+          "delimiter": "a string"}
+COLUMN = {"name": ("a string", REQUIRED), "kind": ("a string", REQUIRED),
+          "tags": "a list of strings", "positive_label": ("a string", None)}
 
 
 @dataclass(frozen=True)
@@ -115,29 +121,12 @@ class Schema:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Schema":
-        raw_cols = doc.get("columns") if isinstance(doc, dict) else None
-        if not isinstance(raw_cols, list):
-            raise SchemaError("schema document needs a 'columns' list")
-        for raw in raw_cols:
-            if not (isinstance(raw, dict) and "name" in raw and "kind" in raw):
-                raise SchemaError(f"schema column {raw!r} must be an object with "
-                                  f"a 'name' and a 'kind'")
-            if not isinstance(raw.get("positive_label", ""), (str, type(None))):
-                raise SchemaError(f"schema column {raw['name']!r} 'positive_label' must be "
-                                  f"a string or null, got {raw['positive_label']!r}")
-        marker, delimiter = doc.get("missing_marker", "?"), doc.get("delimiter", ",")
-        if not isinstance(marker, str):
-            raise SchemaError(f"schema 'missing_marker' must be a string, got {marker!r}")
-        if not (isinstance(delimiter, str) and len(delimiter) == 1):
-            raise SchemaError(f"schema 'delimiter' must be a one-character string, "
-                              f"got {delimiter!r}")
-        cols = tuple(ColumnSpec(name=raw["name"], kind=raw["kind"],
-                                tags=string_list(raw.get("tags", []),
-                                                 f"schema column {raw['name']!r} 'tags'",
-                                                 SchemaError),
-                                positive_label=raw.get("positive_label"))
-                     for raw in raw_cols)
-        return cls(columns=cols, missing_marker=marker, delimiter=delimiter)
+        doc = checked(doc, SCHEMA, "schema key", SchemaError)
+        if len(doc.get("delimiter", ",")) != 1:
+            raise SchemaError(f"schema 'delimiter' must be one character, got {doc['delimiter']!r}")
+        columns = tuple(ColumnSpec(**checked(raw, COLUMN, "schema column key", SchemaError))
+                        for raw in doc.pop("columns"))
+        return cls(columns, **doc)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "Schema":

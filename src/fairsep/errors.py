@@ -1,6 +1,9 @@
 """Exception types shared across the toolkit, and the checked reads of input documents."""
 
 import json
+import math
+import numbers
+import reprlib
 
 
 class FairsepError(Exception):
@@ -62,32 +65,91 @@ def utf8_lines(path):
                 raise ParseError(f"{path}:{number}: not UTF-8") from None
 
 
-def config_number(doc: dict, key: str, default, convert=float):
-    """``convert(doc[key])``, or of ``default`` when absent; what it refuses is a ConfigError.
+REQUIRED = object()  # the default of a key that must be present
+_UNSET = object()  # no default here: the dataclass that reads the key holds it
 
-    A boolean, a string or, with ``convert=int``, a fraction is refused, not
-    parsed or rounded.
+
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _finite(v) -> bool:
+    return _real(v) and math.isfinite(v)  # an int beyond float raises OverflowError
+
+
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _every(test):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(test, v))
+
+
+def _p_grid(value) -> list[float]:
+    """p values from a list of numbers, a comma list '1,2,5' or an inclusive range '1:20'."""
+    if not isinstance(value, str):
+        return [float(v) for v in value]
+    if ":" not in value:
+        return [float(v) for v in value.split(",") if v.strip()]
+    lo, hi = map(int, value.split(":", 1))
+    if lo < 1 or hi > 99:  # before the range is built
+        raise ValueError(value)
+    return [float(p) for p in range(lo, hi + 1)]
+
+
+P_GRID = "a list of numbers, '1,2,5' or 'lo:hi' with 1 <= lo and hi <= 99"
+# Each kind a document declares: the test its JSON values pass and how such a
+# value is read (None: as written).  A kind is named by the phrase that its
+# error message and the README use.
+KINDS = {
+    "a number": (_real, float),
+    "a finite number": (_finite, float),
+    "a finite number >= 0": (lambda v: _finite(v) and v >= 0, None),
+    "a finite number > 0": (lambda v: _finite(v) and v > 0, None),
+    "an integer": (_integer, None),
+    "an integer >= 1": (lambda v: _integer(v) and v >= 1, None),
+    "a boolean": (lambda v: isinstance(v, bool), None),
+    "a string": (lambda v: isinstance(v, str), None),
+    "a non-empty string": (lambda v: isinstance(v, str) and v != "", None),
+    "an object": (lambda v: isinstance(v, dict), None),
+    "a list of strings": (_every(lambda v: isinstance(v, str)), tuple),
+    "a list of objects": (_every(lambda v: isinstance(v, dict)), None),
+    "a list of finite numbers": (_every(_finite), None),
+    "a list of [column, level] pairs": (
+        _every(lambda v: type(v) is list and len(v) == 2
+               and all(x is None or isinstance(x, str) for x in v)),
+        lambda v: [tuple(pair) for pair in v]),
+    P_GRID: (lambda v: isinstance(v, str) or _every(_real)(v), _p_grid),
+}
+
+
+def checked(doc: dict, declared: dict, owner: str, error=ConfigError) -> dict:
+    """Each declared key of ``doc`` read as its kind: the one check of input documents.
+
+    ``declared`` maps every key the document may hold to its kind, or to
+    (kind, default).  An absent key takes its default, must be present if the
+    default is ``REQUIRED``, and stays absent if there is none.  null counts
+    as absent where the default is None.  A key not declared, or a value not
+    of its kind, raises ``error`` naming the key.
     """
-    value = doc.get(key, default)
-    want = "an integer" if convert is int else "a number"
-    if isinstance(value, bool) or not isinstance(value, int if convert is int else (int, float)):
-        raise ConfigError(f"config '{key}' must be {want}, got {value!r}")
-    try:
-        return convert(value)
-    except OverflowError:
-        raise ConfigError(f"config '{key}' must be {want}, got {value!r}") from None
-
-
-def string_list(value, what: str, error=ConfigError) -> tuple[str, ...]:
-    """``value`` as a tuple; anything but a JSON list of strings raises ``error``."""
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise error(f"{what} must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
-def config_object(doc: dict, key: str) -> dict:
-    """``doc[key]``, or {} when absent or null; anything but a JSON object is a ConfigError."""
-    value = doc.get(key)
-    if value is not None and not isinstance(value, dict):
-        raise ConfigError(f"config '{key}' must be a JSON object, got {value!r}")
-    return value or {}
+    unknown = sorted(set(doc) - set(declared))
+    if unknown:
+        raise error(f"unknown {owner}(s): {unknown}")
+    out = {}
+    for key, spec in declared.items():
+        kind, default = spec if isinstance(spec, tuple) else (spec, _UNSET)
+        if key not in doc or doc[key] is None is default:
+            if default is REQUIRED:
+                raise error(f"{owner} {key!r} must be {kind}, missing")
+            if default is not _UNSET:
+                out[key] = default
+            continue
+        test, read = KINDS[kind]
+        try:
+            if test(doc[key]):
+                out[key] = doc[key] if read is None else read(doc[key])
+                continue
+        except (ValueError, OverflowError):  # a p grid text that is none; an int beyond float
+            pass
+        raise error(f"{owner} {key!r} must be {kind}, got {reprlib.repr(doc[key])}")
+    return out

@@ -23,17 +23,14 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-import numbers
 import reprlib
-import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Design, FeatureEncoder, Table, Thresholds, as_design, encode_features
-from .errors import ConfigError, EncodingError, config_object, read_json
+from .dataset import Design, FeatureEncoder, Table, as_design, encode_features
+from .errors import REQUIRED, ConfigError, EncodingError, checked, read_json
 from .notions import NotionConfig, cells
 
 log = logging.getLogger(__name__)
@@ -43,24 +40,24 @@ MIN_STEP = 2.0 ** -40
 # options of the former gradient-descent learner, still read from old
 # configs and model files and ignored
 RETIRED_LEARNER_KEYS = ("learning_rate", "seed")
-
-
-def _check_numbers(owner: str, hp, integers=(), non_negative=(), positive=()) -> None:
-    """Raise ConfigError unless each named field of ``hp`` is in its range.
-
-    ``integers`` must be integers >= 1; ``non_negative`` finite numbers >= 0;
-    ``positive`` finite numbers > 0.
-    """
-    for name in integers + non_negative + positive:
-        v = getattr(hp, name)
-        if name in integers:
-            ok, want = isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1"
-        else:
-            ok = isinstance(v, numbers.Real) and math.isfinite(v) and \
-                (v > 0 if name in positive else v >= 0)
-            want = "a finite number " + ("> 0" if name in positive else ">= 0")
-        if isinstance(v, bool) or not ok:
-            raise ConfigError(f"{owner} option {name} must be {want}, got {v!r}")
+# The kind of each option of LearnerHP and ExpGradHP; the dataclasses hold the defaults.
+LEARNER = {"epochs": "an integer >= 1", "l2": "a finite number >= 0", "tol": "a finite number >= 0"}
+EXPGRAD = {"max_iter": "an integer >= 1", "eta": "a finite number > 0",
+           "lambda_bound": "a finite number > 0", "eps_train": "a finite number >= 0",
+           "patience": "an integer >= 1", "base": ("an object", None)}
+# The keys of model.json, of each of its members and of its encoder.
+MODEL = {"hp": ("an object", REQUIRED), "members": ("a list of objects", REQUIRED),
+         "mixture_weights": ("a list of finite numbers", REQUIRED),
+         "constraints": ("a list of strings", ()), "trajectory": "a list of objects",
+         "best_iterate": "an integer", "max_violation": "a finite number",
+         "early_stopped": "a boolean", "notion": ("an object", None),
+         "encoder": ("an object", None)}
+MEMBER = {"weights": ("a list of finite numbers", REQUIRED),
+          "intercept": ("a finite number", REQUIRED), "converged": ("a boolean", REQUIRED),
+          "epochs_run": ("an integer", REQUIRED), "final_loss": ("a finite number", REQUIRED)}
+ENCODER = {"feature_map": ("a list of [column, level] pairs", REQUIRED),
+           "levels": ("an object", REQUIRED), "means": ("an object", REQUIRED),
+           "sds": ("an object", REQUIRED), "include_protected": ("a boolean", REQUIRED)}
 
 
 @dataclass(frozen=True)
@@ -72,39 +69,15 @@ class LearnerHP:
     tol: float = 1e-10
 
     def __post_init__(self):
-        _check_numbers("learner", self, integers=("epochs",), non_negative=("l2", "tol"))
+        checked(vars(self), LEARNER, "learner option")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LearnerHP":
-        doc = dict(doc)
         for key in RETIRED_LEARNER_KEYS:
             if key in doc:
                 log.warning("learner option %r is retired and ignored", key)
-                del doc[key]
-        bad = set(doc) - set(cls.__dataclass_fields__)
-        if bad:
-            raise ConfigError(f"unknown learner option(s): {sorted(bad)}")
-        return cls(**doc)
-
-
-_MODEL_KINDS = {  # the JSON values each noun of a ``_model_field`` ``want`` admits
-    "object": lambda v: isinstance(v, dict), "boolean": lambda v: type(v) is bool,
-    # "positive" before "number", which "a positive number" also names
-    "positive": lambda v: _MODEL_KINDS["number"](v) and v > 0,
-    "number": lambda v: (isinstance(v, numbers.Real) and type(v) is not bool
-                         and abs(v) <= sys.float_info.max),  # no NaN or +-Infinity
-    "integer": lambda v: isinstance(v, int) and type(v) is not bool,
-    "pair": lambda v: type(v) is list and len(v) == 2 and {*map(type, v)} <= {str, type(None)}}
-
-
-def _model_field(doc: dict, key: str, want: str, owner: str = "model"):
-    """``doc[key]`` if it is ``want``; a missing or mistyped value is a ConfigError."""
-    value, fits = doc.get(key), next(f for noun, f in _MODEL_KINDS.items() if noun in want)
-    items = value if "list" in want else [value]
-    if type(items) is not list or not all(map(fits, items)):
-        raise ConfigError(f"{owner} '{key}' must be {want}, "
-                          + (f"got {reprlib.repr(value)}" if key in doc else "missing"))
-    return value
+        return cls(**checked({k: v for k, v in doc.items() if k not in RETIRED_LEARNER_KEYS},
+                             LEARNER, "learner option"))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -147,15 +120,8 @@ class BaseLearner:
 
     @classmethod
     def from_dict(cls, doc: dict, hp: LearnerHP) -> "BaseLearner":
-        return cls(
-            weights=np.asarray(_model_field(doc, "weights", "a list of numbers", "model member"),
-                               dtype=np.float64),
-            intercept=float(_model_field(doc, "intercept", "a number", "model member")),
-            hp=hp,
-            converged=_model_field(doc, "converged", "a boolean", "model member"),
-            epochs_run=_model_field(doc, "epochs_run", "an integer", "model member"),
-            final_loss=float(_model_field(doc, "final_loss", "a number", "model member")),
-        )
+        doc = checked(doc, MEMBER, "model member key")
+        return cls(weights=np.asarray(doc.pop("weights"), dtype=np.float64), hp=hp, **doc)
 
 
 def fit_base(
@@ -287,7 +253,6 @@ def compile_constraints(
     table: Table,
     cfg: NotionConfig,
     eps_train: float = 0.02,
-    thresholds: Thresholds | None = None,
 ) -> list[MomentConstraint]:
     """Turn the notion's audit terms into linear moment constraints on scores.
 
@@ -301,7 +266,7 @@ def compile_constraints(
     """
     ones = np.ones(table.rows)
     out: list[MomentConstraint] = []
-    for cell in cells(table, cfg, thresholds or cfg.resolve_thresholds(table)):
+    for cell in cells(table, cfg, cfg.resolve_thresholds(table)):
         for msg in cell.skipped:
             log.info("constraint compile: %s", msg)
         for term in cell.terms:
@@ -331,16 +296,12 @@ class ExpGradHP:
     base: LearnerHP = field(default_factory=LearnerHP)
 
     def __post_init__(self):
-        _check_numbers("training", self, integers=("max_iter", "patience"),
-                       non_negative=("eps_train",), positive=("eta", "lambda_bound"))
+        checked(dict(vars(self), base=None), EXPGRAD, "training option")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExpGradHP":
-        base = LearnerHP.from_dict(config_object(doc, "base"))
-        bad = set(doc) - set(cls.__dataclass_fields__)
-        if bad:
-            raise ConfigError(f"unknown training option(s): {sorted(bad)}")
-        return cls(**dict(doc, base=base))
+        doc = checked(doc, EXPGRAD, "training option")
+        return cls(**dict(doc, base=LearnerHP.from_dict(doc["base"] or {})))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -391,39 +352,37 @@ class ReducedModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ReducedModel":
-        hp = ExpGradHP.from_dict(_model_field(doc, "hp", "an object"))
-        members = _model_field(doc, "members", "a list of objects")
-        mixture = _model_field(doc, "mixture_weights", "a list of numbers")
+        doc = checked(doc, MODEL, "model key")
+        hp = ExpGradHP.from_dict(doc.pop("hp"))
+        members, mixture = doc.pop("members"), doc.pop("mixture_weights")
         if len(mixture) != len(members):
             raise ConfigError(f"model has {len(members)} members, {len(mixture)} mixture_weights")
-        encoder = None
-        if doc.get("encoder") is not None:
-            enc, owner = _model_field(doc, "encoder", "an object"), "model encoder"
-            fmap = [tuple(pair) for pair in _model_field(
-                enc, "feature_map", "a list of [column, level] pairs", owner)]
-            levels, means, sds = (_model_field(enc, key, "an object", owner)
-                                  for key in ("levels", "means", "sds"))
-            for name, level in fmap:
-                if level is None:
-                    _model_field(means, name, "a number", f"{owner} 'means'")
-                    _model_field(sds, name, "a positive number", f"{owner} 'sds'")
-                elif levels.get(name) != [v for n, v in fmap if n == name and v is not None]:
-                    raise ConfigError(f"{owner} 'levels' of {name!r} must list its feature_map "
-                                      f"levels in order, got {reprlib.repr(levels.get(name))}")
-            encoder = FeatureEncoder(fmap, levels, means, sds,
-                                     _model_field(enc, "include_protected", "a boolean", owner))
-        return cls(
-            members=[BaseLearner.from_dict(m, hp.base) for m in members],
-            mixture_weights=np.asarray(mixture, dtype=np.float64),
-            hp=hp,
-            constraint_names=list(doc.get("constraints", [])),
-            trajectory=list(doc.get("trajectory", [])),
-            best_iterate=int(doc.get("best_iterate", 0)),
-            max_violation=float(doc.get("max_violation", 0.0)),
-            early_stopped=bool(doc.get("early_stopped", False)),
-            encoder=encoder,
-            notion=doc.get("notion"),
-        )
+        encoder = doc.pop("encoder")
+        return cls(members=[BaseLearner.from_dict(m, hp.base) for m in members],
+                   mixture_weights=np.asarray(mixture, dtype=np.float64), hp=hp,
+                   constraint_names=list(doc.pop("constraints")),
+                   encoder=None if encoder is None else _encoder(encoder), **doc)
+
+
+def _encoder(doc: dict) -> FeatureEncoder:
+    """The model's feature encoder: each numeric feature_map column needs a finite mean and
+    an sd > 0, and ``levels`` lists each categorical one's feature_map levels in order."""
+    doc = checked(doc, ENCODER, "model encoder key")
+    numeric, coded = [], {}
+    for name, level in doc["feature_map"]:
+        if level is None:
+            numeric.append(name)
+        else:
+            coded.setdefault(name, []).append(level)
+    for key, kind in (("means", "a finite number"), ("sds", "a finite number > 0")):
+        # entries of columns the feature_map lacks are never read
+        checked({name: doc[key][name] for name in numeric if name in doc[key]},
+                dict.fromkeys(numeric, (kind, REQUIRED)), f"model encoder {key!r} entry")
+    for name, levels in coded.items():
+        if doc["levels"].get(name) != levels:
+            raise ConfigError(f"model encoder 'levels' of {name!r} must list its feature_map "
+                              f"levels in order, got {reprlib.repr(doc['levels'].get(name))}")
+    return FeatureEncoder(**doc)
 
 
 def save_model(model: ReducedModel, path: str | Path) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import EFFORT_SCOPES, NUMERIC_KINDS, Table, Thresholds, cell_rows, resolve_thresholds
-from .errors import ConfigError, config_number, config_object, string_list
+from .errors import REQUIRED, ConfigError, checked
 from .groupstats import positive_scores
 
 log = logging.getLogger(__name__)
@@ -38,6 +38,15 @@ log = logging.getLogger(__name__)
 NOTIONS = ("EP", "DP", "CDP", "SEP", "CSEP", "SEP_relaxed")
 SEP_FAMILY = ("SEP", "CSEP", "SEP_relaxed")
 SEGMENTS = ("privileged", "under_high", "under_low")
+# The keys of a notion block and of its 'zeta' object; a key declared without
+# a default takes that of NotionConfig or EffortWeighting.
+NOTION = {"kind": ("a string", REQUIRED), "protected": ("a string", None),
+          "conditional": ("a string", None), "privilege_column": ("a string", None),
+          "p": "a number", "effort_column": ("a string", None),
+          "effort_scope": ("a string", None), "zeta": ("an object", None),
+          "epsilon": "a number", "t3_literal_b": "a boolean",
+          "groups": ("a list of strings", None)}
+ZETA = {"kind": "a string", "cap": "a number"}
 
 
 @dataclass(frozen=True)
@@ -90,14 +99,13 @@ class NotionConfig:
     groups: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        checked({k: v for k, v in vars(self).items() if k in NOTION}, NOTION, "notion key")
         if self.kind not in NOTIONS:
             raise ConfigError(f"unknown notion {self.kind!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ConfigError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         if not 0 < self.p < 100:
             raise ConfigError(f"p must lie in (0, 100), got {self.p}")
-        if not isinstance(self.t3_literal_b, bool):
-            raise ConfigError(f"t3_literal_b must be true or false, got {self.t3_literal_b!r}")
         if self.kind in ("CDP", "CSEP") and not self.conditional:
             raise ConfigError(f"{self.kind} needs a conditional column")
         if self.kind in SEP_FAMILY and not self.privilege_column:
@@ -117,10 +125,8 @@ class NotionConfig:
     @classmethod
     def from_dict(cls, doc: dict, schema=None) -> "NotionConfig":
         """Build from a JSON document, filling tagged columns from the schema."""
-        doc = dict(doc)
-        weighting = config_object(doc, "zeta") or config_object(doc, "weighting")
-        weighting = EffortWeighting(kind=weighting.get("kind", "linear_capped"),
-                                    cap=config_number(weighting, "cap", 2.0))
+        doc = checked(doc, NOTION, "notion key")
+        weighting = EffortWeighting(**checked(doc.pop("zeta") or {}, ZETA, "notion 'zeta' key"))
         if schema is not None:
             for key, spec in (("protected", schema.protected),
                               ("privilege_column", schema.tagged("privilege")),
@@ -134,24 +140,10 @@ class NotionConfig:
                 if doc.get(key) not in (None, "") and kind not in kinds:
                     raise ConfigError(f"notion '{key}' must name a column of kind "
                                       f"{' or '.join(kinds)}; {doc[key]!r} is {kind}")
-        if "kind" not in doc:
-            raise ConfigError("notion config needs a 'kind'")
-        if not doc.get("protected"):
+        if not doc["protected"]:
             raise ConfigError("notion config needs a protected column")
-        return cls(
-            kind=doc["kind"],
-            protected=doc["protected"],
-            conditional=doc.get("conditional"),
-            privilege_column=doc.get("privilege_column"),
-            p=config_number(doc, "p", 5.0),
-            effort_column=doc.get("effort_column"),
-            effort_scope=doc.get("effort_scope"),
-            weighting=weighting,
-            epsilon=config_number(doc, "epsilon", 0.05),
-            t3_literal_b=doc.get("t3_literal_b", False),
-            groups=(None if doc.get("groups") is None
-                    else string_list(doc["groups"], "notion 'groups'") or None),
-        )
+        groups = doc.pop("groups") or None
+        return cls(**doc, weighting=weighting, groups=groups)
 
     def resolve_thresholds(self, table: Table) -> Thresholds | None:
         if self.kind not in SEP_FAMILY:
@@ -391,8 +383,7 @@ def _sep_terms(cell: Cell, segs, priv_neg, table, cfg, threshold) -> None:
 
 
 def violation(table: Table, predictions, cfg: NotionConfig,
-              mode: str = "hard", cutoff: float = 0.5,
-              thresholds: Thresholds | None = None) -> ViolationReport:
+              mode: str = "hard", cutoff: float = 0.5) -> ViolationReport:
     """Evaluate the configured notion: every cell's terms, then the worst total.
 
     CDP and CSEP report each (category, group) cell, a per-group summary
@@ -400,7 +391,7 @@ def violation(table: Table, predictions, cfg: NotionConfig,
     totals.
     """
     h = positive_scores(predictions, table, mode, cutoff)
-    thresholds = (thresholds or cfg.resolve_thresholds(table)) if cfg.kind in SEP_FAMILY else None
+    thresholds = cfg.resolve_thresholds(table)
     neg = 1.0 - h
     over = {"T1": h, "T2": neg, "T3": neg}
     conditional = cfg.kind in ("CDP", "CSEP")

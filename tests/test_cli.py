@@ -8,6 +8,7 @@ byte by byte.  No network, no subprocesses.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -22,10 +23,10 @@ import pytest
 import fairsep.cli
 from fairsep.bundled import toy8_paths
 from fairsep.cli import _resolve_predictions, _write_json, main
-from fairsep.dataset import Schema, load_csv
-from fairsep.errors import ParseError
-from fairsep.learner import ExpGradHP, ReducedModel, save_model
-from fairsep.notions import NotionConfig, cells
+from fairsep.dataset import ColumnSpec, Schema, load_csv
+from fairsep.errors import REQUIRED, ParseError
+from fairsep.learner import ExpGradHP, LearnerHP, ReducedModel, save_model
+from fairsep.notions import EffortWeighting, NotionConfig, cells
 
 from conftest import rows_to_table
 from oracles import brute_violation
@@ -1139,9 +1140,10 @@ CONTRACT_SCORES = [0.9, 0.2, 0.7, 0.4, 0.1, 0.6, 0.3, 0.8]
 DELETE = object()
 
 
-def _leaf_paths(doc: dict, prefix=()):
-    for key, value in doc.items():
-        if isinstance(value, dict):
+def _leaf_paths(doc, prefix=()):
+    """The path of each value in a JSON document that is neither an object nor a list."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        if isinstance(value, (dict, list)):
             yield from _leaf_paths(value, prefix + (key,))
         else:
             yield prefix + (key,)
@@ -1211,6 +1213,170 @@ def test_one_changed_config_leaf_keeps_the_exit_code_contract(tmp_path, monkeypa
             aggregates.add(report["aggregate"])
     # some probes run, with aggregates that tell the leaves apart; others are refused
     assert len(aggregates) >= 3 and 2 in codes
+
+
+LEAF_VALUES = [True, 7, 2.5, "x", [1], {"a": 1}, None, float("nan"), "", DELETE]
+
+
+def test_one_changed_schema_leaf_keeps_the_exit_code_contract(tmp_path, caplog):
+    # the notion names its columns, so a run does not need the schema's tags
+    schema = json.loads(Path(TOY8_SCHEMA).read_text(encoding="utf-8"))
+    base = {"data": TOY8_DATA, "mode": "expected",
+            "predictions": write_predictions(tmp_path / "preds.csv", CONTRACT_SCORES),
+            "notion": dict(CONTRACT_NOTION, privilege_column="cap", effort_column="hours")}
+    ran = 0
+    for i, path in enumerate(_leaf_paths(schema)):
+        for j, value in enumerate(LEAF_VALUES):
+            probe = tmp_path / f"schema{i}_{j}.json"
+            probe.write_text(json.dumps(_with_leaf(schema, path, value)), encoding="utf-8")
+            doc = dict(base, schema=str(probe), out=str(tmp_path / f"run{i}_{j}"))
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            caplog.clear()
+            code = main(["audit", "--config", str(config)])
+            assert code in (0, 1, 2, 3), (path, value, code)
+            assert "unhandled error" not in caplog.text, (path, value)
+            if code in (0, 1):
+                report = json.loads((Path(doc["out"]) / "report.json").read_text("utf-8"))
+                assert abs(report["aggregate"] - _oracle_aggregate(doc, report)) <= 1e-12, \
+                    (path, value)
+                ran += 1
+    assert ran >= 2  # deleting a tag the notion does not need
+
+
+def test_one_changed_model_leaf_keeps_the_exit_code_contract(tmp_path, caplog):
+    table = planted_dp_table(n=200, seed=7)
+    data = write_table_csv(tmp_path / "planted.csv", table)
+    schema = write_schema_json(tmp_path / "planted.json", table)
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"train": {"max_iter": 2}, "learner": {"epochs": 20}}),
+                      encoding="utf-8")
+    assert main(["train", "--config", str(config), "--data", data, "--schema", schema,
+                 "--notion", "DP", "--out", str(tmp_path / "fit")]) == 0
+    model = json.loads((tmp_path / "fit" / "model.json").read_text(encoding="utf-8"))
+    codes = set()
+    for i, path in enumerate(_leaf_paths(model)):
+        for j, value in enumerate(LEAF_VALUES):
+            probe = tmp_path / "model.json"
+            probe.write_text(json.dumps(_with_leaf(model, path, value)), encoding="utf-8")
+            caplog.clear()
+            code = main(["audit", "--data", data, "--schema", schema, "--notion", "DP",
+                         "--model", str(probe), "--out", str(tmp_path / f"run{i}_{j}")])
+            assert code in (0, 1, 2, 3), (path, value, code)
+            assert "unhandled error" not in caplog.text, (path, value)
+            codes.add(code)
+    assert {0, 2} <= codes or {1, 2} <= codes
+
+
+def _refused(capsys, caplog, code: int, key: str) -> None:
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and repr(key) in err, err
+    assert "unhandled error" not in caplog.text
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"ouput": "elsewhere"}, "ouput"),
+    ({"notion": {"kind": "DP", "bogus": 1}}, "bogus"),
+    ({"notion": {"kind": "SEP", "p": 25, "epsilom": 0.5}}, "epsilom"),
+    ({"notion": {"kind": "SEP", "p": 25, "zeta": {"kind": "unit", "caps": 3}}}, "caps"),
+    ({"notion": {"kind": "SEP", "p": 25, "weighting": {"kind": "unit"}}}, "weighting"),
+])
+def test_unknown_config_keys_are_usage_errors_naming_them(tmp_path, monkeypatch, capsys,
+                                                          caplog, config, key):
+    monkeypatch.chdir(tmp_path)  # where an ignored 'out' would write
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(config, predictions="ground_truth")), encoding="utf-8")
+    code = main(["audit", "--config", str(path), "--data", TOY8_DATA, "--schema", TOY8_SCHEMA])
+    _refused(capsys, caplog, code, key)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("change, key", [
+    (lambda doc: doc.update(delimeter=";"), "delimeter"),
+    (lambda doc: doc["columns"][1].update(tag=["privilege"]), "tag"),
+])
+def test_unknown_schema_keys_are_usage_errors_naming_them(tmp_path, capsys, caplog, change, key):
+    doc = json.loads(Path(TOY8_SCHEMA).read_text(encoding="utf-8"))
+    change(doc)
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["audit", "--notion", "DP", "--data", TOY8_DATA, "--schema", str(schema),
+                 "--predictions", "ground_truth", "--out", str(tmp_path / "run")])
+    _refused(capsys, caplog, code, key)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"hp": {}, "members": [MEMBER], "mixture_weights": [1.0], "encoder": ENCODER, "extra": 1},
+     "extra"),
+    ({"hp": {}, "members": [dict(MEMBER, bias=0.0)], "mixture_weights": [1.0],
+      "encoder": ENCODER}, "bias"),
+    ({"hp": {}, "members": [MEMBER], "mixture_weights": [1.0],
+      "encoder": dict(ENCODER, scale=2)}, "scale"),
+    *[({"hp": {}, "members": [MEMBER], "mixture_weights": [1.0], "encoder": ENCODER,
+        key: value}, key)
+      for key, value in [("best_iterate", "x"), ("best_iterate", None), ("max_violation", "x"),
+                         ("max_violation", float("nan")), ("early_stopped", "x"),
+                         ("constraints", "ab"), ("constraints", [1]), ("trajectory", 5),
+                         ("notion", [1])]],
+])
+def test_model_unknown_or_mistyped_optional_keys_are_usage_errors(tmp_path, capsys, caplog,
+                                                                  doc, key):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["audit", "--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--notion", "DP",
+                 "--model", str(model), "--out", str(tmp_path / "run")])
+    _refused(capsys, caplog, code, key)
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("argv", [
+    ["audit", "--notion", "DP", "--predictions", "ground_truth"],
+    ["train", "--notion", "DP", "--test-fraction", "0.5"],
+    ["extract-privilege", "--group", "M", "--repeats", "3"],
+    ["sweep-p", "--grid", "30"],
+    ["report"],
+])
+def test_an_empty_out_is_a_usage_error(tmp_path, monkeypatch, capsys, caplog, argv, via):
+    monkeypatch.chdir(tmp_path)  # Path("") is the working directory
+    assert main(audit_argv(Path("."), "ground_truth", "--notion", "DP")) in (0, 1)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"out": ""}), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    paths = [] if argv[0] == "report" else ["--data", TOY8_DATA, "--schema", TOY8_SCHEMA]
+    capsys.readouterr()
+    code = main(argv + paths + (["--out", ""] if via == "flag" else ["--config", str(config)]))
+    _refused(capsys, caplog, code, "out")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def _declared_rows(declared: dict, owner=None, prefix: str = ""):
+    """[key, kind, default] for each declared key; a bare kind takes ``owner``'s field default."""
+    defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
+                else f.default_factory() for f in (dataclasses.fields(owner) if owner else ())}
+    for key, spec in declared.items():
+        kind, default = spec if isinstance(spec, tuple) else (spec, defaults[key])
+        yield [prefix + key, kind, "required" if default is REQUIRED else json.dumps(default)]
+
+
+def test_readme_tables_list_every_declared_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Input documents", 1)[1].split("### Exit codes", 1)[0]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    expected = [
+        *_declared_rows(fairsep.cli.CONFIG),
+        *_declared_rows(fairsep.cli.TRAIN, ExpGradHP, "train."),
+        *_declared_rows(fairsep.learner.LEARNER, LearnerHP, "learner."),
+        *_declared_rows(fairsep.notions.NOTION, NotionConfig),
+        *_declared_rows(fairsep.notions.ZETA, EffortWeighting, "zeta."),
+        *_declared_rows(fairsep.dataset.SCHEMA, Schema),
+        *_declared_rows(fairsep.dataset.COLUMN, ColumnSpec, "columns[]."),
+        *_declared_rows(fairsep.learner.MODEL, ReducedModel),
+        *_declared_rows(fairsep.learner.MEMBER, prefix="members[]."),
+        *_declared_rows(fairsep.learner.ENCODER, prefix="encoder."),
+    ]
+    assert rows == expected
 
 
 # ---------------------------------------------------------------------------
