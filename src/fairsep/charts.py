@@ -16,6 +16,9 @@ from __future__ import annotations
 
 PALETTE = ("#4878cf", "#ee854a", "#6acc64", "#d65f5f", "#956cb4", "#8c613c")
 FONT = "font-family=\"Helvetica, Arial, sans-serif\""
+# The plot of a chart with axes: its left and top margins and its height, on a
+# canvas of HEIGHT; the right margin holds the legend and varies by chart.
+LEFT, TOP, PLOT_H, HEIGHT = 60, 40, 250, 360
 
 
 def escape(text: str) -> str:
@@ -48,12 +51,56 @@ def _legend(parts: list[str], labels: list[str], x: float, y: float) -> None:
                      f'font-size="11" {FONT} fill="#222222">{escape(label)}</text>')
 
 
+def _text(parts: list[str], x: float, y: float, text: str, size: int,
+          fill: str = "#333333") -> None:
+    """``text`` centred at ``x`` on the baseline ``y``."""
+    parts.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="middle" font-size="{size}" '
+                 f'{FONT} fill="{fill}">{escape(text)}</text>')
+
+
+def _axes(width: int, right: int, title: str, ymax: float) -> tuple[list[str], int]:
+    """A canvas whose plot spans ``LEFT`` to ``width - right``, with five gridlines from
+    0 to ``ymax``, each labelled left of it; and the plot's width."""
+    parts = _svg_open(width, HEIGHT, title)
+    plot_w = width - LEFT - right
+    for i in range(5):
+        frac = i / 4
+        gy = TOP + PLOT_H * (1 - frac)
+        parts.append(f'<line x1="{LEFT}" y1="{_fmt(gy)}" x2="{LEFT + plot_w}" '
+                     f'y2="{_fmt(gy)}" stroke="#dddddd" stroke-width="1"/>')
+        parts.append(f'<text x="{LEFT - 6}" y="{_fmt(gy + 4)}" text-anchor="end" '
+                     f'font-size="10" {FONT} fill="#555555">{_fmt(ymax * frac)}</text>')
+    return parts, plot_w
+
+
+def _bar(parts: list[str], v: float | None, ymax: float, top: float, plot_h: float,
+         x: float, width: float, mid: float, gap: float, series: int) -> None:
+    """Series ``series``'s bar for ``v`` (none for None) on a plot from ``top`` down
+    ``plot_h``, clipped to [0, ``ymax``], with ``v`` written ``gap`` above it at ``mid``."""
+    if v is None:
+        return
+    h = plot_h * min(max(v / ymax, 0.0), 1.0)
+    y = top + plot_h - h
+    parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(width)}" '
+                 f'height="{_fmt(h)}" fill="{PALETTE[series % len(PALETTE)]}"/>')
+    _text(parts, mid, y - gap, _fmt(round(v, 3)), 8, "#444444")
+
+
+def _baseline(parts: list[str], plot_w: int, labels: list[str]) -> None:
+    """The x axis under the plot, and the legend right of it."""
+    parts.append(f'<line x1="{LEFT}" y1="{TOP + PLOT_H}" x2="{LEFT + plot_w}" '
+                 f'y2="{TOP + PLOT_H}" stroke="#333333" stroke-width="1"/>')
+    _legend(parts, labels, LEFT + plot_w + 14, TOP)
+
+
+def _close(parts: list[str]) -> str:
+    return "\n".join(parts + ["</svg>"]) + "\n"
+
+
 def _empty_chart(title: str, note: str) -> str:
     parts = _svg_open(640, 160, title)
-    parts.append(f'<text x="320" y="90" text-anchor="middle" font-size="13" '
-                 f'{FONT} fill="#777777">{escape(note)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    _text(parts, 320, 90, note, 13, "#777777")
+    return _close(parts)
 
 
 def grouped_bars_by_category(
@@ -66,46 +113,21 @@ def grouped_bars_by_category(
     """Bar clusters per category; ``series`` maps category to value (None = gap)."""
     if not categories or not series:
         return _empty_chart(title, "no data")
-    width, height = max(640, 70 * len(categories) + 180), 360
-    left, right, top, bottom = 60, 120, 40, 70
-    plot_w, plot_h = width - left - right, height - top - bottom
-    parts = _svg_open(width, height, title)
-    # axes and gridlines
-    for i in range(5):
-        frac = i / 4
-        gy = top + plot_h * (1 - frac)
-        parts.append(f'<line x1="{left}" y1="{_fmt(gy)}" x2="{left + plot_w}" '
-                     f'y2="{_fmt(gy)}" stroke="#dddddd" stroke-width="1"/>')
-        parts.append(f'<text x="{left - 6}" y="{_fmt(gy + 4)}" text-anchor="end" '
-                     f'font-size="10" {FONT} fill="#555555">{_fmt(ymax * frac)}</text>')
-    parts.append(f'<text x="16" y="{_fmt(top + plot_h / 2)}" font-size="11" {FONT} '
-                 f'fill="#555555" transform="rotate(-90 16 {_fmt(top + plot_h / 2)})" '
+    parts, plot_w = _axes(max(640, 70 * len(categories) + 180), 120, title, ymax)
+    parts.append(f'<text x="16" y="{_fmt(TOP + PLOT_H / 2)}" font-size="11" {FONT} '
+                 f'fill="#555555" transform="rotate(-90 16 {_fmt(TOP + PLOT_H / 2)})" '
                  f'text-anchor="middle">{escape(ylabel)}</text>')
     cluster_w = plot_w / len(categories)
     bar_w = cluster_w * 0.8 / max(1, len(series))
     for ci, cat in enumerate(categories):
-        cx = left + cluster_w * (ci + 0.5)
-        parts.append(f'<text x="{_fmt(cx)}" y="{height - bottom + 16}" '
-                     f'text-anchor="middle" font-size="10" {FONT} '
-                     f'fill="#333333">{escape(str(cat))}</text>')
+        cx = LEFT + cluster_w * (ci + 0.5)
+        _text(parts, cx, TOP + PLOT_H + 16, str(cat), 10)
         for si, (label, values) in enumerate(series):
-            v = values.get(cat)
-            if v is None:
-                continue
-            h = plot_h * min(max(v / ymax, 0.0), 1.0)
             bx = cx - (len(series) * bar_w) / 2 + si * bar_w
-            by = top + plot_h - h
-            color = PALETTE[si % len(PALETTE)]
-            parts.append(f'<rect x="{_fmt(bx)}" y="{_fmt(by)}" width="{_fmt(bar_w * 0.92)}" '
-                         f'height="{_fmt(h)}" fill="{color}"/>')
-            parts.append(f'<text x="{_fmt(bx + bar_w * 0.46)}" y="{_fmt(by - 3)}" '
-                         f'text-anchor="middle" font-size="8" {FONT} '
-                         f'fill="#444444">{_fmt(round(v, 3))}</text>')
-    parts.append(f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
-                 f'y2="{top + plot_h}" stroke="#333333" stroke-width="1"/>')
-    _legend(parts, [label for label, _ in series], left + plot_w + 14, top)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            _bar(parts, values.get(cat), ymax, TOP, PLOT_H, bx, bar_w * 0.92,
+                 bx + bar_w * 0.46, 3, si)
+    _baseline(parts, plot_w, [label for label, _ in series])
+    return _close(parts)
 
 
 def subgroup_panels(
@@ -128,27 +150,14 @@ def subgroup_panels(
         py = 44 + (pi // cols) * (panel_h + pad)
         parts.append(f'<rect x="{px}" y="{py}" width="{panel_w}" height="{panel_h}" '
                      f'fill="#fafafa" stroke="#cccccc"/>')
-        parts.append(f'<text x="{_fmt(px + panel_w / 2)}" y="{py + 14}" '
-                     f'text-anchor="middle" font-size="10" {FONT} '
-                     f'fill="#333333">{escape(panel_title)}</text>')
-        plot_h = panel_h - 40
+        _text(parts, px + panel_w / 2, py + 14, panel_title, 10)
         bar_w = (panel_w - 20) / max(1, len(series_labels))
         for si, label in enumerate(series_labels):
-            v = values.get(label)
-            if v is None:
-                continue
-            h = plot_h * min(max(v / ymax, 0.0), 1.0)
             bx = px + 10 + si * bar_w
-            by = py + 22 + plot_h - h
-            parts.append(f'<rect x="{_fmt(bx + bar_w * 0.08)}" y="{_fmt(by)}" '
-                         f'width="{_fmt(bar_w * 0.84)}" height="{_fmt(h)}" '
-                         f'fill="{PALETTE[si % len(PALETTE)]}"/>')
-            parts.append(f'<text x="{_fmt(bx + bar_w / 2)}" y="{_fmt(by - 2)}" '
-                         f'text-anchor="middle" font-size="8" {FONT} '
-                         f'fill="#444444">{_fmt(round(v, 3))}</text>')
+            _bar(parts, values.get(label), ymax, py + 22, panel_h - 40, bx + bar_w * 0.08,
+                 bar_w * 0.84, bx + bar_w / 2, 2, si)
     _legend(parts, series_labels, width - 110, 50)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _close(parts)
 
 
 def ppr_ratio_by_effort(
@@ -159,49 +168,28 @@ def ppr_ratio_by_effort(
     """Ratio curves over effort bins; dashed reference line at ratio 1."""
     if not bins or not curves:
         return _empty_chart(title, "no data")
-    width, height = 640, 360
-    left, right, top, bottom = 60, 130, 40, 70
-    plot_w, plot_h = width - left - right, height - top - bottom
     finite = [v for _, vals in curves for v in vals if v is not None]
     ymax = max(1.5, max(finite) * 1.1) if finite else 1.5
-    parts = _svg_open(width, height, title)
-    for i in range(5):
-        frac = i / 4
-        gy = top + plot_h * (1 - frac)
-        parts.append(f'<line x1="{left}" y1="{_fmt(gy)}" x2="{left + plot_w}" '
-                     f'y2="{_fmt(gy)}" stroke="#dddddd" stroke-width="1"/>')
-        parts.append(f'<text x="{left - 6}" y="{_fmt(gy + 4)}" text-anchor="end" '
-                     f'font-size="10" {FONT} fill="#555555">{_fmt(ymax * frac)}</text>')
-    ref_y = top + plot_h * (1 - 1.0 / ymax)
-    parts.append(f'<line x1="{left}" y1="{_fmt(ref_y)}" x2="{left + plot_w}" '
+    parts, plot_w = _axes(640, 130, title, ymax)
+    ref_y = TOP + PLOT_H * (1 - 1.0 / ymax)
+    parts.append(f'<line x1="{LEFT}" y1="{_fmt(ref_y)}" x2="{LEFT + plot_w}" '
                  f'y2="{_fmt(ref_y)}" stroke="#888888" stroke-width="1" '
                  f'stroke-dasharray="4 3"/>')
-    parts.append(f'<text x="{left + plot_w + 4}" y="{_fmt(ref_y + 4)}" font-size="9" '
+    parts.append(f'<text x="{LEFT + plot_w + 4}" y="{_fmt(ref_y + 4)}" font-size="9" '
                  f'{FONT} fill="#888888">parity</text>')
-    step = plot_w / max(1, len(bins) - 1) if len(bins) > 1 else 0.0
-    for bi, label in enumerate(bins):
-        bx = left + (step * bi if len(bins) > 1 else plot_w / 2)
-        parts.append(f'<text x="{_fmt(bx)}" y="{height - bottom + 16}" '
-                     f'text-anchor="middle" font-size="9" {FONT} '
-                     f'fill="#333333">{escape(str(label))}</text>')
+    xs = ([LEFT + plot_w / (len(bins) - 1) * bi for bi in range(len(bins))]
+          if len(bins) > 1 else [LEFT + plot_w / 2])
+    for x, label in zip(xs, bins):
+        _text(parts, x, TOP + PLOT_H + 16, str(label), 9)
     for si, (label, vals) in enumerate(curves):
         color = PALETTE[si % len(PALETTE)]
-        points = []
-        for bi, v in enumerate(vals):
-            if v is None:
-                continue
-            bx = left + (step * bi if len(bins) > 1 else plot_w / 2)
-            by = top + plot_h * (1 - min(v, ymax) / ymax)
-            points.append((bx, by))
+        points = [(x, TOP + PLOT_H * (1 - min(v, ymax) / ymax))
+                  for x, v in zip(xs, vals) if v is not None]
         if len(points) > 1:
             path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
             parts.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
                          f'stroke-width="2"/>')
-        for x, y_pt in points:
-            parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y_pt)}" r="3" '
-                         f'fill="{color}"/>')
-    parts.append(f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
-                 f'y2="{top + plot_h}" stroke="#333333" stroke-width="1"/>')
-    _legend(parts, [label for label, _ in curves], left + plot_w + 14, top)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        for x, y in points:
+            parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>')
+    _baseline(parts, plot_w, [label for label, _ in curves])
+    return _close(parts)

@@ -27,7 +27,7 @@ import numpy as np
 from . import charts
 from .dataset import (Schema, Table, cell_rows, effort_threshold, encode_features,
                       load_csv, stratified_split)
-from .errors import (P_GRID, ConfigError, FairsepError, ParseError, SchemaError,
+from .errors import (P_GRID, REQUIRED, ConfigError, FairsepError, ParseError, SchemaError,
                      checked, read_json, utf8_lines)
 from .groupstats import mask as subgroup_mask, positive_scores, stats
 from .learner import EXPGRAD, ExpGradHP, exponentiated_gradient, load_model, save_model
@@ -46,13 +46,27 @@ CONFIG = {
     "predictions": ("a non-empty string", None), "model": ("a non-empty string", None),
     "out": ("a non-empty string", "."), "seed": ("an integer", 42),
     "mode": ("a string", "hard"), "cutoff": ("a number", 0.5),
-    "test_fraction": ("a number", None), "group": ("a string", None),
+    "test_fraction": ("a number", 0.3), "group": ("a string", None),
     "repeats": ("an integer", 10), "ratio_rule": ("a number", 0.8),
     "column": ("a string", None), "advantaged": ("a string", None), "grid": (P_GRID, None),
     "notion": ("an object", None), "train": ("an object", None), "learner": ("an object", None),
 }
-# the train block: the trainer's options plus two that only the train command reads
-TRAIN = dict(EXPGRAD, test_fraction=("a number", 0.3), include_protected=("a boolean", False))
+# the train block: the trainer's options but the base learner's, which the top-level
+# 'learner' block holds, plus one that only the train command reads
+TRAIN = dict({k: v for k, v in EXPGRAD.items() if k != "base"},
+             include_protected=("a boolean", False))
+# Every key of report.json that audit or train writes, and of each 'groups' entry.
+REPORT = {"notion": ("a string", REQUIRED), "epsilon": ("a finite number", REQUIRED),
+          "aggregate": ("a finite number", REQUIRED), "pass": ("a boolean", REQUIRED),
+          "groups": ("an object of objects", REQUIRED), "categories": ("an object", None),
+          "weighted_mean": ("a finite number", None), "skipped": ("a list of strings", REQUIRED),
+          "partial": ("a boolean", REQUIRED), "mode": ("a string", REQUIRED),
+          "thresholds": ("an object", None), "predictions_source": ("a string", REQUIRED),
+          "data": ("a string", None), "split": ("an object", None),
+          "training": ("an object", None)}
+TERMS = {"T1": ("a finite number", REQUIRED), "T2": ("a finite number", REQUIRED),
+         "T3": ("a finite number", REQUIRED), "total": ("a finite number", REQUIRED),
+         "denominators": ("an object", REQUIRED)}
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +93,6 @@ def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _sha256(path: Path) -> str:
@@ -313,13 +322,9 @@ def cmd_train(args) -> int:
     cfg = _merged_config(args)
     mode, cutoff = _run_options(cfg)
     train = checked(cfg["train"] or {}, TRAIN, "training option")
-    test_fraction, include_protected = train.pop("test_fraction"), train.pop("include_protected")
-    if cfg["test_fraction"] is not None:  # the top-level key wins
-        test_fraction = cfg["test_fraction"]
-    _fraction("test_fraction", test_fraction)
-    if "base" not in (cfg["train"] or {}):  # the learner block, unless train names its own
-        train["base"] = cfg["learner"]
-    hp = ExpGradHP.from_dict(train)
+    include_protected = train.pop("include_protected")
+    test_fraction = _fraction("test_fraction", cfg["test_fraction"])
+    hp = ExpGradHP.from_dict(dict(train, base=cfg["learner"]))
     schema = _schema(cfg)
     ncfg = NotionConfig.from_dict(cfg["notion"], schema)
     table = load_csv(cfg["data"], schema)
@@ -421,123 +426,132 @@ def cmd_sweep_p(args) -> int:
     return 0
 
 
-def _read_stats(path: Path) -> list[dict]:
+def _finite(text: str) -> float:
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+# The columns report reads, each with its reader; an empty number is None.
+STATS_COLUMNS = {"scope": str, "category": str, "group": str, "n": int, "positives": int,
+                 "ppr": _finite}
+BINS_COLUMNS = {"group": str, "privileged": str, "bin": str, "ppr": _finite}
+
+
+def _read_artifact(path: Path, columns: dict) -> list[dict]:
+    """The ``columns`` of each record of a CSV that audit or train wrote.  A missing
+    column, a record not as wide as the header, a value its reader refuses or bytes
+    that are not UTF-8 raise ``ParseError`` naming the line."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for raw in csv.DictReader(fh):
-            row = dict(raw)
-            for key in ("n", "positives"):
-                row[key] = int(row[key]) if row.get(key) else None
-            for key in ("tp", "fp", "tn", "fn", "ppr", "tpr", "fpr"):
-                row[key] = float(row[key]) if row.get(key) else None
-            rows.append(row)
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if missing := [key for key in columns if key not in header]:
+                raise ValueError(f"missing column(s) {missing}")
+            for record in filter(None, reader):  # a blank line holds no record
+                if len(record) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(record)}")
+                cells = dict(zip(header, record))
+                rows.append({key: read(cells[key]) if cells[key] or read is str else None
+                             for key, read in columns.items()})
+        except UnicodeDecodeError:
+            for _ in utf8_lines(path):  # raises, naming the line of the first bad byte
+                pass
+            raise
+        except (ValueError, csv.Error) as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
+
+
+def _category_chart(rows: list[dict], notion: str) -> str:
+    """Each group's rate per category; categories ascend by their positives."""
+    positives: dict[str, int] = {}
+    for r in rows:
+        positives[r["category"]] = positives.get(r["category"], 0) + (r["positives"] or 0)
+    series = [(g, {r["category"]: r["ppr"] for r in rows if r["group"] == g})
+              for g in sorted({r["group"] for r in rows})]
+    return charts.grouped_bars_by_category(
+        sorted(positives, key=lambda c: (positives[c], c)), series,
+        title=f"positive rate by {notion} category and group", ylabel="positive rate")
+
+
+def _segment_chart(rows: list[dict]) -> str:
+    """One panel per segment that has rows: each group's rate in it."""
+    titles = {"privileged": "privileged", "under_high": "underprivileged, high effort",
+              "under_low": "underprivileged, low effort"}
+    panels = [(titles[seg], values) for seg in SEGMENTS
+              if (values := {r["group"]: r["ppr"] for r in rows if r["category"] == seg})]
+    return charts.subgroup_panels(panels, sorted({r["group"] for r in rows}),
+                                  title="positive rate by privilege/effort segment")
+
+
+def _ratio_chart(bins: list[dict], low: str, high: str) -> str:
+    """Per privileged flag, the ``low`` over the ``high`` group's rate in each bin, None
+    where either is empty or the high one is 0; a repeated row replaces the earlier."""
+    ppr = {(r["bin"], r["privileged"], r["group"]): r["ppr"] for r in bins
+           if r["ppr"] is not None}
+    labels = list(dict.fromkeys(r["bin"] for r in bins))
+    curves = [(f"{name} {low}/{high}",
+               [ppr[b, flag, low] / ppr[b, flag, high]
+                if ppr.get((b, flag, high)) and (b, flag, low) in ppr else None for b in labels])
+              for flag, name in (("0", "underprivileged"), ("1", "privileged"))]
+    return charts.ppr_ratio_by_effort(labels, curves, title="positive-rate ratio by effort bin")
 
 
 def cmd_report(args) -> int:
     cfg = _merged_config(args)
     out_dir = Path(cfg["out"])
-    report_path = out_dir / "report.json"
-    stats_path = out_dir / "stats.csv"
-    for path in (report_path, stats_path):
+    for path in (out_dir / "report.json", out_dir / "stats.csv"):
         if not path.exists():
             raise ConfigError(f"{path}: not found; run audit or train first")
-    report = read_json(report_path, "report")
-    rows = _read_stats(stats_path)
-
+    report = checked(read_json(out_dir / "report.json", "report"), REPORT, "report key")
+    for group, terms in report["groups"].items():
+        checked(terms, TERMS, f"report groups[{group!r}] key")
+    scopes: dict[str, list[dict]] = {}
+    for row in _read_artifact(out_dir / "stats.csv", STATS_COLUMNS):
+        scopes.setdefault(row["scope"], []).append(row)
+    bins_path = out_dir / "effort_bins.csv"
+    bins = _read_artifact(bins_path, BINS_COLUMNS) if bins_path.exists() else None
+    ranked = [r["group"] for r in sorted(scopes.get("group", []), key=lambda r: (
+        (r["positives"] or 0) / r["n"] if r["n"] else 0.0, r["group"]))]
+    cat_rows, seg_rows = scopes.get("category_group"), scopes.get("segment")
     written: list[Path] = []
     notes: list[str] = []
-
-    cat_rows = [r for r in rows if r["scope"] == "category_group"]
-    if cat_rows:
-        pos_by_cat: dict[str, int] = {}
-        for r in cat_rows:
-            pos_by_cat[r["category"]] = pos_by_cat.get(r["category"], 0) + (r["positives"] or 0)
-        categories = sorted(pos_by_cat, key=lambda c: (pos_by_cat[c], c))
-        group_names = sorted({r["group"] for r in cat_rows})
-        series = [(g, {r["category"]: r["ppr"] for r in cat_rows if r["group"] == g})
-                  for g in group_names]
-        svg = charts.grouped_bars_by_category(
-            categories, series,
-            title=f"positive rate by {report.get('notion', '')} category and group",
-            ylabel="positive rate")
-        _write_text(out_dir / "ppr_by_category.svg", svg)
-        written.append(out_dir / "ppr_by_category.svg")
-    else:
-        notes.append("ppr_by_category.svg skipped: no category-level stats")
-
-    seg_rows = [r for r in rows if r["scope"] == "segment"]
-    if seg_rows:
-        group_names = sorted({r["group"] for r in seg_rows})
-        panel_titles = {"privileged": "privileged",
-                        "under_high": "underprivileged, high effort",
-                        "under_low": "underprivileged, low effort"}
-        panels = []
-        for seg in SEGMENTS:
-            values = {r["group"]: r["ppr"] for r in seg_rows if r["category"] == seg}
-            if values:
-                panels.append((panel_titles[seg], values))
-        svg = charts.subgroup_panels(panels, group_names,
-                                     title="positive rate by privilege/effort segment")
-        _write_text(out_dir / "subgroup_panels.svg", svg)
-        written.append(out_dir / "subgroup_panels.svg")
-    else:
-        notes.append("subgroup_panels.svg skipped: no segment stats")
-
-    bins_path = out_dir / "effort_bins.csv"
-    if bins_path.exists():
-        with open(bins_path, "r", encoding="utf-8", newline="") as fh:
-            bin_rows = list(csv.DictReader(fh))
-        group_rows = [r for r in rows if r["scope"] == "group"]
-        ranked = sorted(group_rows,
-                        key=lambda r: ((r["positives"] or 0) / r["n"] if r["n"] else 0.0,
-                                       r["group"]))
-        if len(ranked) >= 2 and bin_rows:
-            low_g, high_g = ranked[0]["group"], ranked[-1]["group"]
-            labels = list(dict.fromkeys(r["bin"] for r in bin_rows))
-            curves = []
-            for priv_flag, label in (("0", "underprivileged"), ("1", "privileged")):
-                vals: list[float | None] = []
-                for b in labels:
-                    ppr = {}
-                    for r in bin_rows:
-                        if r["bin"] == b and r["privileged"] == priv_flag and r["ppr"]:
-                            ppr[r["group"]] = float(r["ppr"])
-                    if ppr.get(high_g) and ppr.get(low_g) is not None:
-                        vals.append(ppr[low_g] / ppr[high_g])
-                    else:
-                        vals.append(None)
-                curves.append((f"{label} {low_g}/{high_g}", vals))
-            svg = charts.ppr_ratio_by_effort(labels, curves,
-                                             title="positive-rate ratio by effort bin")
-            _write_text(out_dir / "ppr_ratio_by_effort.svg", svg)
-            written.append(out_dir / "ppr_ratio_by_effort.svg")
+    for name, svg, reason in [
+        ("ppr_by_category.svg", cat_rows and _category_chart(cat_rows, report["notion"]),
+         "no category-level stats"),
+        ("subgroup_panels.svg", seg_rows and _segment_chart(seg_rows), "no segment stats"),
+        ("ppr_ratio_by_effort.svg", bins and len(ranked) >= 2 and
+         _ratio_chart(bins, ranked[0], ranked[-1]),
+         "no effort_bins.csv" if bins is None else "need two groups and bins"),
+    ]:
+        if svg:
+            (out_dir / name).write_text(svg, encoding="utf-8")
+            written.append(out_dir / name)
         else:
-            notes.append("ppr_ratio_by_effort.svg skipped: need two groups and bins")
-    else:
-        notes.append("ppr_ratio_by_effort.svg skipped: no effort_bins.csv")
+            notes.append(f"{name} skipped: {reason}")
 
-    lines = [f"# {report.get('notion', 'audit')} report", ""]
-    lines.append(f"- aggregate: {report.get('aggregate')}")
-    lines.append(f"- epsilon: {report.get('epsilon')}")
-    lines.append(f"- pass: {report.get('pass')}")
-    lines.append(f"- mode: {report.get('mode')}")
-    if report.get("partial"):
-        lines.append(f"- partial: true ({len(report.get('skipped', []))} skipped terms)")
+    lines = [f"# {report['notion']} report", ""]
+    lines.append(f"- aggregate: {report['aggregate']}")
+    lines.append(f"- epsilon: {report['epsilon']}")
+    lines.append(f"- pass: {report['pass']}")
+    lines.append(f"- mode: {report['mode']}")
+    if report["partial"]:
+        lines.append(f"- partial: true ({len(report['skipped'])} skipped terms)")
     lines.append("")
     lines.append("## Groups")
     lines.append("")
     lines.append("| group | T1 | T2 | T3 | total |")
     lines.append("|---|---|---|---|---|")
-    for g, terms in sorted((report.get("groups") or {}).items()):
+    for g, terms in sorted(report["groups"].items()):
         lines.append(f"| {g} | {terms['T1']:.6f} | {terms['T2']:.6f} "
                      f"| {terms['T3']:.6f} | {terms['total']:.6f} |")
-    skipped = report.get("skipped") or []
-    if skipped:
+    if report["skipped"]:
         lines.append("")
         lines.append("## Skipped terms")
         lines.append("")
-        for s in skipped:
+        for s in report["skipped"]:
             lines.append(f"- {s}")
     lines.append("")
     lines.append("## Charts")
@@ -547,7 +561,7 @@ def cmd_report(args) -> int:
     for note in notes:
         lines.append(f"- {note}")
     lines.append("")
-    _write_text(out_dir / "summary.md", "\n".join(lines))
+    (out_dir / "summary.md").write_text("\n".join(lines), encoding="utf-8")
     written.append(out_dir / "summary.md")
     _update_manifest(out_dir, written, _command_string(args))
     print(f"report written: {len(written)} file(s), {len(notes)} chart(s) skipped")

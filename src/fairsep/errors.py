@@ -112,6 +112,8 @@ KINDS = {
     "a string": (lambda v: isinstance(v, str), None),
     "a non-empty string": (lambda v: isinstance(v, str) and v != "", None),
     "an object": (lambda v: isinstance(v, dict), None),
+    "an object of objects": (
+        lambda v: isinstance(v, dict) and all(isinstance(x, dict) for x in v.values()), None),
     "a list of strings": (_every(lambda v: isinstance(v, str)), tuple),
     "a list of objects": (_every(lambda v: isinstance(v, dict)), None),
     "a list of finite numbers": (_every(_finite), None),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,13 +41,7 @@ class ImportanceTable:
     tie_flagged: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "group": self.group, "repeats": self.repeats, "seed": self.seed,
-            "holdout_fraction": self.holdout_fraction,
-            "baseline_accuracy": self.baseline_accuracy,
-            "rows": self.rows, "chosen": self.chosen,
-            "tie_flagged": self.tie_flagged,
-        }
+        return asdict(self)
 
 
 def permutation_importance(
@@ -186,12 +180,7 @@ class PSweepResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "column": self.column, "ratio_rule": self.ratio_rule,
-            "advantaged": self.advantaged, "grid": self.grid,
-            "entries": self.entries, "satisfying": self.satisfying,
-            "selected": self.selected, "note": self.note,
-        }
+        return asdict(self)
 
 
 def select_p(

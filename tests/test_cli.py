@@ -610,6 +610,23 @@ def test_bad_trainer_hyperparameters_are_usage_errors(tmp_path, capsys, caplog, 
     assert not (out / "model.json").exists()
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"train": {"base": {"epochs": 5}}, "learner": {"epochs": 20}}, "base"),
+    ({"train": {"base": {"epochs": 5}}}, "base"),
+    ({"train": {"test_fraction": 0.5}, "test_fraction": 0.25}, "test_fraction"),
+    ({"train": {"test_fraction": 0.5}}, "test_fraction"),
+])
+def test_trainer_options_have_one_spelling(tmp_path, capsys, caplog, config, key):
+    """The base learner's options live in 'learner' and the held-out share in the top-level
+    'test_fraction'; the train block holding either is a usage error naming the key."""
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["train", "--config", str(path), "--data", TOY8_DATA, "--schema", TOY8_SCHEMA,
+                 "--notion", "DP", "--out", str(tmp_path / "run")])
+    _refused(capsys, caplog, code, key)
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["audit", "--notion", "DP", "--epsilon", "nan"],
     ["audit", "--notion", "SEP", "--p", "25", "--epsilon", "inf"],
@@ -1179,8 +1196,7 @@ def _oracle_aggregate(doc: dict, report: dict) -> float:
                            epsilon=report["epsilon"])["aggregate"]
 
 
-def test_one_changed_config_leaf_keeps_the_exit_code_contract(tmp_path, monkeypatch, caplog):
-    monkeypatch.chdir(tmp_path)  # an empty 'out' writes to the working directory
+def test_one_changed_config_leaf_keeps_the_exit_code_contract(tmp_path, caplog):
     rng = random.Random(5)
     a_dir, a_file = tmp_path / "a_dir", tmp_path / "a_file.txt"
     a_dir.mkdir()
@@ -1205,8 +1221,7 @@ def test_one_changed_config_leaf_keeps_the_exit_code_contract(tmp_path, monkeypa
         assert code in (0, 1, 2, 3), (path, value, code)
         assert "unhandled error" not in caplog.text, (path, value)
         if code in (0, 1):
-            out = Path(doc.get("out") or ".")
-            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            report = json.loads((Path(doc["out"]) / "report.json").read_text(encoding="utf-8"))
             assert code == (0 if report["pass"] else 1), (path, value)
             assert abs(report["aggregate"] - _oracle_aggregate(doc, report)) <= 1e-12, \
                 (path, value)
@@ -1375,6 +1390,8 @@ def test_readme_tables_list_every_declared_key():
         *_declared_rows(fairsep.learner.MODEL, ReducedModel),
         *_declared_rows(fairsep.learner.MEMBER, prefix="members[]."),
         *_declared_rows(fairsep.learner.ENCODER, prefix="encoder."),
+        *_declared_rows(fairsep.cli.REPORT),
+        *_declared_rows(fairsep.cli.TERMS, prefix="groups.*."),
     ]
     assert rows == expected
 
@@ -1698,6 +1715,167 @@ def test_report_skips_category_chart_without_categories(tmp_path, capsys):
     assert not (out / "ppr_by_category.svg").exists()
     assert not (out / "ppr_ratio_by_effort.svg").exists()
     assert "skipped" in capsys.readouterr().out
+
+
+REPORT_TERMS = {"F": {"T1": 0.25, "T2": 0.125, "T3": 0.0, "total": 0.375, "denominators": {}},
+                "M": {"T1": 0.5, "T2": 0.0, "T3": 0.0625, "total": 0.5625, "denominators": {}}}
+REPORT_DOC = {"notion": "CSEP", "epsilon": 0.05, "aggregate": 0.5625, "pass": False,
+              "groups": REPORT_TERMS, "categories": None, "skipped": ["c/M/T2"],
+              "partial": True, "mode": "hard", "predictions_source": "ground_truth",
+              "data": "data.csv"}
+# group F ranks low (1/4 positive), M high (3/4); category c<&>d holds fewer positives
+# than b, and its F rate is empty
+REPORT_STATS = [
+    ["overall", "", "", "8", "4", "", "", "", "", "0.5", "", ""],
+    ["group", "", "F", "4", "1", "", "", "", "", "0.25", "", ""],
+    ["group", "", "M", "4", "3", "", "", "", "", "0.75", "", ""],
+    ["category_group", "b", "F", "2", "1", "", "", "", "", "0.5", "", ""],
+    ["category_group", "b", "M", "2", "2", "", "", "", "", "1.0", "", ""],
+    ["category_group", "c<&>d", "F", "0", "0", "", "", "", "", "", "", ""],
+    ["category_group", "c<&>d", "M", "3", "1", "", "", "", "", "0.3333333333333333", "", ""],
+    ["segment", "privileged", "F", "1", "1", "", "", "", "", "1.0", "", ""],
+    ["segment", "under_low", "M", "2", "1", "", "", "", "", "0.6666666666666666", "", ""],
+    ["ratio", "", "F/M", "", "", "", "", "", "", "0.3333333333333333", "", ""],
+]
+# the repeated (bin 0, privileged, M) row wins; bin 1 has an empty F rate (unprivileged)
+# and a high-group rate of 0 (privileged), so neither curve has a point there
+REPORT_BINS = [
+    ["F", "0", "[0,1)", "0", "1", "2", "0.2"], ["M", "0", "[0,1)", "0", "1", "2", "0.4"],
+    ["F", "1", "[0,1)", "0", "1", "2", "0.3"], ["M", "1", "[0,1)", "0", "1", "2", "0.6"],
+    ["M", "1", "[0,1)", "0", "1", "2", "0.3"],
+    ["F", "0", "[1,2)", "1", "2", "0", ""], ["M", "0", "[1,2)", "1", "2", "2", "0.5"],
+    ["F", "1", "[1,2)", "1", "2", "2", "0.5"], ["M", "1", "[1,2)", "1", "2", "2", "0"],
+    ["F", "0", "[2,3]", "2", "3", "2", "0.4"], ["M", "0", "[2,3]", "2", "3", "2", "0.8"],
+    ["F", "1", "[2,3]", "2", "3", "2", "0.9"], ["M", "1", "[2,3]", "2", "3", "2", "0.6"],
+]
+
+
+def _report_dir(tmp_path: Path, stats_rows, bin_rows=None, doc=REPORT_DOC) -> Path:
+    out = tmp_path / "artifacts"
+    out.mkdir()
+    _write_json(out / "report.json", doc)
+    with open(out / "stats.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([fairsep.cli.STATS_HEADER, *stats_rows])
+    if bin_rows is not None:
+        with open(out / "effort_bins.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [("group", "privileged", "bin", "lo", "hi", "n", "ppr"), *bin_rows])
+    return out
+
+
+def _svg_texts(svg: str, attrs: str) -> list[str]:
+    """The character data of every text element whose attributes contain ``attrs``."""
+    return re.findall(rf'<text [^>]*{re.escape(attrs)}[^>]*>([^<]*)</text>', svg)
+
+
+def test_report_draws_the_ratio_of_low_to_high_group_rates_per_bin(tmp_path):
+    out = _report_dir(tmp_path, REPORT_STATS, REPORT_BINS)
+    assert main(["report", "--out", str(out)]) == 0
+    svg = (out / "ppr_ratio_by_effort.svg").read_text(encoding="utf-8")
+    assert _svg_texts(svg, 'text-anchor="middle" font-size="9"') == ["[0,1)", "[1,2)", "[2,3]"]
+    assert _svg_texts(svg, 'font-size="11" ') == ["underprivileged F/M", "privileged F/M"]
+    ymax = float(_svg_texts(svg, 'text-anchor="end"')[-1])  # the top gridline's label
+    left, top, plot_w, plot_h = 60, 40, 450, 250
+    curves = {}
+    for cx, cy, color in re.findall(r'<circle cx="([^"]+)" cy="([^"]+)" r="3" fill="([^"]+)"/>',
+                                    svg):
+        bin_index = round((float(cx) - left) / (plot_w / 2))
+        ratio = ymax * (top + plot_h - float(cy)) / plot_h
+        curves.setdefault(color, []).append((bin_index, ratio))
+    under, priv = curves.values()
+    assert [b for b, _ in under] == [0, 2] and [b for b, _ in priv] == [0, 2]  # bin 1 is a gap
+    assert [r for _, r in under] == pytest.approx([0.5, 0.5], abs=1e-3)
+    assert [r for _, r in priv] == pytest.approx([1.0, 1.5], abs=1e-3)
+    lines = re.findall(r'<polyline points="([^"]+)"', svg)
+    assert [len(p.split()) for p in lines] == [2, 2]  # each curve joins its two points
+
+
+def test_report_draws_escaped_category_labels_and_bar_values(tmp_path):
+    out = _report_dir(tmp_path, REPORT_STATS, REPORT_BINS)
+    assert main(["report", "--out", str(out)]) == 0
+    bars = (out / "ppr_by_category.svg").read_text(encoding="utf-8")
+    assert "c<&>d" not in bars
+    # categories ascend by positives (c<&>d: 1, b: 3); the empty F rate draws no bar
+    assert _svg_texts(bars, 'font-size="10" ' + fairsep.charts.FONT + ' fill="#333333"') == [
+        "c&lt;&amp;&gt;d", "b"]
+    assert _svg_texts(bars, 'font-size="8" ') == ["0.333", "0.5", "1"]
+    assert bars.count("<rect ") == 1 + 3 + 2  # background, bars, legend
+    panels = (out / "subgroup_panels.svg").read_text(encoding="utf-8")
+    assert _svg_texts(panels, 'font-size="10" ') == ["privileged", "underprivileged, low effort"]
+    assert _svg_texts(panels, 'font-size="8" ') == ["1", "0.667"]
+
+
+def test_report_summary_lists_the_report_and_each_chart(tmp_path):
+    out = _report_dir(tmp_path, REPORT_STATS, REPORT_BINS)
+    assert main(["report", "--out", str(out)]) == 0
+    assert (out / "summary.md").read_text(encoding="utf-8") == "\n".join([
+        "# CSEP report", "", "- aggregate: 0.5625", "- epsilon: 0.05", "- pass: False",
+        "- mode: hard", "- partial: true (1 skipped terms)", "", "## Groups", "",
+        "| group | T1 | T2 | T3 | total |", "|---|---|---|---|---|",
+        "| F | 0.250000 | 0.125000 | 0.000000 | 0.375000 |",
+        "| M | 0.500000 | 0.000000 | 0.062500 | 0.562500 |", "", "## Skipped terms", "",
+        "- c/M/T2", "", "## Charts", "", "- ppr_by_category.svg", "- subgroup_panels.svg",
+        "- ppr_ratio_by_effort.svg", ""])
+
+
+@pytest.mark.parametrize("stats_rows, bin_rows, notes", [
+    (REPORT_STATS[:3], None, ["ppr_by_category.svg skipped: no category-level stats",
+                              "subgroup_panels.svg skipped: no segment stats",
+                              "ppr_ratio_by_effort.svg skipped: no effort_bins.csv"]),
+    (REPORT_STATS[:2] + REPORT_STATS[3:], REPORT_BINS,
+     ["ppr_ratio_by_effort.svg skipped: need two groups and bins"]),
+    (REPORT_STATS, [], ["ppr_ratio_by_effort.svg skipped: need two groups and bins"]),
+], ids=["groups-only", "one-group", "no-bins"])
+def test_report_summary_notes_each_skipped_chart(tmp_path, capsys, stats_rows, bin_rows, notes):
+    out = _report_dir(tmp_path, stats_rows, bin_rows)
+    assert main(["report", "--out", str(out)]) == 0
+    summary = (out / "summary.md").read_text(encoding="utf-8")
+    listed = summary.split("## Charts\n\n", 1)[1].splitlines()
+    assert listed[len(listed) - len(notes):] == [f"- {note}" for note in notes]
+    for note in notes:
+        assert not (out / note.split()[0]).exists()
+    assert capsys.readouterr().out.strip() == (
+        f"report written: {len(listed) - len(notes) + 1} file(s), {len(notes)} chart(s) skipped")
+
+
+@pytest.mark.parametrize("change, key", [
+    (lambda doc: doc["groups"]["F"].update(T1="x"), "T1"),
+    (lambda doc: doc["groups"]["M"].pop("total"), "total"),
+    (lambda doc: doc["groups"].update(F="x"), "groups"),
+    (lambda doc: doc.update(notion=5), "notion"),
+    (lambda doc: doc.pop("aggregate"), "aggregate"),
+    (lambda doc: doc.update(aggregates=0.5), "aggregates"),
+], ids=["T1", "no-total", "group", "notion", "no-aggregate", "unknown"])
+def test_report_json_that_breaks_its_declaration_is_a_usage_error(tmp_path, capsys, caplog,
+                                                                  change, key):
+    doc = json.loads(json.dumps(REPORT_DOC))
+    change(doc)
+    out = _report_dir(tmp_path, REPORT_STATS, REPORT_BINS, doc)
+    _refused(capsys, caplog, main(["report", "--out", str(out)]), key)
+    assert not (out / "summary.md").exists()
+
+
+@pytest.mark.parametrize("name, line, change", [
+    ("stats.csv", 3, lambda text: text.replace(b"group,,F,4,", b"group,,F,abc,")),
+    ("stats.csv", 5, lambda text: text.replace(b"b,F,2,1,,,,,0.5", b"b,F,2,1,,,,,nan")),
+    ("stats.csv", 4, lambda text: text.replace(b"group,,M,4,3,,,,,0.75,,", b"group,,M")),
+    ("stats.csv", 1, lambda text: text.replace(b",ppr,", b",rate,")),
+    ("stats.csv", 6, lambda text: text.replace(b"b,M", b"b\xff,M")),
+    ("effort_bins.csv", 2, lambda text: text.replace(b"0.2", b"abc")),
+    ("effort_bins.csv", 1, lambda text: text.replace(b"privileged", b"priv")),
+    ("effort_bins.csv", 3, lambda text: text.replace(b"0.4", b"\xe9", 1)),
+], ids=["n", "nan", "short", "no-ppr", "utf8", "bins-ppr", "bins-no-privileged", "bins-utf8"])
+def test_report_names_the_line_of_a_malformed_artifact_csv(tmp_path, capsys, caplog,
+                                                           name, line, change):
+    """A missing column, a short record, a value that is not a number of its kind or a
+    byte that is not UTF-8 in stats.csv or effort_bins.csv is a runtime error (exit 3)."""
+    out = _report_dir(tmp_path, REPORT_STATS, REPORT_BINS)
+    (out / name).write_bytes(change((out / name).read_bytes()))
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {out / name}:{line}: ")
+    assert "unhandled error" not in caplog.text
+    assert not (out / "summary.md").exists()
 
 
 # ---------------------------------------------------------------------------
