@@ -107,6 +107,8 @@ def _update_manifest(out_dir: Path, files: list[Path], command: str) -> None:
     manifest_path = out_dir / "manifest.json"
     doc = read_json(manifest_path, "manifest") if manifest_path.exists() else {"entries": {}}
     entries = doc.setdefault("entries", {})
+    for name in [name for name in entries if not (out_dir / name).exists()]:
+        del entries[name]  # the manifest names only files the directory holds
     for path in files:
         entries[path.name] = {"sha256": _sha256(path), "command": command}
     _write_json(manifest_path, doc)
@@ -332,8 +334,8 @@ def cmd_train(args) -> int:
     seed = cfg["seed"]
 
     train_mask, test_mask = stratified_split(table, test_fraction, seed)
-    train_table = table.take(train_mask)
-    test_table = table.take(test_mask)
+    train_table, test_table = table.take(train_mask), table.take(test_mask)
+    del table  # the fits read only the split tables
     X_train, encoder = encode_features(train_table,
                                        include_protected=include_protected)
     model = exponentiated_gradient(train_table, ncfg, hp,
@@ -511,8 +513,9 @@ def cmd_report(args) -> int:
     scopes: dict[str, list[dict]] = {}
     for row in _read_artifact(out_dir / "stats.csv", STATS_COLUMNS):
         scopes.setdefault(row["scope"], []).append(row)
-    bins_path = out_dir / "effort_bins.csv"
-    bins = _read_artifact(bins_path, BINS_COLUMNS) if bins_path.exists() else None
+    # only an SEP-family audit writes effort_bins.csv; one of another notion may sit beside
+    sep, bins_path = report["notion"] in SEP_FAMILY, out_dir / "effort_bins.csv"
+    bins = _read_artifact(bins_path, BINS_COLUMNS) if sep and bins_path.exists() else None
     ranked = [r["group"] for r in sorted(scopes.get("group", []), key=lambda r: (
         (r["positives"] or 0) / r["n"] if r["n"] else 0.0, r["group"]))]
     cat_rows, seg_rows = scopes.get("category_group"), scopes.get("segment")
@@ -524,12 +527,14 @@ def cmd_report(args) -> int:
         ("subgroup_panels.svg", seg_rows and _segment_chart(seg_rows), "no segment stats"),
         ("ppr_ratio_by_effort.svg", bins and len(ranked) >= 2 and
          _ratio_chart(bins, ranked[0], ranked[-1]),
-         "no effort_bins.csv" if bins is None else "need two groups and bins"),
+         "need two groups and bins" if bins is not None else
+         "no effort_bins.csv" if sep else "not an SEP-family notion"),
     ]:
         if svg:
             (out_dir / name).write_text(svg, encoding="utf-8")
             written.append(out_dir / name)
-        else:
+        else:  # an earlier report's chart would outlive this one's summary
+            (out_dir / name).unlink(missing_ok=True)
             notes.append(f"{name} skipped: {reason}")
 
     lines = [f"# {report['notion']} report", ""]

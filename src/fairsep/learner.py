@@ -435,12 +435,15 @@ def exponentiated_gradient(
             best_iterate=0, max_violation=0.0, encoder=encoder, notion=notion_doc,
         )
 
-    # the constraint matrix W as (row, constraint, weight) triplets
+    # the constraint matrix W as (row, constraint, weight) triplets, the one copy of the
+    # constraints the rounds read; int32 ids, as a table holds fewer than 2**31 rows
     K = len(constraints)
-    rows = np.concatenate([c.rows for c in constraints])
-    index = np.repeat(np.arange(K), [c.rows.size for c in constraints])
+    rows = np.concatenate([c.rows for c in constraints], dtype=np.int32)
+    index = np.repeat(np.arange(K, dtype=np.int32), [c.rows.size for c in constraints])
     weights = np.concatenate([c.weights for c in constraints])
     offsets = np.array([c.offset for c in constraints])
+    names = [c.name for c in constraints]
+    del table, constraints  # this call's references; what a caller holds stays as it was
 
     def moments(h: np.ndarray) -> np.ndarray:
         return np.bincount(index, weights * h[rows], minlength=K) + offsets
@@ -497,7 +500,7 @@ def exponentiated_gradient(
     final_violation = float(np.max(moments(final_mix) - hp.eps_train))
     return ReducedModel(
         members=members, mixture_weights=mixture_weights, hp=hp,
-        constraint_names=[c.name for c in constraints],
+        constraint_names=names,
         trajectory=trajectory, best_iterate=best_member[2],
         max_violation=final_violation, early_stopped=early_stopped,
         encoder=encoder, notion=notion_doc,

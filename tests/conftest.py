@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,16 @@ def rows_to_table(rows) -> Table:
         "cat": np.array([r["cat"] for r in rows], dtype=object),
         "y": np.array([r["y"] for r in rows], dtype=np.int64),
     })
+
+
+def adultgen_files(directory: Path, seed: int = 11, **kw) -> dict:
+    """The benchmark's Adult-shaped CSV and schema, 48,842 rows unless ``rows`` says
+    otherwise, written to ``directory``."""
+    spec = importlib.util.spec_from_file_location(
+        "adultgen", Path(__file__).resolve().parent.parent / "perfbench" / "adultgen.py")
+    adultgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(adultgen)
+    return adultgen.generate(seed, directory, **kw)
 
 
 def scores_of(rows) -> np.ndarray:

@@ -1717,6 +1717,29 @@ def test_report_skips_category_chart_without_categories(tmp_path, capsys):
     assert "skipped" in capsys.readouterr().out
 
 
+def test_report_after_an_audit_of_another_notion_keeps_no_earlier_chart(tmp_path):
+    # the SEP run's effort bins and segment chart must not outlive a later DP report
+    preds = write_predictions(tmp_path / "preds.csv", HPRED)
+    out = tmp_path / "run"
+    assert main(audit_argv(out, preds, "--notion", "SEP", "--p", "25")) == 1
+    assert main(["report", "--out", str(out)]) == 0
+    assert (out / "subgroup_panels.svg").is_file() and (out / "ppr_ratio_by_effort.svg").is_file()
+    assert main(audit_argv(out, preds, "--notion", "DP")) in (0, 1)
+    assert main(["report", "--out", str(out)]) == 0
+    summary = (out / "summary.md").read_text(encoding="utf-8")
+    assert summary.startswith("# DP report")
+    assert summary.split("## Charts\n\n", 1)[1].splitlines() == [
+        "- ppr_by_category.svg skipped: no category-level stats",
+        "- subgroup_panels.svg skipped: no segment stats",
+        "- ppr_ratio_by_effort.svg skipped: not an SEP-family notion"]
+    on_disk = {p.name for p in out.iterdir()}
+    assert not on_disk & {"ppr_by_category.svg", "subgroup_panels.svg", "ppr_ratio_by_effort.svg"}
+    entries = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["entries"]
+    assert set(entries) == on_disk - {"manifest.json"}
+    for name, entry in entries.items():
+        assert entry["sha256"] == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
+
+
 REPORT_TERMS = {"F": {"T1": 0.25, "T2": 0.125, "T3": 0.0, "total": 0.375, "denominators": {}},
                 "M": {"T1": 0.5, "T2": 0.0, "T3": 0.0625, "total": 0.5625, "denominators": {}}}
 REPORT_DOC = {"notion": "CSEP", "epsilon": 0.05, "aggregate": 0.5625, "pass": False,

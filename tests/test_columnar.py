@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import gc
-import importlib.util
 import math
 import os
 import random
@@ -33,7 +32,7 @@ import fairsep
 import fairsep.dataset as dataset
 from fairsep import (DegenerateThresholdError, FairsepError, ParseError, Schema,
                      SchemaError, Table, load_csv, privilege_threshold, stratified_split)
-from conftest import ROW_SCHEMA
+from conftest import ROW_SCHEMA, adultgen_files
 from oracles import brute_privilege_cutoff
 
 try:
@@ -299,15 +298,6 @@ def test_alternating_fields_keep_their_codes_across_blocks(tmp_path, zero_mix):
     with mock.patch.object(dataset, "_read_plain", return_value=None):
         assert got == outcome(load_csv, p, schema)
     assert got[2]["c"] == ["A", "B"] * 1500 and got[2]["g"] == long * 1000
-
-
-def adultgen_files(directory: Path, seed: int = 11) -> dict:
-    """The benchmark's 48,842-row Adult-shaped CSV and schema, written to ``directory``."""
-    spec = importlib.util.spec_from_file_location(
-        "adultgen", Path(__file__).resolve().parent.parent / "perfbench" / "adultgen.py")
-    adultgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(adultgen)
-    return adultgen.generate(seed, directory)
 
 
 def test_plain_and_csv_paths_agree_on_the_adult_shaped_table(tmp_path):

@@ -1,10 +1,10 @@
 """Base learner, constraint compilation, and the constrained trainer."""
 
-import importlib.util
+import json
 import logging
 import random
 import tracemalloc
-from pathlib import Path
+import weakref
 
 import numpy as np
 import pytest
@@ -32,9 +32,10 @@ from fairsep import (
     save_model,
     violation,
 )
+import fairsep.cli
 import fairsep.learner as learner
 from fairsep.notions import Side, Term
-from conftest import rows_to_table, scores_of
+from conftest import adultgen_files, rows_to_table, scores_of
 from synth import planted_dp_table, random_rows
 
 try:
@@ -496,11 +497,7 @@ def test_sep_constraint_weights_match_hand_built_masks(toy8):
 
 
 def _adultgen_table(directory, rows=12000):
-    spec = importlib.util.spec_from_file_location(
-        "adultgen", Path(__file__).resolve().parent.parent / "perfbench" / "adultgen.py")
-    adultgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(adultgen)
-    data = adultgen.generate(11, directory, rows=rows)
+    data = adultgen_files(directory, rows=rows)
     return load_csv(data["data"], Schema.from_json(data["schema"]))
 
 
@@ -546,6 +543,56 @@ def test_training_memory_stays_below_the_dense_feature_matrix(tmp_path):
         tracemalloc.stop()
     assert len(model.members) == 3 and all(m.converged for m in model.members)
     assert peak < n * d * 8, (peak, n * d * 8)
+
+
+def test_train_fits_hold_neither_the_loaded_table_nor_the_compiled_constraints(tmp_path,
+                                                                              monkeypatch):
+    # the fits read the split tables, the design and one stacked copy of the constraint
+    # rows: at every best response the table load_csv returned and each array of the
+    # constraints compile_constraints returned are gone
+    data = adultgen_files(tmp_path / "data")
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"train": {"max_iter": 3}, "learner": {"epochs": 100}}))
+    loaded, compiled, fits = [], [], []
+
+    def load(*args, **kwargs):
+        table = load_csv(*args, **kwargs)
+        loaded.append(weakref.ref(table))
+        return table
+
+    def compile_(*args, **kwargs):
+        constraints = compile_constraints(*args, **kwargs)
+        compiled.extend(weakref.ref(a) for c in constraints for a in (c.rows, c.weights))
+        return constraints
+
+    def fit(*args, **kwargs):
+        fits.append([ref() is None for ref in loaded + compiled])
+        return fit_base(*args, **kwargs)
+
+    monkeypatch.setattr(fairsep.cli, "load_csv", load)
+    monkeypatch.setattr(learner, "compile_constraints", compile_)
+    monkeypatch.setattr(learner, "fit_base", fit)
+    assert fairsep.cli.main(["train", "--config", str(config), "--data", data["data"],
+                             "--schema", data["schema"], "--notion", "CSEP",
+                             "--conditional", "occupation", "--out", str(tmp_path / "run")]) == 0
+    assert len(loaded) == 1 and len(compiled) > 100 and len(fits) == 3
+    assert all(all(dead) for dead in fits), fits
+
+
+def test_supplied_constraints_are_left_as_they_were():
+    table = planted_dp_table(n=300, seed=8)
+    hp = ExpGradHP(max_iter=4, base=LearnerHP(epochs=80))
+    cs = compile_constraints(table, dp_cfg(), hp.eps_train)
+    kept = list(cs)
+    before = [(c.name, c.rows.copy(), c.weights.copy(), c.offset, c.slack) for c in cs]
+    supplied = exponentiated_gradient(table, dp_cfg(), hp, constraints=cs)
+    assert len(cs) == len(kept) and all(a is b for a, b in zip(cs, kept))
+    for c, (name, rows, weights, offset, slack) in zip(cs, before):
+        assert (c.name, c.offset, c.slack) == (name, offset, slack)
+        assert c.rows.dtype == rows.dtype and c.weights.dtype == weights.dtype
+        np.testing.assert_array_equal(c.rows, rows)
+        np.testing.assert_array_equal(c.weights, weights)
+    assert supplied.to_dict() == exponentiated_gradient(table, dp_cfg(), hp).to_dict()
 
 
 def test_sep_constraint_values_equal_measured_terms(toy8):
