@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -284,6 +285,8 @@ def _write_stats(out_dir: Path, table: Table, predictions, ncfg: NotionConfig,
         _write_csv(out_dir / "effort_bins.csv",
                    ("group", "privileged", "bin", "lo", "hi", "n", "ppr"), bins)
         written.append(out_dir / "effort_bins.csv")
+    else:  # an earlier SEP-family run's bins are not this run's
+        (out_dir / "effort_bins.csv").unlink(missing_ok=True)
     _write_csv(out_dir / "stats.csv", STATS_HEADER, rows)
     return written
 
@@ -412,11 +415,8 @@ def cmd_sweep_p(args) -> int:
     names = table.levels(table.schema.protected.name)
     header = ["p", "tau", "realized_fraction"] + [f"ppr_{g}" for g in names] + \
              ["ratio", "defined", "note"]
-    rows = []
-    for e in result.entries:
-        rows.append([e["p"], e["tau"], e["realized_fraction"]]
-                    + [e["ppr"].get(g) for g in names]
-                    + [e["ratio"], e["defined"], e["note"]])
+    rows = [[e["p"], e["tau"], e["realized_fraction"]] + [e["ppr"].get(g) for g in names]
+            + [e["ratio"], e["defined"], e["note"]] for e in result.entries]
     _write_csv(out_dir / "sweep.csv", header, rows)
     _update_manifest(out_dir, [out_dir / "sweep.json", out_dir / "sweep.csv"],
                      _command_string(args))
@@ -537,35 +537,17 @@ def cmd_report(args) -> int:
             (out_dir / name).unlink(missing_ok=True)
             notes.append(f"{name} skipped: {reason}")
 
-    lines = [f"# {report['notion']} report", ""]
-    lines.append(f"- aggregate: {report['aggregate']}")
-    lines.append(f"- epsilon: {report['epsilon']}")
-    lines.append(f"- pass: {report['pass']}")
-    lines.append(f"- mode: {report['mode']}")
+    lines = [f"# {report['notion']} report", ""] + [
+        f"- {key}: {report[key]}" for key in ("aggregate", "epsilon", "pass", "mode")]
     if report["partial"]:
         lines.append(f"- partial: true ({len(report['skipped'])} skipped terms)")
-    lines.append("")
-    lines.append("## Groups")
-    lines.append("")
-    lines.append("| group | T1 | T2 | T3 | total |")
-    lines.append("|---|---|---|---|---|")
-    for g, terms in sorted(report["groups"].items()):
-        lines.append(f"| {g} | {terms['T1']:.6f} | {terms['T2']:.6f} "
-                     f"| {terms['T3']:.6f} | {terms['total']:.6f} |")
+    lines += ["", "## Groups", "", "| group | T1 | T2 | T3 | total |", "|---|---|---|---|---|"]
+    lines += [f"| {g} | {terms['T1']:.6f} | {terms['T2']:.6f} | {terms['T3']:.6f} "
+              f"| {terms['total']:.6f} |" for g, terms in sorted(report["groups"].items())]
     if report["skipped"]:
-        lines.append("")
-        lines.append("## Skipped terms")
-        lines.append("")
-        for s in report["skipped"]:
-            lines.append(f"- {s}")
-    lines.append("")
-    lines.append("## Charts")
-    lines.append("")
-    for path in written:
-        lines.append(f"- {path.name}")
-    for note in notes:
-        lines.append(f"- {note}")
-    lines.append("")
+        lines += ["", "## Skipped terms", ""] + [f"- {s}" for s in report["skipped"]]
+    lines += ["", "## Charts", ""] + [f"- {path.name}" for path in written]
+    lines += [f"- {note}" for note in notes] + [""]
     (out_dir / "summary.md").write_text("\n".join(lines), encoding="utf-8")
     written.append(out_dir / "summary.md")
     _update_manifest(out_dir, written, _command_string(args))
@@ -684,10 +666,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built once per process: building costs ~20 parses
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args._argv = argv
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:

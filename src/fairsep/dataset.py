@@ -28,7 +28,7 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import partial, reduce
 from operator import itemgetter
 from pathlib import Path
 
@@ -244,45 +244,69 @@ def load_csv(path: str | Path, schema: Schema, columns=None) -> Table:
     it first, naming the line.  ``columns`` (default: all) names the columns to
     keep, of any kind, and the target is always kept; the Table's schema lists
     only what it holds.  Every schema column is still checked: its missing
-    markers drop rows, and an unkept numeric column is parsed, not stored.
+    markers drop rows, and an unkept numeric column is parsed, not stored.  A
+    load holds at its peak one block's scans plus the held columns' kept codes.
     """
     path = Path(path)
     held = tuple(c for c in schema.columns
                  if columns is None or c.kind == "target" or c.name in columns)
-    skip = {c.name for c in schema.columns if c not in held}
-    distinct, parts, faults = _read_plain(path, schema, skip) or _read_records(path, schema)
-    levels: dict[str, dict] = {c.name: {} for c in held if c.kind in CODED_KINDS}
-    raw = [np.concatenate(arrs) for arrs in parts]
-    del parts  # the blocks' code arrays, as large again as raw
-    stripped = [[v.strip() for v in codes] for codes in distinct]
-    drop = np.zeros(len(raw[0]), dtype=bool)
-    for codes, values in zip(raw, stripped):
-        if schema.missing_marker in values:
-            drop |= np.array([v == schema.missing_marker for v in values], dtype=bool)[codes]
-    keep, cols = np.flatnonzero(~drop), {}
-    for spec, codes, values in zip(schema.columns, raw, stripped):
-        if spec not in held and spec.kind in CODED_KINDS:
-            continue
-        parsed = [_parse_field(spec, v, levels.get(spec.name)) for v in values]
-        if any(e is not None for _, e in parsed):
-            bad = np.flatnonzero(np.array([e is not None for _, e in parsed], bool)[codes] & ~drop)
-            faults += [(bad[0], parsed[codes[bad[0]]][1])] if bad.size else []
-        if spec in held:
-            dtype = float if spec.kind in NUMERIC_KINDS else np.int32
-            cols[spec.name] = np.array([v for v, _ in parsed], dtype)[codes[keep]]
-    del raw, keep  # as large as the table: release them before Table renumbers it
-    if faults:
-        row, message = min(faults, key=lambda f: f[0])
+    fold = _read_plain(path, schema, _Fold(schema, held)) or _read_records(
+        path, schema, _Fold(schema, held))
+    if fold.fault:
+        row, message = fold.fault
         with open(path, "r", encoding="utf-8", newline="") as fh:  # re-read for its line
             reader = csv.reader(fh, delimiter=schema.delimiter)
             ends = [(reader.line_num, bool(record)) for record in reader]
         starts = [end + 1 for (end, _), (_, kept) in zip(ends, ends[1:]) if kept]
         raise ParseError(f"{path}:{starts[row]}: {message}")
-    dropped = int(np.count_nonzero(drop))
-    if dropped:
-        log.info("%s: dropped %d rows containing missing marker %r", path, dropped, schema.missing_marker)
-    return Table(replace(schema, columns=held), cols, dropped_rows=dropped,
-                 levels={name: list(ids) for name, ids in levels.items()})
+    if fold.dropped:
+        log.info("%s: dropped %d rows containing missing marker %r", path, fold.dropped,
+                 schema.missing_marker)
+    cols = {}
+    for i, (spec, parsed) in enumerate(zip(schema.columns, fold.parsed)):
+        if spec in held:  # one column's codes at a time, each block's freed once gathered
+            codes, fold.kept[i] = np.concatenate(fold.kept[i]), None
+            cols[spec.name] = np.array([v for v, _ in parsed],
+                                       float if spec.kind in NUMERIC_KINDS else np.int32)[codes]
+    return Table(replace(schema, columns=held), cols, dropped_rows=fold.dropped,
+                 levels={name: list(ids) for name, ids in fold.levels.items()})
+
+
+class _Fold:
+    """A load's state, given by either reader each column's raw strings so far (in code
+    order) and one block's codes.  It marks and parses each new string once (an unkept
+    coded column's only as the marker or not), drops the block's marker rows, records
+    its first fault among the rest, and keeps their codes for the held columns only."""
+
+    def __init__(self, schema: Schema, held: tuple):
+        self.schema, self.held, self.rows, self.dropped, self.fault = schema, held, 0, 0, None
+        self.levels = {c.name: {} for c in held if c.kind in CODED_KINDS}
+        self.parse = [partial(_parse_field, c, levels=self.levels.get(c.name)) if c in held
+                      or c.kind not in CODED_KINDS else lambda v: (0, None) for c in schema.columns]
+        self.parsed: list[list] = [[] for _ in schema.columns]  # (value, error) per string
+        self.status = [np.zeros(0, np.int8) for _ in schema.columns]  # 1 marker, 2 fault
+        self.kept = [[np.zeros(0, np.int32)] if c in held else None for c in schema.columns]
+
+    def __call__(self, distinct: list, codes: list) -> None:
+        if self.fault:
+            return
+        for i, strings in enumerate(distinct):
+            if new := [v.strip() for v in itertools.islice(strings, len(self.status[i]), None)]:
+                self.parsed[i] += map(self.parse[i], new)
+                self.status[i] = np.append(self.status[i], [
+                    1 if v == self.schema.missing_marker else 2 * (e is not None)
+                    for v, (_, e) in zip(new, self.parsed[i][-len(new):])])
+        states = [s[c] if s.any() else None for s, c in zip(self.status, codes)]
+        drop = reduce(np.logical_or, [s == 1 for s in states if s is not None],
+                      np.zeros(len(codes[0]), bool))
+        for i, state in enumerate(states):
+            bad = np.flatnonzero((state == 2) & ~drop) if state is not None else []
+            if len(bad) and (self.fault is None or self.rows + bad[0] < self.fault[0]):
+                self.fault = (self.rows + int(bad[0]), self.parsed[i][codes[i][bad[0]]][1])
+        keep = np.flatnonzero(~drop) if drop.any() else slice(None)
+        for kept, code in zip(self.kept, codes):
+            kept is None or kept.append(code[keep])
+        self.rows, self.dropped = self.rows + len(drop), self.dropped + int(np.count_nonzero(drop))
 
 
 def _header_columns(path: Path, header: list[str], schema: Schema) -> list[int]:
@@ -297,11 +321,11 @@ def _header_columns(path: Path, header: list[str], schema: Schema) -> list[int]:
     return [header.index(c.name) for c in schema.columns]
 
 
-def _read_records(path: Path, schema: Schema) -> tuple[list, list, list]:
-    """The file-wide dicts, code arrays and short/long row faults of what csv reads."""
+def _read_records(path: Path, schema: Schema, fold: _Fold) -> _Fold:
+    """``fold`` fed what csv reads, with the first short/long row as its fault."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
-        faults, read, collecting = [], 0, gc.isenabled()
+        collecting = gc.isenabled()
         gc.disable()  # the loop's many acyclic row lists would only trigger collector passes
         try:
             header = next(reader, None)
@@ -309,20 +333,16 @@ def _read_records(path: Path, schema: Schema) -> tuple[list, list, list]:
                 raise ParseError(f"{path}: empty file, header required")
             getters = [itemgetter(i) for i in _header_columns(path, header, schema)]
             distinct = [defaultdict(itertools.count().__next__) for _ in schema.columns]
-            parts = [[np.zeros(0, np.int32)] for _ in schema.columns]
             while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
-                if faults:
+                if fold.fault:
                     continue  # read on, so that a record csv cannot read still raises
                 rows = list(filter(None, chunk))
-                if any(map(len(header).__ne__, map(len, rows))):
-                    short = next(i for i, r in enumerate(rows) if len(r) != len(header))
-                    faults.append((read + short,
-                                   f"expected {len(header)} fields, got {len(rows[short])}"))
-                    rows = rows[:short]
-                for get, codes, arrs in zip(getters, distinct, parts):
-                    arrs.append(np.fromiter(map(codes.__getitem__, map(get, rows)),
-                                            np.int32, len(rows)))
-                read += len(rows)
+                short = len(list(itertools.takewhile(len(header).__eq__, map(len, rows))))
+                fold(distinct, [np.fromiter(map(codes.__getitem__, map(get, rows[:short])),
+                                            np.int32, short)
+                                for get, codes in zip(getters, distinct)])
+                if short < len(rows) and not fold.fault:
+                    fold.fault = (fold.rows, f"expected {len(header)} fields, got {len(rows[short])}")
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
@@ -332,35 +352,35 @@ def _read_records(path: Path, schema: Schema) -> tuple[list, list, list]:
         finally:
             if collecting:
                 gc.enable()
-    return distinct, parts, faults
+    return fold
 
 
-def _read_plain(path: Path, schema: Schema, skip=frozenset()) -> tuple[list, list, list] | None:
-    """``_read_records``'s result for a plain file, or None for any other.
+def _read_plain(path: Path, schema: Schema, fold: _Fold | None = None) -> _Fold | None:
+    """``fold`` (by default one holding every column) fed a plain file's blocks, else None.
 
     A block is ``CHUNK_BYTES`` completed to the end of a line; its delimiter
     and newline bytes end the fields.  Each field is read as little-endian
     uint64 words masked to its length (exact, as no NUL byte occurs).  A stable
     radix sort on 16 bits of a mix of those words groups equal fields; a field
     whose words differ from its sorted neighbour's looks up its string's code.
-    The columns in ``skip`` are checked, not coded in full.  A coded one has
+    The columns it does not hold are checked, not coded in full.  A coded one has
     the values ``["", marker]``: a field holding the (non-empty) marker's first
     byte is 1 if it strips to the marker, others 0.  Unless the marker is made
     of ASCII digits, a numeric one codes each field of 1-8 ASCII digits, found
     by one test of its word padded with ``'0'``, as ``"0"``: valid, not the marker;
     after a block where most fail the test (decimals), it codes the rest in full.
     """
+    fold = fold or _Fold(schema, schema.columns)
     delim, limit, not_plain = schema.delimiter, csv.field_size_limit(), (b'"', b"\r", b"\0")
     if len(delim) != 1 or delim in '"\r\n\0' or not delim.isascii():
         return None
-    marker = schema.missing_marker
+    marker, skip = schema.missing_marker, {c.name for c in schema.columns if c not in fold.held}
     flag = {name for name in skip if schema[name].kind in CODED_KINDS and marker}
     digit = {name for name in skip if schema[name].kind in NUMERIC_KINDS
              and not (marker.isascii() and marker.isdigit())}
     distinct = [["", marker] if c.name in flag else  # code 0, "0", stands for a digit field
                 defaultdict(itertools.count(1).__next__, {"0": 0}) if c.name in digit else
                 defaultdict(itertools.count().__next__) for c in schema.columns]
-    parts = [[np.zeros(0, np.int32)] for _ in schema.columns]
     with open(path, "rb") as fh:
         try:
             line = fh.readline()
@@ -368,34 +388,37 @@ def _read_plain(path: Path, schema: Schema, skip=frozenset()) -> tuple[list, lis
             if not line or len(line) > limit + 1 or any(map(line.__contains__, not_plain)):
                 return None
             columns, ncols = _header_columns(path, header, schema), len(header)
-            while block := fh.read(CHUNK_BYTES) + fh.readline():
+            while block := bytearray(fh.read(CHUNK_BYTES) + fh.readline()):
                 if not block.endswith(b"\n"):
                     block += b"\n"  # the last line may lack its newline
                 block.isascii() or block.decode()  # raises unless the block is UTF-8
-                buf = np.frombuffer(block + bytes(8), np.uint8)
-                newline = buf == 10
-                ends = np.flatnonzero((buf == ord(delim)) | newline)
+                if any(map(block.__contains__, not_plain)):
+                    return None
+                block += bytes(8)  # so that a word read at any field start stays inside
+                buf = np.frombuffer(block, np.uint8)
+                newlines = np.count_nonzero(mask := buf == 10)
+                mask |= buf == ord(delim)  # each field's end: its delimiter or newline byte
+                ends = np.flatnonzero(mask).astype(np.int32)
                 rows, last = ends.size // ncols, ends[ncols - 1::ncols]
                 lines = np.diff(last, prepend=-1)
-                if (any(map(block.__contains__, not_plain)) or ends.size % ncols
-                        or np.count_nonzero(newline) != rows or not newline[last].all()
+                if (ends.size % ncols or newlines != rows or not (buf[last] == 10).all()
                         or lines.min() == 1 or lines.max() > limit + 1):  # blank, or too long
                     return None
-                ends = ends.reshape(rows, ncols).T
-                starts = np.empty((ncols, rows), np.int64)  # each field's first byte
-                starts[0, 0], starts[0, 1:], starts[1:] = 0, ends[-1, :-1] + 1, ends[:-1] + 1
-                sizes = ends - starts
+                stops = ends.reshape(rows, ncols).T  # ends by column; ends is in row order
+                starts = np.empty((ncols, rows), np.int32)  # each field's first byte
+                starts[0, 0], starts[0, 1:], starts[1:] = 0, last[:-1] + 1, stops[:-1] + 1
                 if flag:  # the fields holding the marker's first byte, as (position, row)
-                    hit = np.unique(np.searchsorted(ends.T.ravel(),
-                                                    np.flatnonzero(buf[:-8] == marker.encode()[0])))
+                    first = np.flatnonzero(buf[:-8] == marker.encode()[0]).astype(np.int32)
+                    hit = np.unique(np.searchsorted(ends, first))
                     hit, flags = (hit % ncols, hit // ncols), np.zeros((ncols, rows), np.int8)
-                    pick = zip(starts[hit].tolist(), ends[hit].tolist())
+                    pick = zip(starts[hit].tolist(), stops[hit].tolist())
                     flags[hit] = [block[a:b].decode().strip() == marker for a, b in pick]
-                words = np.ndarray((len(block) + 1,), "<u8", buf, 0, (1,))  # buf[i:i + 8]
-                for c, spec, codes, arrs in zip(columns, schema.columns, distinct, parts):
-                    start, size = starts[c], sizes[c]
+                words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # buf[i:i + 8]
+                codes = []
+                for c, spec, strings in zip(columns, schema.columns, distinct):
+                    size = stops[c] - (start := starts[c].astype(np.intp))  # intp gathers faster
                     if spec.name in flag:
-                        arrs.append(flags[c])
+                        codes.append(flags[c])
                     elif spec.name in digit:  # code only the fields that are not 1-8 ASCII digits
                         mask = _WORD_MASKS[np.minimum(size, 8)]
                         word = words[start] & mask | _ZEROS & ~mask
@@ -403,28 +426,30 @@ def _read_plain(path: Path, schema: Schema, skip=frozenset()) -> tuple[list, lis
                         fields = np.flatnonzero((digits != _THREES) | (size == 0) | (size > 8))
                         if 2 * fields.size > rows:  # mostly other fields: code later blocks in full
                             digit.discard(spec.name)
-                        arrs.append(np.zeros(rows, np.int32))
-                        arrs[-1][fields] = _code_fields(block, words, start[fields], size[fields],
-                                                        codes)
+                        codes.append(np.zeros(rows, np.int32))
+                        codes[-1][fields] = _code_fields(block, words, start[fields], size[fields],
+                                                         strings)
                     else:
-                        arrs.append(_code_fields(block, words, start, size, codes))
+                        codes.append(_code_fields(block, words, start, size, strings))
+                fold(distinct, codes)
+                del block, buf, mask, words, ends, stops, starts, codes  # before the next read
         except UnicodeDecodeError:
             return None
-    return distinct, parts, []
+    return fold
 
 
-def _code_fields(block: bytes, words: np.ndarray, start: np.ndarray, size: np.ndarray,
+def _code_fields(block: bytearray, words: np.ndarray, start: np.ndarray, size: np.ndarray,
                  codes: dict) -> np.ndarray:
     """The code in ``codes`` of each field at ``start``, ``size`` bytes long, of ``block``."""
     if not size.size:
         return np.zeros(0, np.int32)
     keys = [_WORD_MASKS[np.clip(size - k, 0, 8)]
-            & words[np.minimum(start + k, len(block)) if k else start]
+            & words[np.minimum(start + k, len(words) - 1) if k else start]
             for k in range(0, max(int(size.max()), 1), 8)]
     mixed = reduce(lambda m, key: (m ^ key) * _MIX, keys, np.uint64(0))
     order = (mixed >> np.uint64(48)).astype(np.uint16).argsort(kind="stable")
-    ordered = [k[order] for k in keys]
-    new = np.append(True, np.any([k[1:] != k[:-1] for k in ordered], axis=0))
+    ordered = (keys.pop()[order] for _ in range(len(keys)))  # one sorted word at a time
+    new = np.append(True, reduce(np.logical_or, (k[1:] != k[:-1] for k in ordered)))
     pick = zip(start[order[new]].tolist(), size[order[new]].tolist())
     code = np.fromiter((codes[block[a:a + n].decode()] for a, n in pick), np.int32)
     out = np.empty(len(size), np.int32)

@@ -1740,6 +1740,33 @@ def test_report_after_an_audit_of_another_notion_keeps_no_earlier_chart(tmp_path
         assert entry["sha256"] == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
 
 
+def test_audit_of_another_notion_removes_the_earlier_effort_bins(tmp_path):
+    # an SEP run's effort_bins.csv is not the DP run's: neither the directory nor the
+    # manifest may keep it
+    preds = write_predictions(tmp_path / "preds.csv", HPRED)
+    out = tmp_path / "run"
+    assert main(audit_argv(out, preds, "--notion", "SEP", "--p", "25")) == 1
+    assert (out / "effort_bins.csv").is_file()
+    assert main(audit_argv(out, preds, "--notion", "DP")) in (0, 1)
+    entries = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["entries"]
+    assert not (out / "effort_bins.csv").exists() and "effort_bins.csv" not in entries
+    assert set(entries) == {p.name for p in out.iterdir()} - {"manifest.json"}
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys):
+    # main may run many commands in one process; a usage error still exits 2 each time
+    preds = write_predictions(tmp_path / "preds.csv", HPRED)
+    for argv in (["audit", "--no-such-flag"], ["no-such-command"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert main(audit_argv(tmp_path / "run", preds, "--notion", "DP")) in (0, 1)
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert fairsep.cli._parser() is fairsep.cli._parser()
+    assert fairsep.cli._parser.cache_info().misses == 1
+    assert fairsep.cli.build_parser() is not fairsep.cli._parser()  # still a fresh parser
+
+
 REPORT_TERMS = {"F": {"T1": 0.25, "T2": 0.125, "T3": 0.0, "total": 0.375, "denominators": {}},
                 "M": {"T1": 0.5, "T2": 0.0, "T3": 0.0625, "total": 0.5625, "denominators": {}}}
 REPORT_DOC = {"notion": "CSEP", "epsilon": 0.05, "aggregate": 0.5625, "pass": False,

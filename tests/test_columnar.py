@@ -326,6 +326,24 @@ def test_plain_load_peaks_below_twice_the_file(tmp_path):
     assert peak <= 2.0 * os.path.getsize(data["data"]), peak / os.path.getsize(data["data"])
 
 
+def test_projected_load_peaks_at_one_block_plus_the_kept_columns(tmp_path):
+    # each block is folded as it is read, so a load of three columns holds no
+    # file-wide codes of the other ten and peaks below a full load (MiB, traced)
+    data = adultgen_files(tmp_path)
+    schema = Schema.from_json(data["schema"])
+
+    def peak(columns):
+        load_csv(data["data"], schema, columns)  # numpy's first calls allocate for good
+        tracemalloc.start()
+        try:
+            load_csv(data["data"], schema, columns)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    projected, full = peak({"sex", "capital-gain", "hours-per-week"}), peak(None)
+    assert projected <= 5.0 and projected <= full <= 6.99, (projected, full)
+
+
 @pytest.mark.parametrize("quote", ["", '"'])
 def test_header_naming_a_schema_column_twice_is_a_schema_error(tmp_path, quote):
     # a quote in the header sends the file to csv.reader; both readers share the check
@@ -395,6 +413,29 @@ def test_load_csv_reports_the_first_faulty_line_across_chunks(tmp_path):
         with mock.patch.object(dataset, "CHUNK_ROWS", chunk):
             with pytest.raises(ParseError, match=r"d\.csv:8: column 'o': not a finite number"):
                 load_csv(p, schema_for(None))
+
+
+@pytest.mark.parametrize("plain", [True, False])
+def test_projected_load_reports_the_first_faulty_line_across_blocks(tmp_path, plain):
+    # a load of g alone, in blocks of a few rows: a bad o on a row that g's marker
+    # drops is no fault, and a bad x blocks later is one, on its physical line
+    p = tmp_path / "d.csv"
+    lines = ["g,x,o,c,y"] + [f"{'FM'[i % 2]},{i},{i % 7},c{i % 3},{i % 2}" for i in range(60)]
+    lines[3] = "?,1,inf,c0,0"        # left-out o is not finite, but g drops the row
+    with mock.patch.object(dataset, "CHUNK_BYTES", 100), mock.patch.object(dataset, "CHUNK_ROWS", 7):
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert len(p.read_bytes()) > 6 * dataset.CHUNK_BYTES  # several blocks
+        assert dataset._read_plain(p, schema_for(None)) is not None
+        with mock.patch.object(dataset, "_read_plain", wraps=dataset._read_plain) as read_plain:
+            if not plain:
+                read_plain.return_value = None
+            t = load_csv(p, schema_for(None), columns={"g"})
+            assert (t.rows, t.dropped_rows, t.levels("g")) == (59, 1, ["F", "M"])
+            lines[50] = "M,x1,1,c0,0"        # left-out x is not a number, on line 51
+            p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with pytest.raises(ParseError, match=r"d\.csv:51: column 'x': not a number: 'x1'"):
+                load_csv(p, schema_for(None), columns={"g"})
+        assert read_plain.call_count == 2
 
 
 def test_load_csv_reports_physical_lines_after_multi_line_fields(tmp_path):

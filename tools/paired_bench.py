@@ -6,8 +6,11 @@
 For each seed, runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, T being the ``run_seconds`` of the change's
 ``BENCHMARK.json``: the parent first on even pairs, the change first on odd
-ones, so that both sides see the same drift of a shared machine.  It prints each pair's change/parent ratio of every end-to-end metric, then the
-median of each metric on each side and the median ratio.  ``--out`` writes a
+ones, so that both sides see the same drift of a shared machine.  It prints each
+pair's change/parent ratio of every end-to-end metric, then the median of each
+metric on each side and the median ratio, then each metric's parent quartiles and
+on how many pairs the change is better (and equal), by the ``better`` direction
+that the change's ``BENCHMARK.json`` gives the metric.  ``--out`` writes a
 JSON file with ``what``, ``command``, ``machine``, ``runs`` (the change's) and
 ``parent_runs``, each a list per workload of ``{"pair", "seed", "first",
 "result"}``; an existing file keeps its other workloads.
@@ -59,8 +62,18 @@ def value(run: dict, metric: str) -> float:
     return run["result"]["metrics"][metric]["value"]
 
 
-def summary(workload: str, runs: dict) -> list[str]:
-    """One line per pair with its change/parent ratios, then each metric's medians."""
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """The first and third quartiles, interpolated linearly as numpy's percentile does."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summary(workload: str, runs: dict, better: dict | None = None) -> list[str]:
+    """One line per pair with its change/parent ratios, then each metric's medians,
+    then its parent quartiles and, if ``better`` maps it to 'higher' or 'lower', the
+    number of pairs on which the change is better and equal."""
     metrics = list(runs["change"][0]["result"]["metrics"]) if runs["change"] else []
     lines = []
     for parent, change in zip(runs["parent"], runs["change"]):
@@ -74,6 +87,16 @@ def summary(workload: str, runs: dict) -> list[str]:
                                   for p, c in zip(runs["parent"], runs["change"]))
         lines.append(f"{workload} median {m}: parent {medians[0]:.6g} change {medians[1]:.6g} "
                      f"pair ratio {ratio:.4f}")
+    for m in metrics:
+        q1, q3 = quartiles([value(r, m) for r in runs["parent"]])
+        line = f"{workload} {m}: parent quartiles {q1:.6g} {q3:.6g} (spread {q3 - q1:.6g})"
+        if (better or {}).get(m) in ("higher", "lower"):
+            sign = 1 if better[m] == "higher" else -1
+            gains = [sign * (value(c, m) - value(p, m))
+                     for p, c in zip(runs["parent"], runs["change"])]
+            line += (f"; change better on {sum(g > 0 for g in gains)} of {len(gains)} pairs, "
+                     f"equal on {gains.count(0)}")
+        lines.append(line)
     return lines
 
 
@@ -95,12 +118,14 @@ def main() -> None:
     ap.add_argument("--what", help="the 'what' text of a new --out file")
     args = ap.parse_args()
     checkouts = {"parent": args.parent, "change": args.change}
-    seconds = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+    bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench.get("end_to_end", [])}
 
     def run(side, workload, seed):
         return run_benchmark(checkouts[side], workload, seed, seconds)
     runs, machine = paired(run, args.workload, args.seeds)
-    print("\n".join(summary(args.workload, runs)))
+    print("\n".join(summary(args.workload, runs, better)))
     if args.out:
         doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {
             "what": args.what or "", "command": COMMAND.format(seconds=f"{seconds:g}"),
