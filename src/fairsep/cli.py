@@ -154,6 +154,12 @@ def _schema(cfg: dict) -> Schema:
     return Schema.from_json(cfg["schema"])
 
 
+def _notion_columns(schema, ncfg: NotionConfig) -> set:
+    """The columns besides the target that an audit of ``ncfg``, or its constraints, read."""
+    return {schema.protected.name, ncfg.protected, ncfg.conditional} | (
+        {ncfg.privilege_column, ncfg.effort_column} if ncfg.kind in SEP_FAMILY else set())
+
+
 def _check_groups(ncfg: NotionConfig, table: Table) -> None:
     unknown = sorted(set(ncfg.groups or ()) - set(table.levels(ncfg.protected)))
     if unknown:
@@ -301,9 +307,8 @@ def cmd_audit(args) -> int:
     schema = _schema(cfg)
     ncfg = NotionConfig.from_dict(cfg["notion"], schema)
     # scores from a file or the target need only the notion's columns; a model needs all
-    read = {schema.protected.name, ncfg.protected, ncfg.conditional} | (
-        {ncfg.privilege_column, ncfg.effort_column} if ncfg.kind in SEP_FAMILY else set())
-    table = load_csv(cfg["data"], schema, read if cfg["predictions"] else None)
+    table = load_csv(cfg["data"], schema,
+                     _notion_columns(schema, ncfg) if cfg["predictions"] else None)
     _check_groups(ncfg, table)
     predictions, source = _resolve_predictions(cfg, table)
     report = violation(table, predictions, ncfg, mode=mode, cutoff=cutoff)
@@ -341,6 +346,7 @@ def cmd_train(args) -> int:
     del table  # the fits read only the split tables
     X_train, encoder = encode_features(train_table,
                                        include_protected=include_protected)
+    train_table = train_table.project(_notion_columns(schema, ncfg))  # what the constraints read
     model = exponentiated_gradient(train_table, ncfg, hp,
                                    features=X_train, encoder=encoder)
 
@@ -382,11 +388,11 @@ def cmd_train(args) -> int:
 
 def cmd_extract_privilege(args) -> int:
     cfg = _merged_config(args)
-    table = load_csv(cfg["data"], _schema(cfg))
     if not cfg["group"]:
         raise ConfigError("extract-privilege needs --group")
-    result = extract_privilege_attribute(table, cfg["group"], repeats=cfg["repeats"],
-                                         seed=cfg["seed"])
+    # no name holds the table, so that extraction can drop it before its fit
+    result = extract_privilege_attribute(load_csv(cfg["data"], _schema(cfg)), cfg["group"],
+                                         repeats=cfg["repeats"], seed=cfg["seed"])
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "importance.json", result.to_dict())

@@ -119,6 +119,12 @@ class Schema:
             raise SchemaError(f"tag {tag!r} appears on more than one column")
         return hits[0] if hits else None
 
+    def tagged_name(self, tag: str, column: str | None = None) -> str:
+        """``column``, or else the name of the column tagged ``tag``."""
+        if column is None and (spec := self.tagged(tag)) is None:
+            raise SchemaError(f"no column tagged {tag!r} and none named")
+        return spec.name if column is None else column
+
     @classmethod
     def from_dict(cls, doc: dict) -> "Schema":
         doc = checked(doc, SCHEMA, "schema key", SchemaError)
@@ -139,7 +145,7 @@ class Table:
     Protected and categorical columns are stored as sorted levels plus an
     int32 code per row (``column`` decodes them).  They are supplied as values,
     or as int codes into ``levels[name]``, whose entries need be neither sorted
-    nor all in use.
+    nor all in use (int32 codes into sorted levels all in use are kept, not copied).
     """
 
     def __init__(self, schema: Schema, columns: dict[str, np.ndarray], dropped_rows: int = 0,
@@ -163,7 +169,7 @@ class Table:
             else:
                 lv, arr = (_compact(levels[spec.name], arr) if levels and spec.name in levels else
                            np.unique(np.asarray(arr, dtype=object), return_inverse=True))
-                self._levels[spec.name], arr = list(lv), arr.astype(np.int32, copy=False)
+                self._levels[spec.name], arr = list(lv), np.asarray(arr, np.int32)
             arr.setflags(write=False)
             self._columns[spec.name] = arr
         if self.rows and not np.isin(self.target, (0, 1)).all():
@@ -210,6 +216,12 @@ class Table:
         cols = {name: arr[index] for name, arr in self._columns.items()}
         return Table(self.schema, cols, dropped_rows=0, levels=self._levels)
 
+    def project(self, columns) -> "Table":
+        """The same rows with only the named columns and the target, sharing their arrays."""
+        schema = _projected(self.schema, columns)
+        return Table(schema, {c.name: self._columns[c.name] for c in schema.columns},
+                     self.dropped_rows, self._levels)
+
 
 def _row_index(rows) -> np.ndarray | slice:
     """The index of the rows a boolean mask or an index selects; None selects every row."""
@@ -218,9 +230,18 @@ def _row_index(rows) -> np.ndarray | slice:
     return np.flatnonzero(rows) if np.asarray(rows).dtype == bool else rows
 
 
-def _compact(levels: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
-    """The levels some code points at, sorted, and the codes renumbered to them."""
-    kept = sorted(np.flatnonzero(np.bincount(codes, minlength=len(levels))), key=levels.__getitem__)
+def _projected(schema: Schema, columns) -> Schema:
+    """``schema`` narrowed to the named columns (None: all of them) and the target."""
+    return replace(schema, columns=tuple(c for c in schema.columns if columns is None
+                                         or c.kind == "target" or c.name in columns))
+
+
+def _compact(levels: list, codes: np.ndarray, counts=None) -> tuple[list, np.ndarray]:
+    """The levels some code with a ``counts`` above 0 (default: each) points at, sorted,
+    and the codes renumbered to them: ``codes`` itself when they already are."""
+    kept = sorted(np.flatnonzero(np.bincount(codes, counts, len(levels))), key=levels.__getitem__)
+    if np.array_equal(kept, np.arange(len(levels))):
+        return levels, codes
     renumber = np.zeros(len(levels), dtype=np.int32)
     renumber[kept] = np.arange(len(kept))
     return [levels[i] for i in kept], renumber[codes]
@@ -248,8 +269,7 @@ def load_csv(path: str | Path, schema: Schema, columns=None) -> Table:
     load holds at its peak one block's scans plus the held columns' kept codes.
     """
     path = Path(path)
-    held = tuple(c for c in schema.columns
-                 if columns is None or c.kind == "target" or c.name in columns)
+    held = (projected := _projected(schema, columns)).columns
     fold = _read_plain(path, schema, _Fold(schema, held)) or _read_records(
         path, schema, _Fold(schema, held))
     if fold.fault:
@@ -262,14 +282,17 @@ def load_csv(path: str | Path, schema: Schema, columns=None) -> Table:
     if fold.dropped:
         log.info("%s: dropped %d rows containing missing marker %r", path, fold.dropped,
                  schema.missing_marker)
-    cols = {}
+    cols, levels = {}, {}
     for i, (spec, parsed) in enumerate(zip(schema.columns, fold.parsed)):
         if spec in held:  # one column's codes at a time, each block's freed once gathered
             codes, fold.kept[i] = np.concatenate(fold.kept[i]), None
-            cols[spec.name] = np.array([v for v, _ in parsed],
-                                       float if spec.kind in NUMERIC_KINDS else np.int32)[codes]
-    return Table(replace(schema, columns=held), cols, dropped_rows=fold.dropped,
-                 levels={name: list(ids) for name, ids in fold.levels.items()})
+            values = np.array([v for v, _ in parsed], float if spec.kind in NUMERIC_KINDS
+                              else np.int64 if spec.kind == "target" else np.int32)
+            if spec.kind in CODED_KINDS:  # renumbered to the levels in use before the gather
+                levels[spec.name], values = _compact(list(fold.levels[spec.name]), values,
+                                                     np.bincount(codes, minlength=len(values)))
+            cols[spec.name] = values[codes]
+    return Table(projected, cols, dropped_rows=fold.dropped, levels=levels)
 
 
 class _Fold:
@@ -531,11 +554,7 @@ def privilege_threshold(table: Table, p: float, column: str | None = None) -> Th
     """
     if not 0 < p < 100:
         raise ValueError(f"p must lie in (0, 100), got {p}")
-    if column is None:
-        spec = table.schema.tagged("privilege")
-        if spec is None:
-            raise SchemaError("no column tagged 'privilege' and none named")
-        column = spec.name
+    column = table.schema.tagged_name("privilege", column)
     x = table.column(column)
     if table.rows == 0:
         raise DegenerateThresholdError("empty table")
@@ -569,11 +588,7 @@ def effort_threshold(
     """
     if scope not in EFFORT_SCOPES:
         raise ValueError(f"unknown effort scope {scope!r}")
-    if column is None:
-        spec = table.schema.tagged("effort")
-        if spec is None:
-            raise SchemaError("no column tagged 'effort' and none named")
-        column = spec.name
+    column = table.schema.tagged_name("effort", column)
     if table.rows == 0:
         raise SchemaError("cannot compute effort thresholds on an empty table")
     x = table.column(column)
@@ -723,7 +738,7 @@ class FeatureEncoder:
     ``feature_map`` lists, per output column, the source column and the level
     it indicates (None for standardized numeric columns).  ``transform``
     returns these columns as a ``Design``, whose one-hot columns are kept as
-    each row's level code.
+    the level codes of each distinct tuple of them.
     """
 
     feature_map: list[tuple[str, str | None]]
@@ -773,6 +788,8 @@ class FeatureEncoder:
         return cls(feature_map, levels, means, sds, include_protected)
 
     def transform(self, table: Table, mask: np.ndarray | None = None) -> Design:
+        """The ``mask`` rows (default: all) of ``table`` as a Design.  Per row it keeps one key
+        of all its codes, and reads each tuple's codes from the table at one of its rows."""
         for name, level in self.feature_map:
             kind = table.schema[name].kind
             if kind not in (NUMERIC_KINDS if level is None else CODED_KINDS):
@@ -784,22 +801,22 @@ class FeatureEncoder:
         block = np.empty((n, len(numeric)))
         for k, (name, _) in enumerate(map(self.feature_map.__getitem__, numeric)):
             block[:, k] = (table.column(name)[rows] - self.means[name]) / self.sds[name]
-        coded = []
+        lookups = []  # (column, its code per table level, its output columns)
         key = np.zeros(n, np.int64)  # each row's mixed-radix key of the codes so far
         for name in dict.fromkeys(name for name, level in self.feature_map if level is not None):
             lv = self.levels[name]
-            to_code = np.array([lv.index(v) if v in lv else len(lv)
-                                for v in table.levels(name)], np.intp)
-            cols = np.array([self.feature_map.index((name, v)) for v in lv])
-            coded.append((to_code[table.codes(name)[rows]], cols))
+            lookups.append((name, np.array([lv.index(v) if v in lv else len(lv)
+                                            for v in table.levels(name)], np.intp),
+                            np.array([self.feature_map.index((name, v)) for v in lv])))
             if (int(key.max(initial=0)) + 1) * (len(lv) + 1) >= 2 ** 63:  # renumber, not overflow
                 key = np.unique(key, return_inverse=True)[1]
-            key = key * (len(lv) + 1) + coded[-1][0]
+            key *= len(lv) + 1
+            key += lookups[-1][1][table.codes(name)[rows]]
         distinct, combo = np.unique(key, return_inverse=True)
         row = np.empty(len(distinct), np.intp)
-        row[combo] = np.arange(n)  # a row of each tuple, which holds the tuple's codes
-        return Design(block, np.array(numeric, np.intp),
-                      tuple((codes[row], cols) for codes, cols in coded), combo, (n, self.width))
+        row[combo] = np.arange(n) if mask is None else rows  # a table row of each tuple
+        coded = tuple((to_code[table.codes(name)[row]], cols) for name, to_code, cols in lookups)
+        return Design(block, np.array(numeric, np.intp), coded, combo, (n, self.width))
 
 
 def encode_features(

@@ -128,14 +128,15 @@ def extract_privilege_attribute(
         raise ExtractionError(f"group {group!r} too small to hold out a slice")
 
     encoder = FeatureEncoder.fit(table, train)
-    learner = fit_base(encoder.transform(table, train), y[train], None, hp or LearnerHP())
-    X_ho = encoder.transform(table, holdout)
+    X_train, y_train = encoder.transform(table, train), y[train]
+    X_ho, y_ho = encoder.transform(table, holdout), y[holdout]
+    del table, y  # the fit and the permutations read only the encoded slices
+    learner = fit_base(X_train, y_train, None, hp or LearnerHP())
     preds = learner.predict(X_ho)
     if len(set(preds.tolist())) < 2:
         raise ExtractionError(
             "degenerate learner: constant predictions on the held-out slice"
         )
-    y_ho = y[holdout]
     baseline = float(np.mean(preds == y_ho))
 
     feature_groups = {
@@ -211,25 +212,21 @@ def select_p(
     prot = table.schema.protected
     if prot is None:
         raise SchemaError("p selection needs a protected column")
-    if column is None:
-        spec = table.schema.tagged("privilege")
-        if spec is None:
-            raise SchemaError("no column tagged 'privilege' and none named")
-        column = spec.name
+    column = table.schema.tagged_name("privilege", column)
     if table.schema[column].kind not in NUMERIC_KINDS:
         raise ConfigError(f"column {column!r} is not ordinal/numerical")
 
-    y = table.target
-    names = table.levels(prot.name)
-    group_rows = dict(zip(names, cell_rows(table.codes(prot.name), len(names))))
-    overall = {g: float(np.mean(y[rows])) for g, rows in group_rows.items()}
+    y, x, names = table.target, table.column(column), table.levels(prot.name)
+    ranked = {}  # per group: its values ascending, and its positives from each position on
+    for g, rows in zip(names, cell_rows(table.codes(prot.name), len(names))):
+        rows = rows[np.argsort(x[rows])]
+        ranked[g] = (x[rows], np.cumsum(y[rows][::-1])[::-1])
+    overall = {g: int(pos[0]) / len(pos) for g, (_, pos) in ranked.items()}
     if advantaged is None:
         advantaged = min(names, key=lambda g: (-overall[g], g))
     elif advantaged not in names:
         raise ConfigError(f"advantaged group {advantaged!r} not present")
     others = [g for g in names if g != advantaged]
-
-    x = table.column(column)
     result = PSweepResult(column=column, ratio_rule=ratio_rule,
                           advantaged=advantaged, grid=grid)
     for p in grid:
@@ -243,13 +240,13 @@ def select_p(
             continue
         entry["tau"] = thr.privilege_cutoff
         entry["realized_fraction"] = thr.realized_fraction
-        top = {g: rows[x[rows] >= thr.privilege_cutoff] for g, rows in group_rows.items()}
-        missing = [g for g in names if not top[g].size]
+        first = {g: int(np.searchsorted(xs, thr.privilege_cutoff)) for g, (xs, _) in ranked.items()}
+        missing = [g for g in names if first[g] == len(ranked[g][0])]
         if missing:
             entry["note"] = f"top slice missing group(s) {missing}"
             result.entries.append(entry)
             continue
-        ppr = {g: float(np.mean(y[rows])) for g, rows in top.items()}
+        ppr = {g: int(pos[first[g]]) / (len(pos) - first[g]) for g, (_, pos) in ranked.items()}
         entry["ppr"] = ppr
         if ppr[advantaged] == 0.0:
             entry["note"] = "advantaged group has zero positive rate in slice"

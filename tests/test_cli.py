@@ -1599,6 +1599,14 @@ def test_extract_privilege_requires_group(privilege_csv, tmp_path):
     assert code == 2
 
 
+def test_extract_privilege_checks_group_before_reading_data(tmp_path, capsys):
+    # the missing --group is named before --data, here a file that does not exist, is read
+    code = main(["extract-privilege", "--data", str(tmp_path / "absent.csv"),
+                 "--schema", TOY8_SCHEMA, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2 and "--group" in err and "absent.csv" not in err, err
+
+
 # ---------------------------------------------------------------------------
 # sweep-p
 # ---------------------------------------------------------------------------

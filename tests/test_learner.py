@@ -1,8 +1,10 @@
 """Base learner, constraint compilation, and the constrained trainer."""
 
+import gc
 import json
 import logging
 import random
+import sys
 import tracemalloc
 import weakref
 
@@ -34,6 +36,7 @@ from fairsep import (
 )
 import fairsep.cli
 import fairsep.learner as learner
+import fairsep.privilege as privilege
 from fairsep.notions import Side, Term
 from conftest import adultgen_files, rows_to_table, scores_of
 from synth import planted_dp_table, random_rows
@@ -577,6 +580,105 @@ def test_train_fits_hold_neither_the_loaded_table_nor_the_compiled_constraints(t
                              "--conditional", "occupation", "--out", str(tmp_path / "run")]) == 0
     assert len(loaded) == 1 and len(compiled) > 100 and len(fits) == 3
     assert all(all(dead) for dead in fits), fits
+
+
+def _watch_fits(monkeypatch):
+    """Weak references to each table cli's load_csv returns and cli's encode_features
+    reads, the table columns each compile_constraints reads, and at each fit (of the
+    learner or of privilege extraction) whether every table so far is gone."""
+    tables, compiled, fits = [], [], []
+
+    def keep(fn, first_argument):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            tables.append(weakref.ref(args[0] if first_argument else out))
+            return out
+        return call
+
+    def compile_(table, *args, **kwargs):
+        compiled.append(sorted(c.name for c in table.schema.columns))
+        return compile_constraints(table, *args, **kwargs)
+
+    def fit(*args, **kwargs):
+        fits.append([ref() is None for ref in tables])
+        return fit_base(*args, **kwargs)
+
+    monkeypatch.setattr(fairsep.cli, "load_csv", keep(load_csv, False))
+    monkeypatch.setattr(fairsep.cli, "encode_features", keep(fairsep.cli.encode_features, True))
+    monkeypatch.setattr(learner, "compile_constraints", compile_)
+    monkeypatch.setattr(learner, "fit_base", fit)
+    monkeypatch.setattr(privilege, "fit_base", fit)
+    return tables, compiled, fits
+
+
+# From CPython 3.11 a call passes its argument references to the callee's frame, so a
+# table made in the call's argument list dies when the callee drops its own name.
+PASSES_ARGUMENTS = pytest.mark.skipif(sys.version_info < (3, 11),
+                                      reason="the caller holds its arguments until the call returns")
+
+
+@PASSES_ARGUMENTS
+def test_extract_privilege_drops_the_loaded_table_before_its_fit(tmp_path, monkeypatch):
+    data = adultgen_files(tmp_path / "data", rows=3000)
+    tables, _, fits = _watch_fits(monkeypatch)
+    assert fairsep.cli.main(["extract-privilege", "--data", data["data"], "--schema",
+                             data["schema"], "--group", "Male", "--repeats", "3",
+                             "--out", str(tmp_path / "extract")]) == 0
+    assert len(tables) == 1 and fits == [[True]]
+
+
+def test_train_fits_see_only_the_columns_the_constraints_read(tmp_path, monkeypatch):
+    # the split table that encode_features read, all columns wide, is gone at every fit
+    data = adultgen_files(tmp_path / "data", rows=3000)
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"train": {"max_iter": 3}, "learner": {"epochs": 100}}))
+    tables, compiled, fits = _watch_fits(monkeypatch)
+    assert fairsep.cli.main(["train", "--config", str(config), "--data", data["data"],
+                             "--schema", data["schema"], "--notion", "CSEP", "--conditional",
+                             "occupation", "--out", str(tmp_path / "run")]) == 0
+    assert len(tables) == 2 and len(fits) == 3 and all(all(dead) for dead in fits), fits
+    assert compiled == [["capital-gain", "hours-per-week", "income", "occupation", "sex"]]
+
+
+@pytest.fixture(scope="module")
+def seed11_commands(tmp_path_factory):
+    """The argv of each modeling command on the seed-11 48,842-row table, with the
+    benchmark's train config; the train has run once, so the model exists."""
+    root = tmp_path_factory.mktemp("seed11")
+    data = adultgen_files(root / "data")
+    config = root / "train.json"
+    config.write_text(json.dumps({"seed": 42, "test_fraction": 0.3, "learner": {"epochs": 100},
+                                  "train": {"max_iter": 3, "eta": 2.0, "eps_train": 0.02}}))
+    common = ["--data", data["data"], "--schema", data["schema"]]
+    csep = ["--notion", "CSEP", "--conditional", "occupation"]
+    commands = {
+        "extract-privilege": ["extract-privilege", *common, "--group", "Male", "--repeats", "10",
+                              "--out", str(root / "extract")],
+        "train": ["train", "--config", str(config), *common, *csep, "--out", str(root / "train")],
+        "audit --model": ["audit", *common, *csep, "--model", str(root / "train" / "model.json"),
+                          "--out", str(root / "audit")],
+    }
+    assert fairsep.cli.main(commands["train"]) == 0
+    return commands
+
+
+@pytest.mark.parametrize("command, bound", [
+    pytest.param("extract-privilege", 6.2, marks=PASSES_ARGUMENTS),
+    ("train", 11.0),
+    ("audit --model", 7.6),
+])
+def test_modeling_commands_peak_below_their_bounds(seed11_commands, command, bound):
+    # each modeling command holds each row-sized array once, and only while a later stage
+    # reads it: its traced peak (MiB) after one untraced run of it
+    fairsep.cli.main(seed11_commands[command])  # numpy's first calls allocate for good
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fairsep.cli.main(seed11_commands[command])
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
 
 
 def test_supplied_constraints_are_left_as_they_were():

@@ -335,6 +335,54 @@ def test_select_p_missing_group_in_slice_is_noted():
     assert res.entries[1]["defined"]
 
 
+SWEEP_SCHEMA = Schema.from_dict({"columns": [
+    {"name": "group", "kind": "protected"},
+    {"name": "xp", "kind": "numerical", "tags": ["privilege"]},
+    {"name": "y", "kind": "target"},
+]})
+
+
+def test_select_p_counts_match_per_p_slicing():
+    # select_p counts each group's top slice from one sort of the group; every entry
+    # must equal the per-p boolean slicing of the rows, bit for bit, on tables with
+    # few distinct values (ties at the cutoff), groups held below a cutoff and
+    # advantaged slices without a positive
+    rng = np.random.default_rng(2024)
+    seen = {"tie": 0, "missing": 0, "zero": 0, "defined": 0}
+    for _ in range(300):
+        n = int(rng.integers(12, 160))
+        names = ["F", "M", "X"][:int(rng.integers(2, 4))]
+        groups = np.array(names * n)[:n]
+        rng.shuffle(groups)
+        x = rng.integers(0, int(rng.integers(2, 12)), n).astype(float)
+        if rng.random() < 0.3:  # one group below the top values
+            x[groups == names[-1]] = x.min()
+        y = (rng.random(n) < rng.random()).astype(np.int64)
+        if rng.random() < 0.3:  # no positive at the top
+            y[x >= np.median(x)] = 0
+        table = Table(SWEEP_SCHEMA, {"group": groups.astype(object), "xp": x, "y": y})
+        res = select_p(table, grid=[float(p) for p in range(5, 100, 5)])
+        for e in res.entries:
+            if e["tau"] is None:
+                continue
+            seen["tie"] += int(np.count_nonzero(x == e["tau"]) > 1)
+            top = {g: y[(groups == g) & (x >= e["tau"])] for g in names}
+            if any(not rows.size for rows in top.values()):
+                assert "missing group" in e["note"] and e["ppr"] == {}, e
+                seen["missing"] += 1
+                continue
+            ppr = {g: float(np.mean(rows)) for g, rows in top.items()}
+            assert e["ppr"] == ppr, (e, ppr)
+            if ppr[res.advantaged] == 0.0:
+                assert "zero positive rate" in e["note"] and e["ratio"] is None, e
+                seen["zero"] += 1
+                continue
+            assert e["ratio"] == min(ppr[g] / ppr[res.advantaged]
+                                     for g in names if g != res.advantaged), e
+            seen["defined"] += 1
+    assert all(seen.values()), seen
+
+
 def test_select_p_result_serialization():
     t = rank_table(100, lambda i, g: 1 if i > 50 else 0)
     doc = select_p(t, grid=[10.0, 20.0]).to_dict()

@@ -40,7 +40,8 @@ from pathlib import Path
 NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")  # not in a word
 
 
-def artifact_hashes(checkout: Path, seed: int, rows: int, keep: Path | None = None) -> dict:
+def load_benchmark(checkout: Path):
+    """``perfbench/run.py`` and ``fairsep.cli`` of ``checkout``, set up as the benchmark runs."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     spec = importlib.util.spec_from_file_location("perfbench_run",
                                                   checkout / "perfbench" / "run.py")
@@ -49,8 +50,12 @@ def artifact_hashes(checkout: Path, seed: int, rows: int, keep: Path | None = No
     import fairsep.cli as cli
     if Path(cli.__file__).resolve().parent != (checkout / "src" / "fairsep").resolve():
         sys.exit(f"imported fairsep from {cli.__file__}, not from {checkout / 'src'}")
-
     logging.basicConfig(level=logging.INFO, handlers=[logging.NullHandler()])
+    return run, cli
+
+
+def artifact_hashes(checkout: Path, seed: int, rows: int, keep: Path | None = None) -> dict:
+    run, cli = load_benchmark(checkout)
     doc = {"seed": seed, "rows": rows, "workloads": {}}
     if keep is not None:
         keep.mkdir(parents=True)  # a new directory, so no earlier file is hashed
