@@ -2,8 +2,9 @@
 
 One JSON config file plus flag overrides (flags win) fully determines a run;
 identical config, inputs, and seed reproduce byte-identical outputs.  Every
-command writes its artifacts to the output directory and records them in a
-manifest (path, content hash, producing command).
+command builds all of its artifacts first, then ``_emit`` writes them to the
+output directory and records them in a manifest (path, content hash,
+producing command), so a failed command leaves the directory as it was.
 
 Exit codes: 0 success, 1 audit aggregate above epsilon, 2 usage or config
 error, 3 runtime error.
@@ -15,8 +16,8 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import itertools
-import json
 import logging
 import shlex
 import sys
@@ -29,9 +30,9 @@ from . import charts
 from .dataset import (Schema, Table, cell_rows, effort_threshold, encode_features,
                       load_csv, stratified_split)
 from .errors import (P_GRID, REQUIRED, ConfigError, FairsepError, ParseError, SchemaError,
-                     checked, read_json, utf8_lines)
+                     checked, json_text, read_json, utf8_lines)
 from .groupstats import mask as subgroup_mask, positive_scores, stats
-from .learner import EXPGRAD, ExpGradHP, exponentiated_gradient, load_model, save_model
+from .learner import EXPGRAD, ExpGradHP, exponentiated_gradient, load_model
 from .notions import SEGMENTS, SEP_FAMILY, NotionConfig, segment_codes, violation
 from .privilege import extract_privilege_attribute, select_p
 
@@ -39,7 +40,10 @@ log = logging.getLogger(__name__)
 
 STATS_HEADER = ("scope", "category", "group", "n", "positives",
                 "tp", "fp", "tn", "fn", "ppr", "tpr", "fpr")
+BINS_HEADER = ("group", "privileged", "bin", "lo", "hi", "n", "ppr")
 BIN_COUNT = 5
+TRAJECTORY_HEADER = ("iter", "member_max_violation", "mixture_max_violation", "member_error",
+                     "mixture_error", "lambda_max", "fit_steps", "fit_converged", "fit_loss")
 # Every top-level key of a run config: its kind and its default.  One config
 # file serves every command, so a key that any command reads is known to all.
 CONFIG = {
@@ -68,51 +72,51 @@ REPORT = {"notion": ("a string", REQUIRED), "epsilon": ("a finite number", REQUI
 TERMS = {"T1": ("a finite number", REQUIRED), "T2": ("a finite number", REQUIRED),
          "T3": ("a finite number", REQUIRED), "total": ("a finite number", REQUIRED),
          "denominators": ("an object", REQUIRED)}
+MANIFEST = {"entries": ("an object of objects", {})}
 
 
 # ---------------------------------------------------------------------------
-# small IO helpers
+# the output directory
 # ---------------------------------------------------------------------------
 
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _csv_text(header, rows) -> str:
+    """The CSV of ``rows`` under ``header``: None as an empty cell, a float as its repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+def _emit(args, cfg: dict, files: dict) -> None:
+    """Write a command's ``files`` to ``--out`` and record them in its manifest.
 
-
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _update_manifest(out_dir: Path, files: list[Path], command: str) -> None:
-    manifest_path = out_dir / "manifest.json"
-    doc = read_json(manifest_path, "manifest") if manifest_path.exists() else {"entries": {}}
-    entries = doc.setdefault("entries", {})
-    for name in [name for name in entries if not (out_dir / name).exists()]:
-        del entries[name]  # the manifest names only files the directory holds
-    for path in files:
-        entries[path.name] = {"sha256": _sha256(path), "command": command}
-    _write_json(manifest_path, doc)
+    ``files`` maps each name the command owns to its content: a dict is written
+    as JSON, a (header, rows) pair as CSV and a str as text; None deletes an
+    earlier run's copy.  The manifest is read and checked before the first
+    write, and each entry holds the sha256 of the bytes written.  The manifest
+    names only files the directory holds.
+    """
+    out_dir = Path(cfg["out"])
+    path = out_dir / "manifest.json"
+    doc = read_json(path, "manifest") if path.exists() else {}
+    entries = checked(doc, MANIFEST, f"{path}: manifest key")["entries"]
+    entries = {name: e for name, e in entries.items() if (out_dir / name).exists()}
+    command = "fairsep " + shlex.join(args._argv)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if content is None:
+            (out_dir / name).unlink(missing_ok=True)
+            entries.pop(name, None)
+            continue
+        if isinstance(content, dict):
+            content = json_text(content)
+        elif not isinstance(content, str):
+            content = _csv_text(*content)
+        data = content.encode("utf-8")
+        (out_dir / name).write_bytes(data)
+        entries[name] = {"sha256": hashlib.sha256(data).hexdigest(), "command": command}
+    path.write_text(json_text({"entries": entries}), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +208,6 @@ def _resolve_predictions(cfg: dict, table: Table) -> tuple[np.ndarray, str]:
                       "or a 'model' path")
 
 
-def _command_string(args) -> str:
-    argv = getattr(args, "_argv", [])
-    return "fairsep " + " ".join(shlex.quote(a) for a in argv)
-
-
 # ---------------------------------------------------------------------------
 # stats tables
 # ---------------------------------------------------------------------------
@@ -279,22 +278,21 @@ def _sep_extra_rows(table: Table, h: np.ndarray, ncfg: NotionConfig, thresholds)
     return segments, bins
 
 
-def _write_stats(out_dir: Path, table: Table, predictions, ncfg: NotionConfig,
-                 report, cutoff: float, mode: str) -> list[Path]:
-    """Write stats.csv (plus effort_bins.csv for the SEP family); return their paths."""
+def _audit(table: Table, predictions, ncfg: NotionConfig, mode: str, cutoff: float,
+           **about) -> tuple:
+    """The audit report of ``predictions`` and its files: report.json (with ``about``),
+    stats.csv and, for the SEP family only, effort_bins.csv.  What report writes is
+    mapped to None, since it was drawn from an earlier run."""
+    report = violation(table, predictions, ncfg, mode=mode, cutoff=cutoff)
     h = positive_scores(predictions, table, mode, cutoff)
-    rows = _stats_rows(table, h, ncfg)
-    written = [out_dir / "stats.csv"]
+    rows, bins = _stats_rows(table, h, ncfg), None
     if ncfg.kind in SEP_FAMILY:
-        segments, bins = _sep_extra_rows(table, h, ncfg, report.thresholds)
-        rows.extend(segments)
-        _write_csv(out_dir / "effort_bins.csv",
-                   ("group", "privileged", "bin", "lo", "hi", "n", "ppr"), bins)
-        written.append(out_dir / "effort_bins.csv")
-    else:  # an earlier SEP-family run's bins are not this run's
-        (out_dir / "effort_bins.csv").unlink(missing_ok=True)
-    _write_csv(out_dir / "stats.csv", STATS_HEADER, rows)
-    return written
+        segments, bin_rows = _sep_extra_rows(table, h, ncfg, report.thresholds)
+        rows, bins = rows + segments, (BINS_HEADER, bin_rows)
+    return report, {"report.json": dict(report.to_dict(), **about),
+                    "stats.csv": (STATS_HEADER, rows), "effort_bins.csv": bins,
+                    "ppr_by_category.svg": None, "subgroup_panels.svg": None,
+                    "ppr_ratio_by_effort.svg": None, "summary.md": None}
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +309,9 @@ def cmd_audit(args) -> int:
                      _notion_columns(schema, ncfg) if cfg["predictions"] else None)
     _check_groups(ncfg, table)
     predictions, source = _resolve_predictions(cfg, table)
-    report = violation(table, predictions, ncfg, mode=mode, cutoff=cutoff)
-
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    doc = report.to_dict()
-    doc["predictions_source"] = source
-    doc["data"] = str(cfg["data"])
-    _write_json(out_dir / "report.json", doc)
-
-    written = [out_dir / "report.json"]
-    written += _write_stats(out_dir, table, predictions, ncfg, report, cutoff, mode)
-    _update_manifest(out_dir, written, _command_string(args))
+    report, files = _audit(table, predictions, ncfg, mode, cutoff,
+                           predictions_source=source, data=cfg["data"])
+    _emit(args, cfg, files)
     print(f"{ncfg.kind} aggregate={report.aggregate:.6f} epsilon={report.epsilon} "
           f"pass={report.passed}" + (" (partial)" if report.partial else ""))
     return 0 if report.passed else 1
@@ -349,36 +338,21 @@ def cmd_train(args) -> int:
     train_table = train_table.project(_notion_columns(schema, ncfg))  # what the constraints read
     model = exponentiated_gradient(train_table, ncfg, hp,
                                    features=X_train, encoder=encoder)
-
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(model, out_dir / "model.json")
     traj_rows = [[t["iter"], t["member_max_violation"], t["mixture_max_violation"],
                   t["member_error"], t["mixture_error"],
                   max(t["lambda"]) if t["lambda"] else 0.0,
                   member.epochs_run, member.converged, member.final_loss]
                  for t, member in zip(model.trajectory, model.members)]
-    _write_csv(out_dir / "trajectory.csv",
-               ("iter", "member_max_violation", "mixture_max_violation",
-                "member_error", "mixture_error", "lambda_max",
-                "fit_steps", "fit_converged", "fit_loss"), traj_rows)
 
-    X_test = encoder.transform(test_table)
-    scores = model.predict_scores(X_test)
-    report = violation(test_table, scores, ncfg, mode=mode, cutoff=cutoff)
-    doc = report.to_dict()
-    doc["predictions_source"] = "model:model.json"
-    doc["split"] = {"test_fraction": test_fraction, "seed": seed,
-                    "train_rows": int(train_mask.sum()),
-                    "test_rows": int(test_mask.sum())}
-    doc["training"] = {"max_violation": model.max_violation,
-                       "best_iterate": model.best_iterate,
-                       "iterations": len(model.members),
-                       "early_stopped": model.early_stopped}
-    _write_json(out_dir / "report.json", doc)
-    written = [out_dir / "model.json", out_dir / "trajectory.csv", out_dir / "report.json"]
-    written += _write_stats(out_dir, test_table, scores, ncfg, report, cutoff, mode)
-    _update_manifest(out_dir, written, _command_string(args))
+    scores = model.predict_scores(encoder.transform(test_table))
+    report, files = _audit(
+        test_table, scores, ncfg, mode, cutoff, predictions_source="model:model.json",
+        split={"test_fraction": test_fraction, "seed": seed,
+               "train_rows": int(train_mask.sum()), "test_rows": int(test_mask.sum())},
+        training={"max_violation": model.max_violation, "best_iterate": model.best_iterate,
+                  "iterations": len(model.members), "early_stopped": model.early_stopped})
+    files["model.json"], files["trajectory.csv"] = model.to_dict(), (TRAJECTORY_HEADER, traj_rows)
+    _emit(args, cfg, files)
     flag = " EARLY-STOP" if model.early_stopped else ""
     print(f"trained {ncfg.kind}: iters={len(model.members)} "
           f"train_violation={model.max_violation:.6f} "
@@ -393,16 +367,11 @@ def cmd_extract_privilege(args) -> int:
     # no name holds the table, so that extraction can drop it before its fit
     result = extract_privilege_attribute(load_csv(cfg["data"], _schema(cfg)), cfg["group"],
                                          repeats=cfg["repeats"], seed=cfg["seed"])
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "importance.json", result.to_dict())
     rows = [[i + 1, r["attribute"], r["importance"], r["sd"],
              r["attribute"] == result.chosen]
             for i, r in enumerate(result.rows)]
-    _write_csv(out_dir / "importance.csv",
-               ("rank", "attribute", "importance", "sd", "chosen"), rows)
-    _update_manifest(out_dir, [out_dir / "importance.json",
-                               out_dir / "importance.csv"], _command_string(args))
+    _emit(args, cfg, {"importance.json": result.to_dict(), "importance.csv": (
+        ("rank", "attribute", "importance", "sd", "chosen"), rows)})
     flag = " (tie broken)" if result.tie_flagged else ""
     print(f"chosen privilege proxy: {result.chosen}{flag}")
     return 0
@@ -415,17 +384,12 @@ def cmd_sweep_p(args) -> int:
     table = load_csv(cfg["data"], schema, {schema.protected and schema.protected.name, column})
     result = select_p(table, column=cfg["column"], grid=cfg["grid"],
                       ratio_rule=cfg["ratio_rule"], advantaged=cfg["advantaged"])
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "sweep.json", result.to_dict())
     names = table.levels(table.schema.protected.name)
     header = ["p", "tau", "realized_fraction"] + [f"ppr_{g}" for g in names] + \
              ["ratio", "defined", "note"]
     rows = [[e["p"], e["tau"], e["realized_fraction"]] + [e["ppr"].get(g) for g in names]
             + [e["ratio"], e["defined"], e["note"]] for e in result.entries]
-    _write_csv(out_dir / "sweep.csv", header, rows)
-    _update_manifest(out_dir, [out_dir / "sweep.json", out_dir / "sweep.csv"],
-                     _command_string(args))
+    _emit(args, cfg, {"sweep.json": result.to_dict(), "sweep.csv": (header, rows)})
     if result.selected is not None:
         print(f"selected p={result.selected:g} "
               f"(satisfying: {[f'{v:g}' for v in result.satisfying]})")
@@ -525,7 +489,7 @@ def cmd_report(args) -> int:
     ranked = [r["group"] for r in sorted(scopes.get("group", []), key=lambda r: (
         (r["positives"] or 0) / r["n"] if r["n"] else 0.0, r["group"]))]
     cat_rows, seg_rows = scopes.get("category_group"), scopes.get("segment")
-    written: list[Path] = []
+    files: dict[str, str | None] = {}
     notes: list[str] = []
     for name, svg, reason in [
         ("ppr_by_category.svg", cat_rows and _category_chart(cat_rows, report["notion"]),
@@ -536,11 +500,8 @@ def cmd_report(args) -> int:
          "need two groups and bins" if bins is not None else
          "no effort_bins.csv" if sep else "not an SEP-family notion"),
     ]:
-        if svg:
-            (out_dir / name).write_text(svg, encoding="utf-8")
-            written.append(out_dir / name)
-        else:  # an earlier report's chart would outlive this one's summary
-            (out_dir / name).unlink(missing_ok=True)
+        files[name] = svg or None  # a skipped chart of an earlier report would outlive it
+        if not svg:
             notes.append(f"{name} skipped: {reason}")
 
     lines = [f"# {report['notion']} report", ""] + [
@@ -552,12 +513,11 @@ def cmd_report(args) -> int:
               f"| {terms['total']:.6f} |" for g, terms in sorted(report["groups"].items())]
     if report["skipped"]:
         lines += ["", "## Skipped terms", ""] + [f"- {s}" for s in report["skipped"]]
-    lines += ["", "## Charts", ""] + [f"- {path.name}" for path in written]
+    lines += ["", "## Charts", ""] + [f"- {name}" for name, svg in files.items() if svg]
     lines += [f"- {note}" for note in notes] + [""]
-    (out_dir / "summary.md").write_text("\n".join(lines), encoding="utf-8")
-    written.append(out_dir / "summary.md")
-    _update_manifest(out_dir, written, _command_string(args))
-    print(f"report written: {len(written)} file(s), {len(notes)} chart(s) skipped")
+    files["summary.md"] = "\n".join(lines)
+    _emit(args, cfg, files)
+    print(f"report written: {len(files) - len(notes)} file(s), {len(notes)} chart(s) skipped")
     return 0
 
 

@@ -54,6 +54,11 @@ def read_json(path, what: str, error=ConfigError) -> dict:
     return doc
 
 
+def json_text(doc: dict) -> str:
+    """The text of every JSON artifact: sorted keys, two-space indent, no NaN or infinity."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def utf8_lines(path):
     """Each (number, text) of the file's lines, split at LF, CR or CRLF as text
     mode splits them; the first line that is not UTF-8 raises ``ParseError``."""

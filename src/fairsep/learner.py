@@ -21,7 +21,6 @@ array is taken as a design with only a numeric block.
 
 from __future__ import annotations
 
-import json
 import logging
 import reprlib
 from dataclasses import asdict, dataclass, field, replace
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Design, FeatureEncoder, Table, as_design, encode_features
-from .errors import REQUIRED, ConfigError, EncodingError, checked, read_json
+from .errors import REQUIRED, ConfigError, EncodingError, checked, json_text, read_json
 from .notions import NotionConfig, cells
 
 log = logging.getLogger(__name__)
@@ -386,9 +385,7 @@ def _encoder(doc: dict) -> FeatureEncoder:
 
 
 def save_model(model: ReducedModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    Path(path).write_text(json_text(model.to_dict()), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> ReducedModel:

@@ -67,19 +67,16 @@ class EffortWeighting:
             raise ConfigError(f"effort weighting cap must be >= 1, got {self.cap}")
 
     def weights(self, efforts: np.ndarray, threshold: float, cell_max: float) -> np.ndarray:
-        """Row weights of one cell from its efforts; rows below the threshold weigh exactly 1."""
-        out = np.ones(len(efforts), dtype=np.float64)
+        """Weights of one cell's high-effort rows (effort >= ``threshold``) from their efforts."""
+        ones = np.ones(len(efforts), dtype=np.float64)
         if self.kind == "unit":
-            return out
-        high = efforts >= threshold
+            return ones
         if cell_max <= threshold:
-            if high.any():
+            if len(efforts):
                 log.warning("effort cell has no spread above threshold %s; "
                             "weights stay 1", threshold)
-            return out
-        ramp = (efforts[high] - threshold) / (cell_max - threshold)
-        out[high] = 1.0 + np.minimum(ramp, self.cap - 1.0)
-        return out
+            return ones
+        return 1.0 + np.minimum((efforts - threshold) / (cell_max - threshold), self.cap - 1.0)
 
 
 @dataclass

