@@ -19,6 +19,7 @@ FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 # The plot of a chart with axes: its left and top margins and its height, on a
 # canvas of HEIGHT; the right margin holds the legend and varies by chart.
 LEFT, TOP, PLOT_H, HEIGHT = 60, 40, 250, 360
+RATE_MAX = 1.0  # the top of every positive-rate axis
 
 
 def escape(text: str) -> str:
@@ -97,26 +98,16 @@ def _close(parts: list[str]) -> str:
     return "\n".join(parts + ["</svg>"]) + "\n"
 
 
-def _empty_chart(title: str, note: str) -> str:
-    parts = _svg_open(640, 160, title)
-    _text(parts, 320, 90, note, 13, "#777777")
-    return _close(parts)
-
-
 def grouped_bars_by_category(
     categories: list[str],
     series: list[tuple[str, dict[str, float | None]]],
     title: str,
-    ylabel: str = "rate",
-    ymax: float = 1.0,
 ) -> str:
     """Bar clusters per category; ``series`` maps category to value (None = gap)."""
-    if not categories or not series:
-        return _empty_chart(title, "no data")
-    parts, plot_w = _axes(max(640, 70 * len(categories) + 180), 120, title, ymax)
+    parts, plot_w = _axes(max(640, 70 * len(categories) + 180), 120, title, RATE_MAX)
     parts.append(f'<text x="16" y="{_fmt(TOP + PLOT_H / 2)}" font-size="11" {FONT} '
                  f'fill="#555555" transform="rotate(-90 16 {_fmt(TOP + PLOT_H / 2)})" '
-                 f'text-anchor="middle">{escape(ylabel)}</text>')
+                 f'text-anchor="middle">positive rate</text>')
     cluster_w = plot_w / len(categories)
     bar_w = cluster_w * 0.8 / max(1, len(series))
     for ci, cat in enumerate(categories):
@@ -124,7 +115,7 @@ def grouped_bars_by_category(
         _text(parts, cx, TOP + PLOT_H + 16, str(cat), 10)
         for si, (label, values) in enumerate(series):
             bx = cx - (len(series) * bar_w) / 2 + si * bar_w
-            _bar(parts, values.get(cat), ymax, TOP, PLOT_H, bx, bar_w * 0.92,
+            _bar(parts, values.get(cat), RATE_MAX, TOP, PLOT_H, bx, bar_w * 0.92,
                  bx + bar_w * 0.46, 3, si)
     _baseline(parts, plot_w, [label for label, _ in series])
     return _close(parts)
@@ -134,11 +125,8 @@ def subgroup_panels(
     panels: list[tuple[str, dict[str, float | None]]],
     series_labels: list[str],
     title: str,
-    ymax: float = 1.0,
 ) -> str:
     """Small multiples: one mini panel per subgroup, one bar per series label."""
-    if not panels or not series_labels:
-        return _empty_chart(title, "no data")
     panel_w, panel_h, pad = 150, 180, 24
     cols = min(4, len(panels))
     rows = (len(panels) + cols - 1) // cols
@@ -154,7 +142,7 @@ def subgroup_panels(
         bar_w = (panel_w - 20) / max(1, len(series_labels))
         for si, label in enumerate(series_labels):
             bx = px + 10 + si * bar_w
-            _bar(parts, values.get(label), ymax, py + 22, panel_h - 40, bx + bar_w * 0.08,
+            _bar(parts, values.get(label), RATE_MAX, py + 22, panel_h - 40, bx + bar_w * 0.08,
                  bar_w * 0.84, bx + bar_w / 2, 2, si)
     _legend(parts, series_labels, width - 110, 50)
     return _close(parts)
@@ -166,8 +154,6 @@ def ppr_ratio_by_effort(
     title: str,
 ) -> str:
     """Ratio curves over effort bins; dashed reference line at ratio 1."""
-    if not bins or not curves:
-        return _empty_chart(title, "no data")
     finite = [v for _, vals in curves for v in vals if v is not None]
     ymax = max(1.5, max(finite) * 1.1) if finite else 1.5
     parts, plot_w = _axes(640, 130, title, ymax)

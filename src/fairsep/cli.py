@@ -22,6 +22,7 @@ import logging
 import shlex
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,30 +94,46 @@ def _emit(args, cfg: dict, files: dict) -> None:
 
     ``files`` maps each name the command owns to its content: a dict is written
     as JSON, a (header, rows) pair as CSV and a str as text; None deletes an
-    earlier run's copy.  The manifest is read and checked before the first
-    write, and each entry holds the sha256 of the bytes written.  The manifest
-    names only files the directory holds.
+    earlier run's copy.  Before any write, the manifest is checked and no name may
+    be a directory.  All files and the manifest go to ``.<name>.tmp`` first (all
+    deleted if one write fails), then are renamed into place.  Each entry holds
+    the sha256 of the bytes written; the manifest names only files on disk.
     """
     out_dir = Path(cfg["out"])
     path = out_dir / "manifest.json"
     doc = read_json(path, "manifest") if path.exists() else {}
     entries = checked(doc, MANIFEST, f"{path}: manifest key")["entries"]
     entries = {name: e for name, e in entries.items() if (out_dir / name).exists()}
+    if dirs := [name for name in files if (out_dir / name).is_dir()]:
+        raise IsADirectoryError(f"{out_dir / dirs[0]}: is a directory")
     command = "fairsep " + shlex.join(args._argv)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    blobs = {}
     for name, content in files.items():
         if content is None:
-            (out_dir / name).unlink(missing_ok=True)
             entries.pop(name, None)
             continue
         if isinstance(content, dict):
             content = json_text(content)
         elif not isinstance(content, str):
             content = _csv_text(*content)
-        data = content.encode("utf-8")
-        (out_dir / name).write_bytes(data)
-        entries[name] = {"sha256": hashlib.sha256(data).hexdigest(), "command": command}
-    path.write_text(json_text({"entries": entries}), encoding="utf-8")
+        blobs[name] = content.encode("utf-8")
+        entries[name] = {"sha256": hashlib.sha256(blobs[name]).hexdigest(), "command": command}
+    blobs["manifest.json"] = json_text({"entries": entries}).encode("utf-8")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    temps = []
+    try:
+        for name, data in blobs.items():
+            temps.append(out_dir / f".{name}.tmp")
+            temps[-1].write_bytes(data)
+    except OSError:
+        for temp in temps:
+            if temp.is_file():
+                temp.unlink()
+        raise
+    for name, temp in zip(blobs, temps):
+        temp.replace(out_dir / name)
+    for name in files.keys() - blobs.keys():
+        (out_dir / name).unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +270,8 @@ def _sep_extra_rows(table: Table, h: np.ndarray, ncfg: NotionConfig, thresholds)
         return [], []
     names = table.levels(ncfg.protected)
     if ncfg.kind == "SEP_relaxed":
-        cutoff = thresholds.privilege_cutoff
-        thresholds = effort_threshold(table, "per_group", ncfg.effort_column)
-        thresholds.privilege_cutoff = cutoff
+        thresholds = replace(effort_threshold(table, "per_group", ncfg.effort_column),
+                             privilege_cutoff=thresholds.privilege_cutoff)
     code = segment_codes(table, ncfg, thresholds)[0] % (3 * len(names))  # group * 3 + segment
     segments = []
     for (g, name), cell in zip(itertools.product(names, SEGMENTS),
@@ -445,7 +461,7 @@ def _category_chart(rows: list[dict], notion: str) -> str:
               for g in sorted({r["group"] for r in rows})]
     return charts.grouped_bars_by_category(
         sorted(positives, key=lambda c: (positives[c], c)), series,
-        title=f"positive rate by {notion} category and group", ylabel="positive rate")
+        title=f"positive rate by {notion} category and group")
 
 
 def _segment_chart(rows: list[dict]) -> str:
@@ -533,28 +549,25 @@ ADULT_KEEP = tuple(n for n in ADULT_RAW_FIELDS if n not in ("fnlwgt", "education
 
 
 def cmd_ingest_adult(args) -> int:
+    """Read every raw file, then write the output once, so a bad raw file changes nothing."""
     out_path = Path(args.out or "data/adult.csv")
+    rows, skipped = [], 0
+    for raw in args.raw:
+        lines = [line for _, line in utf8_lines(raw)]  # raises naming a line that is not UTF-8
+        for row in csv.reader(lines, skipinitialspace=True):
+            if not row or row[0].startswith("|"):
+                continue
+            if len(row) != len(ADULT_RAW_FIELDS):
+                skipped += 1
+                continue
+            record = {k: v.strip() for k, v in zip(ADULT_RAW_FIELDS, row)}
+            record["income"] = record["income"].rstrip(".")
+            rows.append([record[k] for k in ADULT_KEEP])
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    kept, skipped = 0, 0
-    with open(out_path, "w", encoding="utf-8", newline="") as out_fh:
-        writer = csv.writer(out_fh, lineterminator="\n")
-        writer.writerow(ADULT_KEEP)
-        for raw in args.raw:
-            with open(raw, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh, skipinitialspace=True)
-                for row in reader:
-                    if not row or row[0].startswith("|"):
-                        continue
-                    if len(row) != len(ADULT_RAW_FIELDS):
-                        skipped += 1
-                        continue
-                    record = {k: v.strip() for k, v in zip(ADULT_RAW_FIELDS, row)}
-                    record["income"] = record["income"].rstrip(".")
-                    writer.writerow([record[k] for k in ADULT_KEEP])
-                    kept += 1
+    out_path.write_text(_csv_text(ADULT_KEEP, rows), encoding="utf-8", newline="")
     if skipped:
         log.warning("ingest: skipped %d malformed line(s)", skipped)
-    print(f"wrote {kept} rows to {out_path}")
+    print(f"wrote {len(rows)} rows to {out_path}")
     return 0
 
 

@@ -592,55 +592,38 @@ def effort_threshold(
     if table.rows == 0:
         raise SchemaError("cannot compute effort thresholds on an empty table")
     x = table.column(column)
-    out = Thresholds(effort_scope=scope)
     global_mean = float(np.mean(x))
     if scope == "global":
-        out.effort[()] = global_mean
-        return out
+        return Thresholds(effort_scope=scope, effort={(): global_mean})
 
     prot = table.schema.protected
     if prot is None:
         raise SchemaError(f"effort scope {scope!r} needs a protected column")
 
+    fallbacks: list[str] = []
+
     def cell_mean(rows, parent_mean, label, parent):
         cell = x[rows]
         if len(cell) >= MIN_CELL_ROWS:
             return float(np.mean(cell))
-        out.fallbacks.append(f"{label}: {len(cell)} rows, using {parent} mean")
+        fallbacks.append(f"{label}: {len(cell)} rows, using {parent} mean")
         return parent_mean
 
     names, groups = table.levels(prot.name), table.codes(prot.name)
     group_means = {g: cell_mean(rows, global_mean, f"group {g!r}", "global")
                    for g, rows in zip(names, cell_rows(groups, len(names)))}
     if scope == "per_group":
-        out.effort = {(g,): m for g, m in group_means.items()}
-        return out
+        return Thresholds(effort_scope=scope, effort={(g,): m for g, m in group_means.items()},
+                          fallbacks=fallbacks)
 
     if category_column is None:
         raise SchemaError("per_category_group scope needs a category column")
     categories = table.levels(category_column)
     key = table.codes(category_column) * len(names) + groups
-    for (a, g), rows in zip(itertools.product(categories, names),
-                            cell_rows(key, len(categories) * len(names))):
-        out.effort[(a, g)] = cell_mean(rows, group_means[g], f"cell ({a!r}, {g!r})", "group")
-    return out
-
-
-def resolve_thresholds(
-    table: Table,
-    p: float,
-    effort_scope: str,
-    privilege_column: str | None = None,
-    effort_column: str | None = None,
-    category_column: str | None = None,
-) -> Thresholds:
-    """Privilege cutoff and effort thresholds combined into one record."""
-    priv = privilege_threshold(table, p, privilege_column)
-    eff = effort_threshold(table, effort_scope, effort_column, category_column)
-    eff.privilege_cutoff = priv.privilege_cutoff
-    eff.p = priv.p
-    eff.realized_fraction = priv.realized_fraction
-    return eff
+    effort = {(a, g): cell_mean(rows, group_means[g], f"cell ({a!r}, {g!r})", "group")
+              for (a, g), rows in zip(itertools.product(categories, names),
+                                      cell_rows(key, len(categories) * len(names)))}
+    return Thresholds(effort_scope=scope, effort=effort, fallbacks=fallbacks)
 
 
 # ---------------------------------------------------------------------------

@@ -340,13 +340,7 @@ class ReducedModel:
             "notion": self.notion,
         }
         if self.encoder is not None:
-            doc["encoder"] = {
-                "feature_map": [[name, level] for name, level in self.encoder.feature_map],
-                "levels": self.encoder.levels,
-                "means": self.encoder.means,
-                "sds": self.encoder.sds,
-                "include_protected": self.encoder.include_protected,
-            }
+            doc["encoder"] = asdict(self.encoder)
         return doc
 
     @classmethod
@@ -490,15 +484,9 @@ def exponentiated_gradient(
             break
         theta = theta + hp.eta * violations
 
-    mixture_weights = np.full(len(members), 1.0 / len(members))
-    final_mix = np.zeros(n)
-    for w, member in zip(mixture_weights, members):
-        final_mix += w * member.predict_proba(X)
-    final_violation = float(np.max(moments(final_mix) - hp.eps_train))
-    return ReducedModel(
-        members=members, mixture_weights=mixture_weights, hp=hp,
-        constraint_names=names,
-        trajectory=trajectory, best_iterate=best_member[2],
-        max_violation=final_violation, early_stopped=early_stopped,
-        encoder=encoder, notion=notion_doc,
-    )
+    model = ReducedModel(members, np.full(len(members), 1.0 / len(members)), hp,
+                         constraint_names=names, trajectory=trajectory,
+                         best_iterate=best_member[2], early_stopped=early_stopped,
+                         encoder=encoder, notion=notion_doc)
+    model.max_violation = float(np.max(moments(model.predict_scores(X)) - hp.eps_train))
+    return model

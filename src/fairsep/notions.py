@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .dataset import EFFORT_SCOPES, NUMERIC_KINDS, Table, Thresholds, cell_rows, resolve_thresholds
+from . import dataset
+from .dataset import EFFORT_SCOPES, NUMERIC_KINDS, Table, Thresholds, cell_rows
 from .errors import REQUIRED, ConfigError, checked
 from .groupstats import positive_scores
 
@@ -143,17 +144,17 @@ class NotionConfig:
         return cls(**doc, weighting=weighting, groups=groups)
 
     def resolve_thresholds(self, table: Table) -> Thresholds | None:
+        """The one record of the privilege cutoff and, but for SEP_relaxed, the effort
+        thresholds; the one place that joins them."""
         if self.kind not in SEP_FAMILY:
             return None
+        priv = dataset.privilege_threshold(table, self.p, self.privilege_column)
         if self.kind == "SEP_relaxed":
-            from .dataset import privilege_threshold
-            return privilege_threshold(table, self.p, self.privilege_column)
-        return resolve_thresholds(
-            table, self.p, self.effort_scope,
-            privilege_column=self.privilege_column,
-            effort_column=self.effort_column,
-            category_column=self.conditional if self.kind == "CSEP" else None,
-        )
+            return priv
+        eff = dataset.effort_threshold(table, self.effort_scope, self.effort_column,
+                                       self.conditional if self.kind == "CSEP" else None)
+        return replace(eff, privilege_cutoff=priv.privilege_cutoff, p=priv.p,
+                       realized_fraction=priv.realized_fraction)
 
 
 @dataclass
@@ -209,14 +210,8 @@ class ViolationReport:
         if self.weighted_mean is not None:
             doc["weighted_mean"] = self.weighted_mean
         if self.thresholds is not None:
-            doc["thresholds"] = {
-                "privilege_cutoff": self.thresholds.privilege_cutoff,
-                "p": self.thresholds.p,
-                "realized_fraction": self.thresholds.realized_fraction,
-                "effort_scope": self.thresholds.effort_scope,
-                "effort": {"|".join(k): v for k, v in sorted(self.thresholds.effort.items())},
-                "fallbacks": list(self.thresholds.fallbacks),
-            }
+            doc["thresholds"] = dict(asdict(self.thresholds), effort={
+                "|".join(k): v for k, v in sorted(self.thresholds.effort.items())})
         return doc
 
 

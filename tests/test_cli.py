@@ -821,6 +821,18 @@ def test_model_feature_map_must_name_columns_of_its_kind(tmp_path, capsys, caplo
     assert "unhandled error" not in caplog.text
 
 
+def test_model_without_an_encoder_is_a_usage_error(tmp_path, capsys, caplog):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"hp": {}, "members": [MEMBER], "mixture_weights": [1.0]}),
+                     encoding="utf-8")
+    code = main(["audit", "--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--notion", "DP",
+                 "--model", str(model), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"error: {model}: model carries no feature encoder" in capsys.readouterr().err
+    assert "unhandled error" not in caplog.text
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("argv, config, code, words", [
     (["sweep-p"], {"column": ["cap"]}, 2, "'column'"),
     (["sweep-p", "--column", "occ"], {}, 2, "'occ' is not ordinal/numerical"),
@@ -1748,6 +1760,26 @@ def test_report_after_an_audit_of_another_notion_keeps_no_earlier_chart(tmp_path
         assert entry["sha256"] == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
 
 
+def test_relaxed_audit_without_an_effort_column_has_no_segments_or_bins(tmp_path, capsys):
+    schema = json.loads(Path(TOY8_SCHEMA).read_text(encoding="utf-8"))
+    del next(c for c in schema["columns"] if c["name"] == "hours")["tags"]  # no effort column
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema), encoding="utf-8")
+    preds = write_predictions(tmp_path / "preds.csv", HPRED)
+    out = tmp_path / "run"
+    assert main(["audit", "--data", TOY8_DATA, "--schema", str(schema_path), "--out", str(out),
+                 "--predictions", preds, "--notion", "SEP_relaxed", "--p", "25"]) in (0, 1)
+    with (out / "stats.csv").open(encoding="utf-8", newline="") as fh:
+        scopes = {row["scope"] for row in csv.DictReader(fh)}
+    assert scopes == {"overall", "group", "ratio"}
+    assert (out / "effort_bins.csv").read_text(encoding="utf-8") == ",".join(
+        fairsep.cli.BINS_HEADER) + "\n"
+    assert main(["report", "--out", str(out)]) == 0
+    summary = (out / "summary.md").read_text(encoding="utf-8")
+    assert "- ppr_ratio_by_effort.svg skipped: need two groups and bins" in summary
+    assert not (out / "ppr_ratio_by_effort.svg").exists()
+
+
 def test_audit_of_another_notion_removes_the_earlier_effort_bins(tmp_path):
     # an SEP run's effort_bins.csv is not the DP run's: neither the directory nor the
     # manifest may keep it
@@ -2048,6 +2080,46 @@ def test_a_malformed_manifest_exits_2_before_any_write(tmp_path, capsys, caplog,
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def tree_of(out: Path) -> dict:
+    """Every path under ``out``, dotfiles included: a file's bytes, or None for a directory."""
+    return {p.relative_to(out): p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+
+
+def test_a_directory_named_as_an_output_exits_2_before_any_write(tmp_path, capsys, caplog):
+    preds = write_predictions(tmp_path / "preds.csv", HPRED)
+    out = tmp_path / "run"
+    assert main(audit_argv(out, preds, "--notion", "DP")) in (0, 1)
+    (out / "stats.csv").unlink()
+    (out / "stats.csv").mkdir()
+    before = tree_of(out)
+    capsys.readouterr()
+    assert main(audit_argv(out, preds, "--notion", "SEP", "--p", "25")) == 2
+    assert f"{out / 'stats.csv'}: is a directory" in capsys.readouterr().err
+    assert "unhandled error" not in caplog.text
+    assert tree_of(out) == before
+
+
+def test_a_failed_write_leaves_the_directory_as_it_was(tmp_path, capsys, monkeypatch):
+    preds = write_predictions(tmp_path / "preds.csv", HPRED)
+    out = tmp_path / "run"
+    assert main(audit_argv(out, preds, "--notion", "DP")) in (0, 1)
+    before = tree_of(out)
+    write_bytes, calls = Path.write_bytes, []
+
+    def second_write_fails(path, data):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device", str(path))
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", second_write_fails)
+    capsys.readouterr()
+    assert main(audit_argv(out, preds, "--notion", "SEP", "--p", "25")) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert tree_of(out) == before  # no temporary file either
+
+
 # ---------------------------------------------------------------------------
 # ingest-adult
 # ---------------------------------------------------------------------------
@@ -2108,3 +2180,31 @@ def test_ingest_adult_normalizes_raw_files(tmp_path, capsys, caplog):
     assert [r[-1] for r in rows[1:]] == ["<=50K", "<=50K", ">50K", ">50K"]
     assert rows[1][0] == "39"
     assert rows[1][7] == "Male"
+
+
+INGESTED_TWO_ROWS = (
+    "age,workclass,education-num,marital-status,occupation,relationship,race,sex,"
+    "capital-gain,capital-loss,hours-per-week,native-country,income\n"
+    "50,Self-emp-not-inc,13,Married-civ-spouse,Exec-managerial,Husband,White,Male,"
+    "0,0,13,United-States,<=50K\n"
+    "38,Private,9,Divorced,Handlers-cleaners,Not-in-family,White,Female,"
+    "0,0,45,United-States,>50K\n")
+
+
+@pytest.mark.parametrize("fault", ["not UTF-8", "missing"])
+def test_ingest_adult_reads_every_raw_file_before_it_writes(tmp_path, capsys, caplog, fault):
+    good, bad, out_csv = tmp_path / "good.data", tmp_path / "bad.data", tmp_path / "adult.csv"
+    good.write_text(RAW_ROWS[1] + "\n" + RAW_ROWS[2] + "\n", encoding="utf-8")
+    assert main(["ingest-adult", "--raw", str(good), "--out", str(out_csv)]) == 0
+    assert out_csv.read_bytes() == INGESTED_TWO_ROWS.encode("utf-8")
+    if fault == "not UTF-8":
+        bad.write_bytes(RAW_ROWS[0].encode("utf-8") + b"\n\xff\xfe, Private\n")
+    capsys.readouterr()
+    code = main(["ingest-adult", "--raw", str(bad), "--raw", str(good), "--out", str(out_csv)])
+    err = capsys.readouterr().err
+    if fault == "not UTF-8":
+        assert code == 3 and f"{bad}:2: not UTF-8" in err, err
+    else:
+        assert code == 2 and str(bad) in err, err
+    assert "unhandled error" not in caplog.text
+    assert out_csv.read_bytes() == INGESTED_TWO_ROWS.encode("utf-8")

@@ -14,6 +14,7 @@ from fairsep import (
     ColumnSpec,
     DegenerateThresholdError,
     FeatureEncoder,
+    NotionConfig,
     ParseError,
     Schema,
     SchemaError,
@@ -22,7 +23,6 @@ from fairsep import (
     encode_features,
     load_csv,
     privilege_threshold,
-    resolve_thresholds,
     stratified_split,
     write_csv,
 )
@@ -434,7 +434,7 @@ def test_effort_threshold_scope_and_column_errors(toy8):
 
 
 def test_resolve_thresholds_combines_both(toy8):
-    th = resolve_thresholds(toy8, 25.0, "per_group")
+    th = NotionConfig.from_dict({"kind": "SEP", "p": 25}, toy8.schema).resolve_thresholds(toy8)
     assert th.privilege_cutoff == 10000.0
     assert th.realized_fraction == 0.25
     assert th.p == 25.0
