@@ -11,7 +11,7 @@ members who put in high effort.
 from .bundled import adult_schema_path, fixture_path, toy8_paths
 from .dataset import (ColumnSpec, Design, FeatureEncoder, Schema, Table, Thresholds,
                       effort_threshold, encode_features, load_csv,
-                      privilege_threshold, stratified_split, write_csv)
+                      privilege_threshold, stratified_split)
 from .errors import (AlignmentError, ConfigError, DegenerateThresholdError,
                      EncodingError, ExtractionError, FairsepError, ParseError,
                      PredicateError, SchemaError)
@@ -40,5 +40,5 @@ __all__ = [
     "extract_privilege_attribute", "fixture_path", "fit_base", "load_csv",
     "load_model", "mask", "permutation_importance", "positive_scores",
     "privilege_threshold", "save_model", "select_p",
-    "stats", "stratified_split", "toy8_paths", "violation", "write_csv",
+    "stats", "stratified_split", "toy8_paths", "violation",
 ]

@@ -498,16 +498,6 @@ def _parse_field(spec: ColumnSpec, value: str, levels: dict | None) -> tuple:
                f"and the schema names no positive_label")
 
 
-def write_csv(table: Table, path: str | Path) -> None:
-    """Serialize a Table back to CSV (round-trips with load_csv)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=table.schema.delimiter)
-        writer.writerow([c.name for c in table.schema.columns])
-        writer.writerows(zip(*(
-            map(repr, table.column(c.name).tolist()) if c.kind in NUMERIC_KINDS
-            else map(str, table.column(c.name)) for c in table.schema.columns)))
-
-
 def cell_rows(key: np.ndarray, size: int) -> list[np.ndarray]:
     """The ascending row index of each value 0..size-1 of the integer ``key``: one stable
     sort of the key, narrowed to the smallest type holding ``size`` so that numpy

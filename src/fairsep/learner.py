@@ -2,8 +2,9 @@
 
 The constrained trainer follows the exponentiated-gradient scheme: each
 fairness notion compiles to a list of linear moment constraints
-``g(h) = sum_i w_i * h(x_i) + c <= slack`` over prediction scores, each kept
-as its audit term's rows and their weights; training alternates a
+``g(h) = sum_j w_j * S_j(h) + c <= slack`` over prediction scores, each kept
+as its audit term's per-code coefficients w_j on the per-code sums S_j of h
+and of zeta * h (``notions.CodeTable``); training alternates a
 multiplicative multiplier update with a cost-sensitive best-response fit of
 the base learner, and returns a mixture over the iterates.
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .dataset import Design, FeatureEncoder, Table, as_design, encode_features
 from .errors import REQUIRED, ConfigError, EncodingError, checked, json_text, read_json
-from .notions import NotionConfig, cells
+from .notions import CodeTable, NotionConfig, cells
 
 log = logging.getLogger(__name__)
 
@@ -221,31 +222,22 @@ def fit_base(
 
 @dataclass
 class MomentConstraint:
-    """Linear constraint on scores: weights @ h[rows] + offset <= slack; other rows weigh 0."""
+    """Linear constraint on scores: coef @ sums[codes] + offset <= slack, where ``sums`` is
+    ``table``'s per-code sums of h (codes below ``table.counts.size``), then of zeta * h."""
 
     name: str
-    rows: np.ndarray
-    weights: np.ndarray
+    table: CodeTable
+    codes: np.ndarray
+    coef: np.ndarray
     offset: float = 0.0
     slack: float = 0.02
 
     def value(self, scores: np.ndarray) -> float:
-        return float(np.dot(self.weights, scores[self.rows])) + self.offset
+        sums = np.concatenate((self.table.sum(scores), self.table.sum(self.table.zeta * scores)))
+        return float(np.dot(self.coef, sums[self.codes])) + self.offset
 
     def violation(self, scores: np.ndarray) -> float:
         return self.value(scores) - self.slack
-
-
-def _term_weights(term) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of either side of ``term`` and the weight left - right on each."""
-    rows = np.concatenate((term.left.rows, term.right.rows))
-    rows.sort(kind="stable")  # a merge of the two ascending runs
-    rows = rows[np.diff(rows, prepend=-1) != 0]  # less repeats; row indices are >= 0
-    w = np.zeros(rows.size)
-    for side, sign in ((term.left, 1.0), (term.right, -1.0)):
-        weight = 1.0 if side.zeta is None else side.zeta
-        w[np.searchsorted(rows, side.rows)] += sign * weight / side.norm
-    return rows, w
 
 
 def compile_constraints(
@@ -255,29 +247,32 @@ def compile_constraints(
 ) -> list[MomentConstraint]:
     """Turn the notion's audit terms into linear moment constraints on scores.
 
-    Each constraint keeps only its term's rows: the union of the two sides,
-    weighted left - right.  A T1 term becomes a two-sided ``/+`` ``/-``
-    pair.  T2 (``/effort``) and T3 (``/fpr_cap``) are taken over 1 - h, so
-    each becomes one one-sided constraint with those weights and offset
-    mass(right) - mass(left), a side's mass being its mean of 1.  The offset
-    is 0 except for T3 under literal B, where it is B0/B - 1.  At any score
-    vector |value| equals the audited term.
-    """
-    ones = np.ones(table.rows)
+    Each keeps its term's codes (a weighted side's shifted by the code count) with the
+    coefficient left - right, a side's being 1/norm.  T1 becomes a two-sided ``/+`` ``/-``
+    pair; T2 (``/effort``) and T3 (``/fpr_cap``), over 1 - h, each become one one-sided
+    constraint with offset mass(right) - mass(left), a side's mass being its mean of 1:
+    0 but for T3 under literal B, B0/B - 1.  |value| equals the audited term."""
+    found = cells(table, cfg, cfg.resolve_thresholds(table))
+    mass = (found.counts, found.sum(found.zeta))
     out: list[MomentConstraint] = []
-    for cell in cells(table, cfg, cfg.resolve_thresholds(table)):
+    for cell in found.cells:
         for msg in cell.skipped:
             log.info("constraint compile: %s", msg)
         for term in cell.terms:
-            rows, w = _term_weights(term)
+            sides = ((term.left, 1.0), (term.right, -1.0))
+            shifted = [s.codes + found.counts.size * s.zeta for s, _ in sides]
+            codes, at = np.unique(np.concatenate(shifted), return_inverse=True)
+            coef = np.bincount(at, np.concatenate([np.full(s.codes.size, sign / s.norm)
+                                                   for s, sign in sides]), codes.size)
             if term.key == "T1":
                 name = f"{cell.label}/parity" if cfg.kind in ("SEP", "CSEP") else cell.label
-                out.append(MomentConstraint(f"{name}/+", rows, w, 0.0, eps_train))
-                out.append(MomentConstraint(f"{name}/-", rows, -w, 0.0, eps_train))
+                out.append(MomentConstraint(f"{name}/+", found, codes, coef, 0.0, eps_train))
+                out.append(MomentConstraint(f"{name}/-", found, codes, -coef, 0.0, eps_train))
             else:
-                offset = term.right.mean(ones) - term.left.mean(ones)
+                offset = term.right.mean(mass) - term.left.mean(mass)
                 suffix = "effort" if term.key == "T2" else "fpr_cap"
-                out.append(MomentConstraint(f"{cell.label}/{suffix}", rows, w, offset, eps_train))
+                out.append(MomentConstraint(f"{cell.label}/{suffix}", found, codes, coef,
+                                            offset, eps_train))
     return out
 
 
@@ -409,8 +404,7 @@ def exponentiated_gradient(
     y = table.target.astype(np.float64)
     n = len(y)
     if constraints is None:
-        constraints = [] if cfg is None else compile_constraints(
-            table, cfg, hp.eps_train)
+        constraints = [] if cfg is None else compile_constraints(table, cfg, hp.eps_train)
     base_costs = (1.0 - 2.0 * y) / n
     notion_doc = None if cfg is None else {"kind": cfg.kind, "protected": cfg.protected}
 
@@ -423,36 +417,36 @@ def exponentiated_gradient(
             trajectory=[{"iter": 1, "member_max_violation": 0.0,
                          "mixture_max_violation": 0.0, "member_error": err,
                          "mixture_error": err, "lambda": []}],
-            best_iterate=0, max_violation=0.0, encoder=encoder, notion=notion_doc,
-        )
+            best_iterate=0, max_violation=0.0, encoder=encoder, notion=notion_doc)
 
-    # the constraint matrix W as (row, constraint, weight) triplets, the one copy of the
-    # constraints the rounds read; int32 ids, as a table holds fewer than 2**31 rows
-    K = len(constraints)
-    rows = np.concatenate([c.rows for c in constraints], dtype=np.int32)
-    index = np.repeat(np.arange(K, dtype=np.int32), [c.rows.size for c in constraints])
-    weights = np.concatenate([c.weights for c in constraints])
+    # the one copy the rounds read: (constraint, code, coefficient) triplets and their code table
+    K, codes_of = len(constraints), constraints[0].table
+    if any(c.table is not codes_of for c in constraints):
+        raise ValueError("constraints must come from one compile_constraints call")
+    index = np.repeat(np.arange(K), [c.codes.size for c in constraints])
+    codes = np.concatenate([c.codes for c in constraints])
+    coef = np.concatenate([c.coef for c in constraints])
     offsets = np.array([c.offset for c in constraints])
     names = [c.name for c in constraints]
+    code, zeta, size = codes_of.code, codes_of.zeta, codes_of.counts.size
     del table, constraints  # this call's references; what a caller holds stays as it was
 
     def moments(h: np.ndarray) -> np.ndarray:
-        return np.bincount(index, weights * h[rows], minlength=K) + offsets
+        sums = np.concatenate((codes_of.sum(h), codes_of.sum(zeta * h)))
+        return np.bincount(index, coef * sums[codes], K) + offsets
 
-    theta = np.zeros(K)
+    theta, mixture_scores = np.zeros(K), np.zeros(n)
     members: list[BaseLearner] = []
     trajectory: list[dict] = []
-    mixture_scores = np.zeros(n)
-    best_mix_violation = np.inf
-    stall = 0
-    early_stopped = False
+    best_mix_violation, stall, early_stopped = np.inf, 0, False
     best_member = (np.inf, np.inf, 0)  # (max violation, error, index)
 
     for it in range(1, hp.max_iter + 1):
         shift = max(0.0, float(np.max(theta)))
         expd = np.exp(theta - shift)
         lam = hp.lambda_bound * expd / (np.exp(-shift) + float(np.sum(expd)))
-        costs = base_costs + np.bincount(rows, weights * lam[index], minlength=n)
+        per_code = np.bincount(codes, coef * lam[index], 2 * size)  # plain, then weighted
+        costs = base_costs + per_code[:size][code] + zeta * per_code[size:][code]
         member = fit_base(X, y, costs, hp.base)
         scores = member.predict_proba(X)
         violations = moments(scores) - hp.eps_train

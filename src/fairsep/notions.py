@@ -16,13 +16,14 @@ EP/DP/CDP and the relaxed measure populate T1 only.  The aggregate is the
 worst (maximum) per-group total; a report passes when the aggregate stays
 within the configured tolerance.
 
-``cells`` is the one place that decides which rows and weights make up each
-term of each cell; ``violation`` evaluates those terms and
-``learner.compile_constraints`` turns the same terms into constraints.
+``cells`` is the one place that decides what makes up each term of each cell: each side
+is a set of (category, group, segment, target) codes; ``violation`` evaluates the terms
+from per-code sums and ``learner.compile_constraints`` turns them into constraints.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -67,15 +68,16 @@ class EffortWeighting:
         if not self.cap >= 1.0:  # also false for NaN
             raise ConfigError(f"effort weighting cap must be >= 1, got {self.cap}")
 
-    def weights(self, efforts: np.ndarray, threshold: float, cell_max: float) -> np.ndarray:
-        """Weights of one cell's high-effort rows (effort >= ``threshold``) from their efforts."""
+    def weights(self, efforts: np.ndarray, threshold: float, cell_max: float,
+                cell: str = "effort cell") -> np.ndarray:
+        """Weights of ``cell``'s high-effort rows (effort >= ``threshold``) from their efforts."""
         ones = np.ones(len(efforts), dtype=np.float64)
         if self.kind == "unit":
             return ones
         if cell_max <= threshold:
             if len(efforts):
-                log.warning("effort cell has no spread above threshold %s; "
-                            "weights stay 1", threshold)
+                log.warning("%s has no spread above threshold %s; weights stay 1",
+                            cell, threshold)
             return ones
         return 1.0 + np.minimum((efforts - threshold) / (cell_max - threshold), self.cap - 1.0)
 
@@ -221,22 +223,15 @@ class ViolationReport:
 
 @dataclass(frozen=True)
 class Side:
-    """One side of a term: mean(v) = sum of (zeta *) v[rows], / ``norm``.
+    """One side of a term: the sum of v (of zeta * v if ``zeta``) over its ``codes``, / ``norm``,
+    the codes' row count or zeta sum (literal-B T3 divides by a larger sum)."""
 
-    ``rows`` is an ascending int64 row index; ``zeta`` holds those rows'
-    effort weights.  ``norm`` is the row count or the weight sum; under the
-    literal-B T3 variant it is the weight of a larger row set.
-    """
-
-    rows: np.ndarray
+    codes: np.ndarray
     norm: float
-    zeta: np.ndarray | None = None
+    zeta: bool = False
 
-    def mean(self, v: np.ndarray) -> float:
-        vals = v[self.rows]
-        if self.zeta is not None:
-            vals = self.zeta * vals
-        return float(np.sum(vals)) / self.norm
+    def mean(self, sums: tuple[np.ndarray, np.ndarray]) -> float:  # per-code v, zeta * v
+        return float(sums[self.zeta][self.codes].sum()) / self.norm
 
 
 @dataclass(frozen=True)
@@ -247,16 +242,14 @@ class Term:
     left: Side
     right: Side
 
-    def gap(self, v: np.ndarray) -> float:
-        return abs(self.left.mean(v) - self.right.mean(v))
+    def gap(self, sums: tuple[np.ndarray, np.ndarray]) -> float:
+        return abs(self.left.mean(sums) - self.right.mean(sums))
 
 
 @dataclass
 class Cell:
-    """One (category, group) cell of a notion: its defined terms and why others are not.
-
-    ``support`` weighs the cell's total in the CDP/CSEP weighted mean.
-    """
+    """One (category, group) cell of a notion: its defined terms, why others are not,
+    and the ``support`` that weighs its total in the CDP/CSEP weighted mean."""
 
     label: str
     key: tuple
@@ -266,9 +259,27 @@ class Cell:
     support: int = 0
 
 
+@dataclass(eq=False)
+class CodeTable:
+    """Each row's ``code`` (``segment_codes`` code * 2 + target) and effort weight ``zeta``
+    (0 outside high-effort underprivileged rows), each code's row ``counts``, the rows
+    in ``order`` of code, and the notion's ``cells``, whose sides are sets of codes."""
+
+    code: np.ndarray
+    zeta: np.ndarray
+    counts: np.ndarray
+    order: np.ndarray
+    cells: list[Cell] = field(default_factory=list)
+
+    def sum(self, v: np.ndarray) -> np.ndarray:
+        """The per-code sums of v, each added pairwise as ``np.sum`` adds."""
+        held, out = self.counts > 0, np.zeros(self.counts.size)
+        out[held] = np.add.reduceat(v[self.order], (np.cumsum(self.counts) - self.counts)[held])
+        return out
+
+
 _T1_DENOMINATORS = {"EP": ("n_group", "n"), "DP": ("n_group", "n"),
-                    "CDP": ("n_cell", "n_category"),
-                    "SEP_relaxed": ("n_underprivileged",)}
+                    "CDP": ("n_cell", "n_category"), "SEP_relaxed": ("n_underprivileged",)}
 
 
 def segment_codes(table: Table, cfg: NotionConfig, thresholds: Thresholds | None):
@@ -295,38 +306,53 @@ def segment_codes(table: Table, cfg: NotionConfig, thresholds: Thresholds | None
     return key * 3 + np.where(privileged, 0, 2 - high), 3 * size
 
 
-def _union(parts) -> np.ndarray:
-    """The ascending union of disjoint ascending row indexes: a merge of their runs."""
-    return np.sort(np.concatenate(parts), kind="stable")
-
-
-def cells(table: Table, cfg: NotionConfig, thresholds: Thresholds | None = None):
-    """Yield the notion's cells one at a time, by category, then by group.
-
-    Every side is a ``cell_rows`` part of the ``segment_codes`` or the union of
-    the parts it spans, so its rows ascend; the SEP family needs ``thresholds``.
-    """
+def cells(table: Table, cfg: NotionConfig, thresholds: Thresholds | None = None) -> CodeTable:
+    """The notion's code table, with its cells by category, then by group: each side spans
+    a run of a cell's codes (its ``segment_codes`` segments by target) or its category's,
+    or for T3 the category's privileged negatives.  The SEP family needs ``thresholds``."""
     kind, levels = cfg.kind, table.levels(cfg.protected)
     categories = table.levels(cfg.conditional) if kind in ("CDP", "CSEP") else [None]
+    groups = cfg.groups if cfg.groups is not None else levels
     code, size = segment_codes(table, cfg, thresholds)
-    parts = cell_rows(code, size + 1)  # the last part holds the rows of no cell
-    width = size // len(categories)  # parts per category
-    segments = width // len(levels)
+    code = code * 2 + table.target  # the last two codes hold the rows of no cell
+    found = CodeTable(code, np.zeros(table.rows), np.bincount(code, minlength=2 * size + 2),
+                      np.concatenate(cell_rows(code, 2 * size + 2)))
+    counts, bounds = found.counts, np.cumsum(np.r_[0, found.counts])  # code c's in order
+    width = 2 * size // len(categories)  # codes per category
+    span = width // len(levels)  # codes per cell
 
-    def build(a, s, segs, base, priv_neg) -> Cell:
-        key = (s,) if a is None else (a, s)
-        label = f"{kind}/{s}" if a is None else f"{kind}/({a},{s})"
-        left = _union(segs[1:]) if kind in SEP_FAMILY else segs[0]
-        if not base.size:
+    def name(a, s) -> tuple[tuple, str]:
+        return ((s,), f"{kind}/{s}") if a is None else ((a, s), f"{kind}/({a},{s})")
+
+    if kind in ("SEP", "CSEP"):  # weigh each cell's high-effort underprivileged rows at once
+        efforts = table.column(cfg.effort_column)
+        for c, (a, s) in enumerate(itertools.product(categories, levels)):
+            rows = found.order[bounds[6 * c]:bounds[6 * c + 6]]  # the cell's rows
+            high = found.order[bounds[6 * c + 2]:bounds[6 * c + 4]]  # its high-effort ones
+            if high.size and s in groups:
+                (key, label), top = name(a, s), float(np.max(efforts[rows]))
+                found.zeta[high] = cfg.weighting.weights(efforts[high], thresholds.effort_at(key),
+                                                         top, cell=label)
+    weights = found.sum(found.zeta)
+
+    def count(codes) -> int:
+        return int(counts[codes].sum())
+
+    def build(a, s, own) -> Cell:
+        key, label = name(a, s)
+        codes = own[span * levels.index(s):][:span] if s in levels else own[:0]
+        left = codes[2:] if kind in SEP_FAMILY else codes
+        n_left, n_base = count(left), count(own)
+        if not n_base:
             reason = "conditioning event empty"
-        elif a is not None and not any(p.size for p in segs):
+        elif a is not None and not count(codes):
             reason = "empty cell"
-        elif left.size:
-            cell = Cell(label, key, [Term("T1", Side(left, left.size), Side(base, base.size))],
-                        denominators=dict(zip(_T1_DENOMINATORS.get(kind, ()),
-                                              (left.size, base.size))), support=left.size)
+        elif n_left:
+            cell = Cell(label, key, [Term("T1", Side(left, n_left), Side(own, n_base))],
+                        denominators=dict(zip(_T1_DENOMINATORS.get(kind, ()), (n_left, n_base))),
+                        support=n_left)
             if kind in ("SEP", "CSEP"):
-                _sep_terms(cell, segs, priv_neg, table, cfg, thresholds.effort_at(key))
+                _sep_terms(cell, codes, own[0::6], count, weights, cfg.t3_literal_b)
             return cell
         elif kind in ("SEP", "CSEP"):
             return Cell(label, key, denominators=dict.fromkeys(("A", "B", "B0", "C")),
@@ -336,39 +362,29 @@ def cells(table: Table, cfg: NotionConfig, thresholds: Thresholds | None = None)
                       else "no rows in conditioning event")
         return Cell(label, key, skipped=[f"{label}: {reason}"])
 
+    every = np.arange(counts.size)
     for i, a in enumerate(categories):
-        own = parts[i * width:(i + 1) * width]
-        base = np.arange(table.rows) if kind in ("DP", "SEP", "SEP_relaxed") else _union(own)
-        priv = _union(own[0::3]) if kind in ("SEP", "CSEP") else base[:0]
-        priv_neg = priv[table.target[priv] == 0]
-        for s in cfg.groups if cfg.groups is not None else levels:
-            at = levels.index(s) * segments if s in levels else width
-            segs = own[at:at + segments] or [base[:0]] * segments  # no rows for an unknown group
-            yield build(a, s, segs, base, priv_neg)
+        found.cells.extend(build(a, s, every[i * width:(i + 1) * width]) for s in groups)
+    return found
 
 
-def _sep_terms(cell: Cell, segs, priv_neg, table, cfg, threshold) -> None:
-    """Add T2 and T3 to an SEP cell from its privileged, high- and low-effort rows ``segs``.
-
-    T2 compares the low-effort rows with the effort-weighted high-effort ones.
-    T3 compares the category's privileged negatives ``priv_neg`` with the
-    weighted high-effort negatives, normalized by B0 (or by B if ``t3_literal_b``).
-    """
-    _, high, low = segs
-    efforts = table.column(cfg.effort_column)
-    cell_max = float(np.max(efforts[np.concatenate(segs)]))
-    zeta = cfg.weighting.weights(efforts[high], threshold, cell_max)
-    neg = table.target[high] == 0
-    b = float(np.sum(zeta)) if high.size else None
-    b0 = float(np.sum(zeta[neg])) if neg.any() else None
-    cell.denominators = {"A": low.size, "B": b, "B0": b0, "C": priv_neg.size}
-    if low.size and high.size:
-        cell.terms.append(Term("T2", Side(low, low.size), Side(high, b, zeta)))
+def _sep_terms(cell: Cell, codes, priv_neg, count, weights, literal_b: bool) -> None:
+    """Add T2 and T3 to an SEP cell from its privileged, high- and low-effort ``codes``:
+    T2 compares the low-effort rows with the effort-weighted high-effort ones, T3 the
+    category's privileged negatives ``priv_neg`` with the weighted high-effort
+    negatives, normalized by B0 (or by B if ``literal_b``)."""
+    high, low = codes[2:4], codes[4:6]  # each segment's negatives, then its positives
+    n_low, n_high, n_high_neg, n_priv = count(low), count(high), count(high[:1]), count(priv_neg)
+    b = float(weights[high].sum()) if n_high else None
+    b0 = float(weights[high[0]]) if n_high_neg else None
+    cell.denominators = {"A": n_low, "B": b, "B0": b0, "C": n_priv}
+    if n_low and n_high:
+        cell.terms.append(Term("T2", Side(low, n_low), Side(high, b, True)))
     else:
         cell.skipped.append(f"{cell.label}: T2 skipped (effort split leaves an empty side)")
-    if priv_neg.size and neg.any():
-        cell.terms.append(Term("T3", Side(priv_neg, priv_neg.size),
-                               Side(high[neg], b if cfg.t3_literal_b else b0, zeta[neg])))
+    if n_priv and n_high_neg:
+        cell.terms.append(Term("T3", Side(priv_neg, n_priv),
+                               Side(high[:1], b if literal_b else b0, True)))
     else:
         cell.skipped.append(f"{cell.label}: T3 skipped (no privileged negatives or no "
                             f"high-effort underprivileged negatives)")
@@ -384,19 +400,19 @@ def violation(table: Table, predictions, cfg: NotionConfig,
     """
     h = positive_scores(predictions, table, mode, cutoff)
     thresholds = cfg.resolve_thresholds(table)
-    neg = 1.0 - h
-    over = {"T1": h, "T2": neg, "T3": neg}
+    found = cells(table, cfg, thresholds)
+    over = {"T1": (found.sum(h), None)}
+    if cfg.kind in ("SEP", "CSEP"):  # T2 and T3 read 1 - h, and zeta * (1 - h)
+        over["T2"] = over["T3"] = (found.sum(1.0 - h), found.sum(found.zeta * (1.0 - h)))
     conditional = cfg.kind in ("CDP", "CSEP")
     groups: dict[str, GroupTerms] = {}
     categories: dict[str, dict[str, GroupTerms]] | None = {} if conditional else None
     worst: dict[str, list[float]] = {}
-    skipped: list[str] = []
-    totals, supports = [], []
-    for cell in cells(table, cfg, thresholds):
-        terms = GroupTerms(
-            **{t.key.lower(): t.gap(over[t.key]) for t in cell.terms},
-            denominators=cell.denominators,
-            computed=tuple(t.key for t in cell.terms))
+    skipped, totals, supports = [], [], []
+    for cell in found.cells:
+        terms = GroupTerms(**{t.key.lower(): t.gap(over[t.key]) for t in cell.terms},
+                           denominators=cell.denominators,
+                           computed=tuple(t.key for t in cell.terms))
         skipped.extend(cell.skipped)
         cell_totals = worst.setdefault(cell.key[-1], [])
         if terms.computed:
@@ -411,9 +427,8 @@ def violation(table: Table, predictions, cfg: NotionConfig,
         groups = {s: GroupTerms(t1=max(v), computed=("T1",)) if v else GroupTerms()
                   for s, v in worst.items()}
     aggregate = max(totals) if totals else 0.0
-    weighted_mean = None
-    if conditional and totals and sum(supports) > 0:
-        weighted_mean = float(np.dot(totals, supports) / sum(supports))
+    weighted_mean = (float(np.dot(totals, supports) / sum(supports))
+                     if conditional and sum(supports) > 0 else None)
     if not totals:
         skipped.append("no cell produced a defined term; aggregate defaults to 0")
     return ViolationReport(

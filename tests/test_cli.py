@@ -1150,7 +1150,7 @@ def test_segment_rows_sum_the_csep_cells_over_categories(tmp_path):
     loaded = load_csv(data, Schema.from_json(schema))
     cfg = NotionConfig.from_dict(notion, loaded.schema)
     support = {}
-    for cell in cells(loaded, cfg, cfg.resolve_thresholds(loaded)):
+    for cell in cells(loaded, cfg, cfg.resolve_thresholds(loaded)).cells:
         support[cell.key[1]] = support.get(cell.key[1], 0) + cell.support
     for g in ("F", "M"):
         low = sum(by_group[g]["denominators"]["A"] or 0

@@ -24,7 +24,6 @@ from fairsep import (
     load_csv,
     privilege_threshold,
     stratified_split,
-    write_csv,
 )
 from fairsep.dataset import cell_rows
 from conftest import ROW_SCHEMA, rows_to_table
@@ -285,26 +284,6 @@ def test_target_without_positive_label_must_be_binary(tmp_path):
     p.write_text("group,xp,xe,cat,y\nF,1,10,A,2\nM,2,20,B,1\n")
     with pytest.raises(ParseError, match="not 0/1"):
         load_csv(p, ROW_SCHEMA)
-
-
-def test_write_csv_round_trip(toy8, tmp_path):
-    out = tmp_path / "round.csv"
-    write_csv(toy8, out)
-    back = load_csv(out, toy8.schema)
-    assert back.rows == toy8.rows
-    for spec in toy8.schema.columns:
-        a, b = toy8.column(spec.name), back.column(spec.name)
-        if spec.kind in ("numerical", "ordinal"):
-            assert np.array_equal(a, b)
-        else:
-            assert list(a) == list(b)
-
-
-def test_write_csv_is_byte_stable(toy8, tmp_path):
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(toy8, p1)
-    write_csv(toy8, p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 # ---------------------------------------------------------------------------

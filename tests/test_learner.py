@@ -37,7 +37,7 @@ from fairsep import (
 import fairsep.cli
 import fairsep.learner as learner
 import fairsep.privilege as privilege
-from fairsep.notions import Side, Term
+from fairsep.notions import CodeTable
 from conftest import adultgen_files, rows_to_table, scores_of
 from synth import planted_dp_table, random_rows
 
@@ -391,47 +391,15 @@ def test_learner_hp_rejects_out_of_range_values(kw):
 # ---------------------------------------------------------------------------
 
 def test_moment_constraint_value_and_violation():
-    c = MomentConstraint("demo", np.array([0, 1]), np.array([1.0, -1.0]),
+    # codes 0 and 1 are plain, 2 and 3 their zeta-weighted sums; rows 0 and 1 hold
+    # codes 0 and 1, and row 1 weighs 2
+    table = CodeTable(np.array([0, 1]), np.array([0.0, 2.0]), np.array([1, 1]),
+                      np.array([0, 1]))
+    c = MomentConstraint("demo", table, np.array([0, 1, 3]), np.array([1.0, -1.0, 0.5]),
                          offset=0.1, slack=0.02)
     scores = np.array([0.5, 0.2])
-    assert c.value(scores) == pytest.approx(0.4)
-    assert c.violation(scores) == pytest.approx(0.38)
-
-
-TERM_SIDE_CASES = ("disjoint", "overlapping", "identical", "one empty", "both empty")
-
-
-def check_term_weights_match_union1d(case: str, seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 200))
-    left = np.flatnonzero(rng.random(n) < rng.random())
-    right = {"disjoint": np.setdiff1d(np.flatnonzero(rng.random(n) < 0.5), left),
-             "overlapping": np.flatnonzero(rng.random(n) < rng.random()),
-             "identical": left.copy()}.get(case, np.zeros(0, np.int64))
-    if case == "both empty":
-        left = right
-    sides = []
-    for rows in (left, right) if seed % 2 else (right, left):
-        zeta = rng.uniform(1.0, 2.0, rows.size) if rng.random() < 0.5 else None
-        sides.append(Side(rows, float(rng.uniform(1, 50)), zeta))
-    rows, w = learner._term_weights(Term("T1", *sides))
-    expected_rows = np.union1d(sides[0].rows, sides[1].rows)
-    expected_w = np.zeros(expected_rows.size)
-    for side, sign in zip(sides, (1.0, -1.0)):
-        expected_w[np.searchsorted(expected_rows, side.rows)] += \
-            sign * (1.0 if side.zeta is None else side.zeta) / side.norm
-    assert rows.dtype == expected_rows.dtype
-    np.testing.assert_array_equal(rows, expected_rows)
-    np.testing.assert_array_equal(w, expected_w)
-
-
-if given is not None:
-    test_term_weights_match_union1d = pytest.mark.parametrize("case", TERM_SIDE_CASES)(settings(
-        max_examples=40, deadline=None, derandomize=True, database=None)(
-        given(seed=st.integers(0, 2**32 - 1))(check_term_weights_match_union1d)))
-else:
-    test_term_weights_match_union1d = pytest.mark.parametrize("case", TERM_SIDE_CASES)(
-        pytest.mark.parametrize("seed", range(40))(check_term_weights_match_union1d))
+    assert c.value(scores) == pytest.approx(0.6)
+    assert c.violation(scores) == pytest.approx(0.58)
 
 
 def test_compile_counts_dp_ep_cdp(toy8):
@@ -476,7 +444,11 @@ def test_sep_constraint_weights_match_hand_built_masks(toy8):
     by_name = {c.name: c for c in compile_constraints(toy8, cfg)}
 
     def dense(c):
-        return np.bincount(c.rows, c.weights, minlength=8)
+        # each row's weight: its code's plain coefficient plus zeta times its weighted one
+        size = c.table.counts.size
+        per_code = np.zeros(2 * size)
+        per_code[c.codes] = c.coef
+        return per_code[:size][c.table.code] + c.table.zeta * per_code[size:][c.table.code]
 
     sex = toy8.column("sex")
     privileged = toy8.column("cap") >= 10000.0
@@ -505,10 +477,11 @@ def _adultgen_table(directory, rows=12000):
 
 
 def test_compile_memory_scales_with_non_zeros_not_constraints(tmp_path):
-    # CSEP x native-country has about twice the constraints of CSEP x occupation
-    # and about the same non-zeros (each term's rows), so a constraint system
-    # kept as row indices peaks at about the same memory for both; a dense
-    # constraint-by-row form peaks in proportion to the constraint count
+    # CSEP x native-country has about twice the constraints of CSEP x occupation, and
+    # each constraint keeps only the codes its term reads, at most a category's 12
+    # (2 groups x 3 segments x 2 targets), so both peak at about the memory of the
+    # row-sized code table; a dense constraint-by-row form peaks in proportion to the
+    # constraint count
     table = _adultgen_table(tmp_path)
     systems, peaks = {}, {}
     for conditional in ("occupation", "native-country"):
@@ -523,8 +496,9 @@ def test_compile_memory_scales_with_non_zeros_not_constraints(tmp_path):
     assert peaks["native-country"] <= 1.25 * peaks["occupation"], peaks
     occ, nat = systems["occupation"], systems["native-country"]
     assert len(nat) >= 1.6 * len(occ)
-    nnz_occ, nnz_nat = (sum(c.rows.size for c in s) for s in (occ, nat))
-    assert abs(nnz_nat - nnz_occ) <= 0.02 * nnz_occ
+    for system in (occ, nat):
+        assert max(c.codes.size for c in system) <= 12
+        assert sum(c.codes.size for c in system) <= 12 * len(system) < table.rows / 4
 
 
 def test_training_memory_stays_below_the_dense_feature_matrix(tmp_path):
@@ -550,9 +524,10 @@ def test_training_memory_stays_below_the_dense_feature_matrix(tmp_path):
 
 def test_train_fits_hold_neither_the_loaded_table_nor_the_compiled_constraints(tmp_path,
                                                                               monkeypatch):
-    # the fits read the split tables, the design and one stacked copy of the constraint
-    # rows: at every best response the table load_csv returned and each array of the
-    # constraints compile_constraints returned are gone
+    # the fits read the split tables, the design, one stacked copy of the constraints'
+    # per-code coefficients and the code table they share: at every best response the
+    # table load_csv returned and each coefficient array of the constraints
+    # compile_constraints returned are gone
     data = adultgen_files(tmp_path / "data")
     config = tmp_path / "train.json"
     config.write_text(json.dumps({"train": {"max_iter": 3}, "learner": {"epochs": 100}}))
@@ -565,7 +540,7 @@ def test_train_fits_hold_neither_the_loaded_table_nor_the_compiled_constraints(t
 
     def compile_(*args, **kwargs):
         constraints = compile_constraints(*args, **kwargs)
-        compiled.extend(weakref.ref(a) for c in constraints for a in (c.rows, c.weights))
+        compiled.extend(weakref.ref(a) for c in constraints for a in (c.codes, c.coef))
         return constraints
 
     def fit(*args, **kwargs):
@@ -641,6 +616,16 @@ def test_train_fits_see_only_the_columns_the_constraints_read(tmp_path, monkeypa
 
 
 @pytest.fixture(scope="module")
+def seed11_table(tmp_path_factory):
+    """The seed-11 48,842-row table as loaded, and its predictions."""
+    data = adultgen_files(tmp_path_factory.mktemp("seed11_table"))
+    table = load_csv(data["data"], Schema.from_json(data["schema"]))
+    scores = np.loadtxt(data["predictions"], skiprows=1)
+    assert scores.shape == (table.rows,)
+    return table, scores
+
+
+@pytest.fixture(scope="module")
 def seed11_commands(tmp_path_factory):
     """The argv of each modeling command on the seed-11 48,842-row table, with the
     benchmark's train config; the train has run once, so the model exists."""
@@ -685,15 +670,19 @@ def test_supplied_constraints_are_left_as_they_were():
     table = planted_dp_table(n=300, seed=8)
     hp = ExpGradHP(max_iter=4, base=LearnerHP(epochs=80))
     cs = compile_constraints(table, dp_cfg(), hp.eps_train)
-    kept = list(cs)
-    before = [(c.name, c.rows.copy(), c.weights.copy(), c.offset, c.slack) for c in cs]
+    kept, codes_of = list(cs), cs[0].table
+    rows = [getattr(codes_of, f).copy() for f in ("code", "zeta", "counts", "order")]
+    before = [(c.name, c.codes.copy(), c.coef.copy(), c.offset, c.slack) for c in cs]
     supplied = exponentiated_gradient(table, dp_cfg(), hp, constraints=cs)
     assert len(cs) == len(kept) and all(a is b for a, b in zip(cs, kept))
-    for c, (name, rows, weights, offset, slack) in zip(cs, before):
-        assert (c.name, c.offset, c.slack) == (name, offset, slack)
-        assert c.rows.dtype == rows.dtype and c.weights.dtype == weights.dtype
-        np.testing.assert_array_equal(c.rows, rows)
-        np.testing.assert_array_equal(c.weights, weights)
+    for c, (name, codes, coef, offset, slack) in zip(cs, before):
+        assert (c.name, c.offset, c.slack) == (name, offset, slack) and c.table is codes_of
+        assert c.codes.dtype == codes.dtype and c.coef.dtype == coef.dtype
+        np.testing.assert_array_equal(c.codes, codes)
+        np.testing.assert_array_equal(c.coef, coef)
+    for f, array in zip(("code", "zeta", "counts", "order"), rows):
+        assert getattr(codes_of, f).dtype == array.dtype
+        np.testing.assert_array_equal(getattr(codes_of, f), array)
     assert supplied.to_dict() == exponentiated_gradient(table, dp_cfg(), hp).to_dict()
 
 
@@ -761,6 +750,21 @@ def _assert_constraints_match_report(constraints, rep, h):
             expected.update(names)
     assert expected == set(values)
     return len(expected)
+
+
+@pytest.mark.parametrize("conditional", [None, "native-country"])
+@pytest.mark.parametrize("mode", ["hard", "expected"])
+def test_compiled_values_equal_audit_terms_at_adult_scale(seed11_table, conditional, mode):
+    # on 48,842 rows, where the order of a sum can show, each compiled value still
+    # reproduces its audit term (SEP, or CSEP x native-country; linear_capped zeta)
+    table, scores = seed11_table
+    notion = {"kind": "SEP"} if conditional is None else {"kind": "CSEP",
+                                                          "conditional": conditional}
+    cfg = NotionConfig.from_dict(notion, table.schema)
+    rep = violation(table, scores, cfg, mode=mode)
+    h = (scores >= 0.5).astype(np.float64) if mode == "hard" else scores
+    assert _assert_constraints_match_report(compile_constraints(table, cfg), rep, h) >= (
+        8 if conditional is None else 200)
 
 
 def test_compile_drops_empty_cells_with_log(caplog):
@@ -910,7 +914,8 @@ def test_infeasible_targets_stop_early_with_warning(caplog):
     # a constraint no score vector can satisfy: mean(h) <= -1 effectively
     table = planted_dp_table(n=60, seed=13)
     n = table.rows
-    impossible = MomentConstraint("impossible", np.arange(n), np.full(n, 1.0 / n),
+    every_row = CodeTable(np.zeros(n, np.int64), np.zeros(n), np.array([n]), np.arange(n))
+    impossible = MomentConstraint("impossible", every_row, np.array([0]), np.array([1.0 / n]),
                                   offset=1.0, slack=0.02)
     hp = ExpGradHP(max_iter=40, patience=5, base=LearnerHP(epochs=40))
     with caplog.at_level(logging.WARNING):

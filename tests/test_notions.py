@@ -250,39 +250,60 @@ def test_single_category_csep_collapses_to_sep():
     assert collapsed >= 30
 
 
+def _close(a, b):
+    """Equal, or both numbers within 1e-12 of each other."""
+    return a == b or (None not in (a, b) and abs(a - b) <= 1e-12)
+
+
 def test_row_permutation_invariance():
+    # counts, the A and C denominators, hard-mode T1 and each compiled constraint's
+    # names, codes and plain codes' coefficients are exact in any row order; what
+    # sums zeta or expected scores in row order (B, B0 and the weighted codes'
+    # coefficients -1/B or -1/B0, T2, T3, expected-mode T1, values) may move in its
+    # last bits
     rng = random.Random(106)
-    for rows, table, h in _random_cases(25, seed=107):
-        order = list(range(len(rows)))
-        rng.shuffle(order)
-        shuffled = rows_to_table([rows[i] for i in order])
-        h2 = h[order]
-        for kind in ("EP", "DP", "CDP", "SEP", "CSEP", "SEP_relaxed"):
-            cfg = syn_cfg(kind, weighting=EffortWeighting("unit"))
-            try:
-                a = violation(table, h, cfg)
-            except DegenerateThresholdError:
-                continue
-            b = violation(shuffled, h2, cfg)
-            assert a.aggregate == b.aggregate, kind
-            # every cell, not only the worst, sees the same rows in any row order
-            assert _cell_terms(a) == _cell_terms(b), kind
-            assert a.skipped == b.skipped, kind
-            ca, cb = compile_constraints(table, cfg), compile_constraints(shuffled, cfg)
-            assert [c.name for c in ca] == [c.name for c in cb], kind
-            for c, c2 in zip(ca, cb):
-                # the same rows with the same weights; the value, a sum in row
-                # order, may differ in its last bit
-                back = np.asarray(order)[c2.rows]
-                np.testing.assert_array_equal(np.sort(back), c.rows)
-                np.testing.assert_array_equal(c2.weights[np.argsort(back)], c.weights)
-                assert c.value(h) == pytest.approx(c2.value(h2), rel=0, abs=1e-12)
-        try:
-            a = violation(table, h, syn_cfg("SEP"))
-            b = violation(shuffled, h2, syn_cfg("SEP"))
-            assert abs(a.aggregate - b.aggregate) <= 1e-12
-        except DegenerateThresholdError:
-            pass
+    compared = 0
+    for mode in ("hard", "expected"):
+        for rows, table, h in _random_cases(25, seed=107 if mode == "hard" else 109, mode=mode):
+            order = list(range(len(rows)))
+            rng.shuffle(order)
+            shuffled = rows_to_table([rows[i] for i in order])
+            h2 = h[order]
+            for kind in ("EP", "DP", "CDP", "SEP", "CSEP", "SEP_relaxed"):
+                for weighting, literal in (("unit", False), ("linear_capped", False),
+                                           ("linear_capped", True)):
+                    cfg = syn_cfg(kind, weighting=EffortWeighting(weighting),
+                                  t3_literal_b=literal)
+                    try:
+                        a = violation(table, h, cfg, mode=mode)
+                    except DegenerateThresholdError:
+                        continue
+                    b = violation(shuffled, h2, cfg, mode=mode)
+                    assert _close(a.aggregate, b.aggregate), kind
+                    assert _close(a.weighted_mean, b.weighted_mean), kind
+                    assert a.skipped == b.skipped, kind
+                    # every cell, not only the worst, sees the same rows in any row order
+                    ta, tb = _cell_terms(a), _cell_terms(b)
+                    assert ta.keys() == tb.keys(), kind
+                    for cell, (t1, t2, t3, dens, computed) in ta.items():
+                        t1b, t2b, t3b, densb, computedb = tb[cell]
+                        assert computed == computedb and dens.keys() == densb.keys()
+                        assert t1 == t1b if mode == "hard" else _close(t1, t1b), (kind, cell)
+                        assert _close(t2, t2b) and _close(t3, t3b), (kind, cell)
+                        for key, value in dens.items():
+                            assert (value == densb[key] if key not in ("B", "B0")
+                                    else _close(value, densb[key])), (kind, cell, key)
+                    ca, cb = compile_constraints(table, cfg), compile_constraints(shuffled, cfg)
+                    assert [c.name for c in ca] == [c.name for c in cb], kind
+                    for c, c2 in zip(ca, cb):
+                        np.testing.assert_array_equal(c.codes, c2.codes)
+                        plain = c.codes < c.table.counts.size
+                        np.testing.assert_array_equal(c.coef[plain], c2.coef[plain])
+                        np.testing.assert_allclose(c.coef, c2.coef, rtol=1e-12, atol=0)
+                        assert _close(c.offset, c2.offset) and c.slack == c2.slack
+                        assert _close(c.value(h), c2.value(h2)), c.name
+                    compared += 1
+    assert compared >= 500
 
 
 def _cell_terms(report):
@@ -353,6 +374,17 @@ def test_degenerate_ramp_warning_respects_cell_mask(caplog):
         out = w.weights(efforts[cell & (efforts >= 50.0)], threshold=50.0, cell_max=40.0)
     np.testing.assert_array_equal(out, np.zeros(0))
     assert not any("no spread" in m for m in caplog.messages)
+
+
+def test_degenerate_ramp_warning_names_its_cell(caplog):
+    # every effort is 40, so in each group the high-effort rows reach no higher than
+    # the threshold, 40: both cells warn with one threshold, each naming its cell
+    rows = [{"group": g, "xp": 10000 if i == 0 else 0, "xe": 40, "cat": "A", "y": i % 2,
+             "h": 1.0} for g in ("F", "M") for i in range(4)]
+    with caplog.at_level("WARNING"):
+        violation(rows_to_table(rows), scores_of(rows), syn_cfg("SEP"))
+    assert [m for m in caplog.messages if "no spread" in m] == [
+        f"SEP/{g} has no spread above threshold 40.0; weights stay 1" for g in ("F", "M")]
 
 
 def test_weighting_validation():
