@@ -198,15 +198,10 @@ class Table:
         self._coded(name)
         return self._columns[name]
 
-    def mask(self, name: str, value) -> np.ndarray:
-        """Rows whose protected or categorical ``name`` column holds ``value``."""
-        levels = self._coded(name)
-        return self._columns[name] == (levels.index(value) if value in levels else -1)
-
     def _coded(self, name: str) -> list:
         if name not in self._levels:
-            raise SchemaError(f"column {name!r} is {self.schema[name].kind}; levels, "
-                              f"codes and masks need a protected or categorical column")
+            raise SchemaError(f"column {name!r} is {self.schema[name].kind}; levels and "
+                              f"codes need a protected or categorical column")
         return self._levels[name]
 
     def take(self, index: np.ndarray) -> "Table":

@@ -18,9 +18,10 @@ def mask(table: Table, selection: tuple = ()) -> np.ndarray:
     """
     out = np.ones(table.rows, dtype=bool)
     for column, level in selection:
-        if level not in table.levels(column) and table.rows > 0:
+        levels = table.levels(column)
+        if level not in levels and table.rows > 0:
             raise PredicateError(f"value {level!r} never occurs in column {column!r}")
-        out &= table.mask(column, level)
+        out &= table.codes(column) == (levels.index(level) if level in levels else -1)
     return out
 
 

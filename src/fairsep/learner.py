@@ -2,7 +2,7 @@
 
 The constrained trainer follows the exponentiated-gradient scheme: each
 fairness notion compiles to a list of linear moment constraints
-``g(h) = sum_j w_j * S_j(h) + c <= slack`` over prediction scores, each kept
+``g(h) = sum_j w_j * S_j(h) + c <= eps_train`` over prediction scores, each kept
 as its audit term's per-code coefficients w_j on the per-code sums S_j of h
 and of zeta * h (``notions.CodeTable``); training alternates a
 multiplicative multiplier update with a cost-sensitive best-response fit of
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Design, FeatureEncoder, Table, as_design, encode_features
-from .errors import REQUIRED, ConfigError, EncodingError, checked, json_text, read_json
+from .errors import REQUIRED, ConfigError, EncodingError, checked, read_json
 from .notions import CodeTable, NotionConfig, cells
 
 log = logging.getLogger(__name__)
@@ -95,16 +95,11 @@ class BaseLearner:
     epochs_run: int = 0
     final_loss: float = 0.0
 
-    def decision_function(self, X: Design | np.ndarray) -> np.ndarray:
+    def predict_proba(self, X: Design | np.ndarray) -> np.ndarray:
         X = as_design(X)
         if X.shape[1] != len(self.weights):
-            raise EncodingError(
-                f"feature width {X.shape[1]} != model width {len(self.weights)}"
-            )
-        return X.matvec(self.weights) + self.intercept
-
-    def predict_proba(self, X: Design | np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_function(X))
+            raise EncodingError(f"feature width {X.shape[1]} != model width {len(self.weights)}")
+        return _sigmoid(X.matvec(self.weights) + self.intercept)
 
     def predict(self, X: Design | np.ndarray, cutoff: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= cutoff).astype(np.int64)
@@ -222,29 +217,22 @@ def fit_base(
 
 @dataclass
 class MomentConstraint:
-    """Linear constraint on scores: coef @ sums[codes] + offset <= slack, where ``sums`` is
-    ``table``'s per-code sums of h (codes below ``table.counts.size``), then of zeta * h."""
+    """Linear constraint on scores: coef @ sums[codes] + offset <= ``ExpGradHP.eps_train``,
+    where ``sums`` is ``table``'s per-code sums of h (codes below ``table.counts.size``),
+    then of zeta * h."""
 
     name: str
     table: CodeTable
     codes: np.ndarray
     coef: np.ndarray
     offset: float = 0.0
-    slack: float = 0.02
 
     def value(self, scores: np.ndarray) -> float:
         sums = np.concatenate((self.table.sum(scores), self.table.sum(self.table.zeta * scores)))
         return float(np.dot(self.coef, sums[self.codes])) + self.offset
 
-    def violation(self, scores: np.ndarray) -> float:
-        return self.value(scores) - self.slack
 
-
-def compile_constraints(
-    table: Table,
-    cfg: NotionConfig,
-    eps_train: float = 0.02,
-) -> list[MomentConstraint]:
+def compile_constraints(table: Table, cfg: NotionConfig) -> list[MomentConstraint]:
     """Turn the notion's audit terms into linear moment constraints on scores.
 
     Each keeps its term's codes (a weighted side's shifted by the code count) with the
@@ -266,13 +254,12 @@ def compile_constraints(
                                                    for s, sign in sides]), codes.size)
             if term.key == "T1":
                 name = f"{cell.label}/parity" if cfg.kind in ("SEP", "CSEP") else cell.label
-                out.append(MomentConstraint(f"{name}/+", found, codes, coef, 0.0, eps_train))
-                out.append(MomentConstraint(f"{name}/-", found, codes, -coef, 0.0, eps_train))
+                out.append(MomentConstraint(f"{name}/+", found, codes, coef))
+                out.append(MomentConstraint(f"{name}/-", found, codes, -coef))
             else:
                 offset = term.right.mean(mass) - term.left.mean(mass)
                 suffix = "effort" if term.key == "T2" else "fpr_cap"
-                out.append(MomentConstraint(f"{cell.label}/{suffix}", found, codes, coef,
-                                            offset, eps_train))
+                out.append(MomentConstraint(f"{cell.label}/{suffix}", found, codes, coef, offset))
     return out
 
 
@@ -373,10 +360,6 @@ def _encoder(doc: dict) -> FeatureEncoder:
     return FeatureEncoder(**doc)
 
 
-def save_model(model: ReducedModel, path: str | Path) -> None:
-    Path(path).write_text(json_text(model.to_dict()), encoding="utf-8")
-
-
 def load_model(path: str | Path) -> ReducedModel:
     return ReducedModel.from_dict(read_json(path, "model"))
 
@@ -387,7 +370,6 @@ def exponentiated_gradient(
     hp: ExpGradHP | None = None,
     features: Design | np.ndarray | None = None,
     encoder: FeatureEncoder | None = None,
-    constraints: list[MomentConstraint] | None = None,
 ) -> ReducedModel:
     """Train the constrained mixture; with no constraints this is one plain fit.
 
@@ -403,8 +385,7 @@ def exponentiated_gradient(
     X = as_design(features)
     y = table.target.astype(np.float64)
     n = len(y)
-    if constraints is None:
-        constraints = [] if cfg is None else compile_constraints(table, cfg, hp.eps_train)
+    constraints = [] if cfg is None else compile_constraints(table, cfg)
     base_costs = (1.0 - 2.0 * y) / n
     notion_doc = None if cfg is None else {"kind": cfg.kind, "protected": cfg.protected}
 
@@ -421,15 +402,13 @@ def exponentiated_gradient(
 
     # the one copy the rounds read: (constraint, code, coefficient) triplets and their code table
     K, codes_of = len(constraints), constraints[0].table
-    if any(c.table is not codes_of for c in constraints):
-        raise ValueError("constraints must come from one compile_constraints call")
     index = np.repeat(np.arange(K), [c.codes.size for c in constraints])
     codes = np.concatenate([c.codes for c in constraints])
     coef = np.concatenate([c.coef for c in constraints])
     offsets = np.array([c.offset for c in constraints])
     names = [c.name for c in constraints]
     code, zeta, size = codes_of.code, codes_of.zeta, codes_of.counts.size
-    del table, constraints  # this call's references; what a caller holds stays as it was
+    del table, constraints  # the fits read neither, only the stacked copy above
 
     def moments(h: np.ndarray) -> np.ndarray:
         sums = np.concatenate((codes_of.sum(h), codes_of.sum(zeta * h)))

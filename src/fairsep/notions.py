@@ -32,7 +32,7 @@ import numpy as np
 
 from . import dataset
 from .dataset import EFFORT_SCOPES, NUMERIC_KINDS, Table, Thresholds, cell_rows
-from .errors import REQUIRED, ConfigError, checked
+from .errors import REQUIRED, ConfigError, DegenerateThresholdError, checked
 from .groupstats import positive_scores
 
 log = logging.getLogger(__name__)
@@ -272,7 +272,8 @@ class CodeTable:
     cells: list[Cell] = field(default_factory=list)
 
     def sum(self, v: np.ndarray) -> np.ndarray:
-        """The per-code sums of v, each added pairwise as ``np.sum`` adds."""
+        """The per-code sums of v: ``np.add.reduceat`` adds a code's first row to the
+        ``np.sum`` (pairwise) of its other rows, not ``np.sum`` over all of them."""
         held, out = self.counts > 0, np.zeros(self.counts.size)
         out[held] = np.add.reduceat(v[self.order], (np.cumsum(self.counts) - self.counts)[held])
         return out
@@ -309,7 +310,10 @@ def segment_codes(table: Table, cfg: NotionConfig, thresholds: Thresholds | None
 def cells(table: Table, cfg: NotionConfig, thresholds: Thresholds | None = None) -> CodeTable:
     """The notion's code table, with its cells by category, then by group: each side spans
     a run of a cell's codes (its ``segment_codes`` segments by target) or its category's,
-    or for T3 the category's privileged negatives.  The SEP family needs ``thresholds``."""
+    or for T3 the category's privileged negatives.  The SEP family needs ``thresholds``;
+    a table with no rows raises ``DegenerateThresholdError``."""
+    if not table.rows:
+        raise DegenerateThresholdError("empty table")
     kind, levels = cfg.kind, table.levels(cfg.protected)
     categories = table.levels(cfg.conditional) if kind in ("CDP", "CSEP") else [None]
     groups = cfg.groups if cfg.groups is not None else levels
@@ -395,8 +399,8 @@ def violation(table: Table, predictions, cfg: NotionConfig,
     """Evaluate the configured notion: every cell's terms, then the worst total.
 
     CDP and CSEP report each (category, group) cell, a per-group summary
-    (the group's worst cell total) and the support-weighted mean of the cell
-    totals.
+    (the terms of the group's worst cell, the first in category order with its
+    largest total) and the support-weighted mean of the cell totals.
     """
     h = positive_scores(predictions, table, mode, cutoff)
     thresholds = cfg.resolve_thresholds(table)
@@ -407,24 +411,24 @@ def violation(table: Table, predictions, cfg: NotionConfig,
     conditional = cfg.kind in ("CDP", "CSEP")
     groups: dict[str, GroupTerms] = {}
     categories: dict[str, dict[str, GroupTerms]] | None = {} if conditional else None
-    worst: dict[str, list[float]] = {}
+    worst: dict[str, list[GroupTerms]] = {}
     skipped, totals, supports = [], [], []
     for cell in found.cells:
         terms = GroupTerms(**{t.key.lower(): t.gap(over[t.key]) for t in cell.terms},
                            denominators=cell.denominators,
                            computed=tuple(t.key for t in cell.terms))
         skipped.extend(cell.skipped)
-        cell_totals = worst.setdefault(cell.key[-1], [])
+        cell_terms = worst.setdefault(cell.key[-1], [])
         if terms.computed:
             totals.append(terms.total)
             supports.append(cell.support)
-            cell_totals.append(terms.total)
+            cell_terms.append(terms)
         if conditional:
             categories.setdefault(cell.key[0], {})[cell.key[1]] = terms
         else:
             groups[cell.key[0]] = terms
     if conditional:
-        groups = {s: GroupTerms(t1=max(v), computed=("T1",)) if v else GroupTerms()
+        groups = {s: max(v, key=lambda t: t.total, default=GroupTerms())
                   for s, v in worst.items()}
     aggregate = max(totals) if totals else 0.0
     weighted_mean = (float(np.dot(totals, supports) / sum(supports))

@@ -97,7 +97,8 @@ def extract_privilege_attribute(
         raise SchemaError("privilege extraction needs a protected column")
     if repeats < 3:
         raise ConfigError(f"repeats must be >= 3, got {repeats}")
-    in_group = table.mask(prot.name, group)
+    levels = table.levels(prot.name)
+    in_group = table.codes(prot.name) == (levels.index(group) if group in levels else -1)
     if not in_group.any():
         raise ExtractionError(f"group {group!r} has no rows")
 

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairsep import Schema, Table, load_csv
+from fairsep import Schema, load_csv
+from fairsep.dataset import Table
 from fairsep.bundled import adult_schema_path, toy8_paths
 
 # Generic schema for in-memory metric tests: group / privilege / effort /

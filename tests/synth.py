@@ -6,7 +6,8 @@ import random
 
 import numpy as np
 
-from fairsep import Schema, Table
+from fairsep import Schema
+from fairsep.dataset import Table
 
 GROUPS = ("F", "M")
 CATS = ("A", "B", "C")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import importlib
 import json
 import logging
 import random
@@ -25,7 +26,7 @@ from fairsep.bundled import toy8_paths
 from fairsep.cli import _resolve_predictions, main
 from fairsep.dataset import ColumnSpec, Schema, Table, load_csv, stratified_split
 from fairsep.errors import REQUIRED, ParseError, json_text
-from fairsep.learner import ExpGradHP, LearnerHP, ReducedModel, save_model
+from fairsep.learner import ExpGradHP, LearnerHP, ReducedModel
 from fairsep.notions import EffortWeighting, NotionConfig, cells
 
 from conftest import rows_to_table
@@ -503,6 +504,24 @@ def test_degenerate_privilege_cutoff_is_runtime_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", [["audit", "--notion", "EP"], ["audit", "--notion", "DP"],
+                                     ["audit", "--notion", "CDP", "--conditional", "occ"],
+                                     ["audit", "--notion", "SEP", "--p", "25"],
+                                     ["audit", "--notion", "CSEP", "--conditional", "occ"],
+                                     ["audit", "--notion", "SEP_relaxed"],
+                                     ["train", "--notion", "DP"]])
+def test_a_table_with_no_rows_is_a_runtime_error(tmp_path, capsys, caplog, command):
+    # every notion refuses toy8's header line alone before it divides by a count
+    data = tmp_path / "empty.csv"
+    data.write_text(Path(TOY8_DATA).read_text(encoding="utf-8").splitlines()[0] + "\n",
+                    encoding="utf-8")
+    preds = ["--predictions", "ground_truth"] if command[0] == "audit" else []
+    code = main(command + preds + ["--data", str(data), "--schema", TOY8_SCHEMA,
+                                   "--out", str(tmp_path / "run")])
+    assert code == 3 and capsys.readouterr().err.endswith("error: empty table\n")
+    assert "unhandled error" not in caplog.text and not (tmp_path / "run").exists()
+
+
 def test_wrong_length_predictions_is_runtime_error(tmp_path):
     preds = write_predictions(tmp_path / "preds.csv", HPRED[:5])
     code = main(audit_argv(tmp_path / "run", preds, "--notion", "DP"))
@@ -935,14 +954,14 @@ def test_commands_code_only_the_columns_they_read(tmp_path, monkeypatch):
                     everything, ["sex", "cap", "y"], ["sex", "hours", "y"]]
 
 
-def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
+def test_json_artifacts_refuse_non_finite_numbers():
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             json_text({"aggregate": value})
         model = ReducedModel(members=[], mixture_weights=np.zeros(0), hp=ExpGradHP(),
                              max_violation=value)
         with pytest.raises(ValueError):
-            save_model(model, tmp_path / "model.json")
+            json_text(model.to_dict())
 
 
 @pytest.mark.parametrize("notion", ["CDP", "CSEP"])
@@ -1406,6 +1425,18 @@ def test_readme_tables_list_every_declared_key():
         *_declared_rows(fairsep.cli.TERMS, prefix="groups.*."),
     ]
     assert rows == expected
+
+
+def test_package_exports_exactly_what_the_readme_python_api_imports():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Python API", 1)[1].split("\n## ", 1)[0]
+    imports = {module: [name.strip() for name in names.split(",")]
+               for module, names in re.findall(r"^from (fairsep\S*) import (.+)$", section, re.M)}
+    assert sorted(fairsep.__all__) == sorted(imports.pop("fairsep"))
+    for name in fairsep.__all__:
+        assert getattr(fairsep, name).__module__.startswith("fairsep."), name
+    for module, names in imports.items():  # the other imports of the example resolve too
+        assert all(hasattr(importlib.import_module(module), name) for name in names), module
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ import pytest
 
 import fairsep
 import fairsep.dataset as dataset
-from fairsep import (DegenerateThresholdError, FairsepError, ParseError, Schema,
-                     SchemaError, Table, load_csv, privilege_threshold, stratified_split)
+from fairsep import Schema, load_csv
+from fairsep.dataset import Table, privilege_threshold, stratified_split
+from fairsep.errors import DegenerateThresholdError, FairsepError, ParseError, SchemaError
 from conftest import ROW_SCHEMA, adultgen_files
 from oracles import brute_privilege_cutoff
 
@@ -667,10 +668,8 @@ def test_categoricals_are_stored_as_codes_and_decoded_on_demand():
     assert t.codes("group").dtype == np.int32
     assert t.codes("group").tolist() == [1, 0, 1]
     assert t.column("cat").tolist() == ["b", "a", "b"]
-    assert t.mask("cat", "b").tolist() == [True, False, True]
-    assert not t.mask("cat", "absent").any()
     for name in ("xp", "y"):  # numeric and target columns are not coded
-        for read in (t.levels, t.codes, lambda n: t.mask(n, 1.0)):
+        for read in (t.levels, t.codes):
             with pytest.raises(SchemaError, match="protected or categorical"):
                 read(name)
 

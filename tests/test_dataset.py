@@ -10,22 +10,18 @@ try:
 except ImportError:  # seeded fallback below
     given = None
 
-from fairsep import (
+from fairsep import NotionConfig, Schema, load_csv
+from fairsep.dataset import (
     ColumnSpec,
-    DegenerateThresholdError,
     FeatureEncoder,
-    NotionConfig,
-    ParseError,
-    Schema,
-    SchemaError,
     Table,
+    cell_rows,
     effort_threshold,
     encode_features,
-    load_csv,
     privilege_threshold,
     stratified_split,
 )
-from fairsep.dataset import cell_rows
+from fairsep.errors import DegenerateThresholdError, ParseError, SchemaError
 from conftest import ROW_SCHEMA, rows_to_table
 from synth import random_rows
 

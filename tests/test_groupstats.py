@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from fairsep import (
-    AlignmentError,
-    PredicateError,
-    SchemaError,
-    mask,
-    positive_scores,
-    stats,
-)
+from fairsep.errors import AlignmentError, PredicateError, SchemaError
+from fairsep.groupstats import mask, positive_scores, stats
 
 # Fixed prediction vector used for the hand-tabulated counts below.
 HPRED = np.array([1, 0, 1, 0, 0, 1, 0, 1], dtype=np.float64)
@@ -157,7 +151,7 @@ def test_stats_empty_subgroup_is_flagged(toy8):
 def test_stats_one_sided_subgroups(toy8):
     # all-negative subgroup: TPR has no support
     f = stats(positive_scores(HPRED, toy8), toy8.target,
-              toy8.mask("sex", "F") & (toy8.target == 0))
+              mask(toy8, (("sex", "F"),)) & (toy8.target == 0))
     assert f.tpr is None
     assert f.fpr is not None
     # all-positive subgroup: FPR has no support

@@ -11,33 +11,23 @@ import weakref
 import numpy as np
 import pytest
 
-from fairsep import (
-    ColumnSpec,
-    ConfigError,
-    DegenerateThresholdError,
-    EffortWeighting,
-    EncodingError,
+from fairsep import NotionConfig, Schema, load_csv, violation
+from fairsep.dataset import ColumnSpec, FeatureEncoder, Table, encode_features
+from fairsep.errors import ConfigError, DegenerateThresholdError, EncodingError, json_text
+from fairsep.learner import (
     ExpGradHP,
-    FeatureEncoder,
     LearnerHP,
     MomentConstraint,
-    NotionConfig,
-    Schema,
-    Table,
     compile_constraints,
-    encode_features,
     exponentiated_gradient,
     fit_base,
-    load_csv,
     load_model,
-    permutation_importance,
-    save_model,
-    violation,
 )
+from fairsep.privilege import permutation_importance
 import fairsep.cli
 import fairsep.learner as learner
 import fairsep.privilege as privilege
-from fairsep.notions import CodeTable
+from fairsep.notions import CodeTable, EffortWeighting
 from conftest import adultgen_files, rows_to_table, scores_of
 from synth import planted_dp_table, random_rows
 
@@ -138,7 +128,7 @@ def test_learner_hp_rejects_unknown_keys():
 def test_decision_function_width_mismatch():
     model = fit_base(np.array([[0.0], [1.0]]), np.array([0, 1]))
     with pytest.raises(EncodingError, match="width"):
-        model.decision_function(np.zeros((2, 3)))
+        model.predict_proba(np.zeros((2, 3)))
 
 
 def test_probabilities_stay_strictly_inside_unit_interval():
@@ -396,10 +386,9 @@ def test_moment_constraint_value_and_violation():
     table = CodeTable(np.array([0, 1]), np.array([0.0, 2.0]), np.array([1, 1]),
                       np.array([0, 1]))
     c = MomentConstraint("demo", table, np.array([0, 1, 3]), np.array([1.0, -1.0, 0.5]),
-                         offset=0.1, slack=0.02)
+                         offset=0.1)
     scores = np.array([0.5, 0.2])
     assert c.value(scores) == pytest.approx(0.6)
-    assert c.violation(scores) == pytest.approx(0.58)
 
 
 def test_compile_counts_dp_ep_cdp(toy8):
@@ -507,14 +496,12 @@ def test_training_memory_stays_below_the_dense_feature_matrix(tmp_path):
     # feature matrix alone would take
     table = _adultgen_table(tmp_path)
     cfg = NotionConfig.from_dict({"kind": "CSEP", "conditional": "occupation"}, table.schema)
-    constraints = compile_constraints(table, cfg)
     X, encoder = encode_features(table)
     n, d = X.shape
     hp = ExpGradHP(max_iter=3, base=LearnerHP(epochs=100))
     tracemalloc.start()
     try:
-        model = exponentiated_gradient(table, cfg, hp, features=X, encoder=encoder,
-                                       constraints=constraints)
+        model = exponentiated_gradient(table, cfg, hp, features=X, encoder=encoder)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -664,26 +651,6 @@ def test_modeling_commands_peak_below_their_bounds(seed11_commands, command, bou
     finally:
         tracemalloc.stop()
     assert peak <= bound, peak
-
-
-def test_supplied_constraints_are_left_as_they_were():
-    table = planted_dp_table(n=300, seed=8)
-    hp = ExpGradHP(max_iter=4, base=LearnerHP(epochs=80))
-    cs = compile_constraints(table, dp_cfg(), hp.eps_train)
-    kept, codes_of = list(cs), cs[0].table
-    rows = [getattr(codes_of, f).copy() for f in ("code", "zeta", "counts", "order")]
-    before = [(c.name, c.codes.copy(), c.coef.copy(), c.offset, c.slack) for c in cs]
-    supplied = exponentiated_gradient(table, dp_cfg(), hp, constraints=cs)
-    assert len(cs) == len(kept) and all(a is b for a, b in zip(cs, kept))
-    for c, (name, codes, coef, offset, slack) in zip(cs, before):
-        assert (c.name, c.offset, c.slack) == (name, offset, slack) and c.table is codes_of
-        assert c.codes.dtype == codes.dtype and c.coef.dtype == coef.dtype
-        np.testing.assert_array_equal(c.codes, codes)
-        np.testing.assert_array_equal(c.coef, coef)
-    for f, array in zip(("code", "zeta", "counts", "order"), rows):
-        assert getattr(codes_of, f).dtype == array.dtype
-        np.testing.assert_array_equal(getattr(codes_of, f), array)
-    assert supplied.to_dict() == exponentiated_gradient(table, dp_cfg(), hp).to_dict()
 
 
 def test_sep_constraint_values_equal_measured_terms(toy8):
@@ -896,7 +863,7 @@ def test_model_json_round_trip(tmp_path):
     hp = ExpGradHP(max_iter=4, base=LearnerHP(epochs=50))
     model = exponentiated_gradient(table, dp_cfg(), hp=hp)
     path = tmp_path / "model.json"
-    save_model(model, path)
+    path.write_text(json_text(model.to_dict()), encoding="utf-8")
     loaded = load_model(path)
     X = model.encoder.transform(table)
     X2 = loaded.encoder.transform(table)
@@ -906,21 +873,21 @@ def test_model_json_round_trip(tmp_path):
     assert loaded.hp == model.hp
     assert loaded.notion == {"kind": "DP", "protected": "group"}
     # serialized form is itself stable
-    save_model(loaded, tmp_path / "again.json")
+    (tmp_path / "again.json").write_text(json_text(loaded.to_dict()), encoding="utf-8")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
-def test_infeasible_targets_stop_early_with_warning(caplog):
+def test_infeasible_targets_stop_early_with_warning(caplog, monkeypatch):
     # a constraint no score vector can satisfy: mean(h) <= -1 effectively
     table = planted_dp_table(n=60, seed=13)
     n = table.rows
     every_row = CodeTable(np.zeros(n, np.int64), np.zeros(n), np.array([n]), np.arange(n))
     impossible = MomentConstraint("impossible", every_row, np.array([0]), np.array([1.0 / n]),
-                                  offset=1.0, slack=0.02)
+                                  offset=1.0)
+    monkeypatch.setattr(learner, "compile_constraints", lambda table, cfg: [impossible])
     hp = ExpGradHP(max_iter=40, patience=5, base=LearnerHP(epochs=40))
     with caplog.at_level(logging.WARNING):
-        model = exponentiated_gradient(table, None, hp=hp,
-                                       constraints=[impossible])
+        model = exponentiated_gradient(table, dp_cfg(), hp=hp)
     assert model.early_stopped
     assert len(model.members) < 40
     assert any("no feasibility progress" in m for m in caplog.messages)

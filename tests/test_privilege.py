@@ -5,17 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from fairsep import (
-    BaseLearner,
-    ConfigError,
-    ExtractionError,
-    LearnerHP,
-    Schema,
-    Table,
-    extract_privilege_attribute,
-    permutation_importance,
-    select_p,
-)
+from fairsep import Schema
+from fairsep.dataset import Table
+from fairsep.errors import ConfigError, ExtractionError
+from fairsep.learner import BaseLearner, LearnerHP
+from fairsep.privilege import extract_privilege_attribute, permutation_importance, select_p
 from conftest import rows_to_table
 from synth import privilege_driven_table
 
