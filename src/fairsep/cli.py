@@ -28,11 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import charts
-from .dataset import (Schema, Table, cell_rows, effort_threshold, encode_features,
-                      load_csv, stratified_split)
+from .dataset import (Schema, Table, effort_threshold, encode_features, load_csv,
+                      stratified_split)
 from .errors import (P_GRID, REQUIRED, ConfigError, FairsepError, ParseError, SchemaError,
                      checked, json_text, read_json, utf8_lines)
-from .groupstats import mask as subgroup_mask, positive_scores, stats
+from .groupstats import mask as subgroup_mask, positive_scores, stats, tally
 from .learner import EXPGRAD, ExpGradHP, exponentiated_gradient, load_model
 from .notions import SEGMENTS, SEP_FAMILY, NotionConfig, segment_codes, violation
 from .privilege import extract_privilege_attribute, select_p
@@ -50,7 +50,7 @@ TRAJECTORY_HEADER = ("iter", "member_max_violation", "mixture_max_violation", "m
 CONFIG = {
     "data": ("a non-empty string", None), "schema": ("a non-empty string", None),
     "predictions": ("a non-empty string", None), "model": ("a non-empty string", None),
-    "out": ("a non-empty string", "."), "seed": ("an integer", 42),
+    "out": ("a non-empty string", "."), "seed": ("an integer >= 0", 42),
     "mode": ("a string", "hard"), "cutoff": ("a number", 0.5),
     "test_fraction": ("a number", 0.3), "group": ("a string", None),
     "repeats": ("an integer", 10), "ratio_rule": ("a number", 0.8),
@@ -229,29 +229,18 @@ def _resolve_predictions(cfg: dict, table: Table) -> tuple[np.ndarray, str]:
 # stats tables
 # ---------------------------------------------------------------------------
 
-def _stats_row(scope, category, group, h, target, rows):
-    frame = stats(h, target, rows)
-    return [scope, category, group, frame.n, frame.positives, frame.tp, frame.fp,
-            frame.tn, frame.fn, frame.ppr, frame.tpr, frame.fpr]
-
-
 def _stats_rows(table: Table, h: np.ndarray, ncfg: NotionConfig) -> list[list]:
-    y = table.target
-    rows = [_stats_row("overall", "", "", h, y, None)]
-    names = table.levels(ncfg.protected)
-    group_ppr: dict[str, float | None] = {}
-    for g in names:
-        row = _stats_row("group", "", g, h, y, subgroup_mask(table, ((ncfg.protected, g),)))
-        rows.append(row)
-        group_ppr[g] = row[9]
+    y, names = table.target, table.levels(ncfg.protected)
+    rows = [["overall", "", "", *stats(h, y)]]
+    groups = {g: stats(h, y, subgroup_mask(table, ((ncfg.protected, g),))) for g in names}
+    rows += [["group", "", g, *frame] for g, frame in groups.items()]
     if ncfg.conditional:
         categories = table.levels(ncfg.conditional)
         key = table.codes(ncfg.conditional) * len(names) + table.codes(ncfg.protected)
-        for (a, g), cell in zip(itertools.product(categories, names),
-                                cell_rows(key, len(categories) * len(names))):
-            rows.append(_stats_row("category_group", a, g, h, y, cell))
+        rows += [["category_group", a, g, *frame] for (a, g), frame in zip(
+            itertools.product(categories, names), tally(h, y, key, len(categories) * len(names)))]
     for g1, g2 in itertools.permutations(names, 2):
-        ppr1, ppr2 = group_ppr[g1], group_ppr[g2]
+        ppr1, ppr2 = groups[g1].ppr, groups[g2].ppr
         ratio = ppr1 / ppr2 if ppr1 is not None and ppr2 else None
         rows.append(["ratio", "", f"{g1}/{g2}", None, None, None, None,
                      None, None, ratio, None, None])
@@ -261,10 +250,9 @@ def _stats_rows(table: Table, h: np.ndarray, ncfg: NotionConfig) -> list[list]:
 def _sep_extra_rows(table: Table, h: np.ndarray, ncfg: NotionConfig, thresholds):
     """Descriptive privileged/effort segment stats + equal-width effort bins.
 
-    Segments are the parts of one ``cell_rows`` of (group, segment), the
-    audit's ``segment_codes`` summed over categories; SEP_relaxed splits at
-    the per-group mean effort.  Bins are the parts of one of (bin, group,
-    privileged); the last is closed at the maximum effort.
+    Segments are the ``tally`` of (group, segment), the audit's ``segment_codes``
+    summed over categories; SEP_relaxed splits at the per-group mean effort.  Bins
+    are the tally of (bin, group, privileged); the last is closed at the maximum effort.
     """
     if ncfg.effort_column is None:
         return [], []
@@ -273,24 +261,20 @@ def _sep_extra_rows(table: Table, h: np.ndarray, ncfg: NotionConfig, thresholds)
         thresholds = replace(effort_threshold(table, "per_group", ncfg.effort_column),
                              privilege_cutoff=thresholds.privilege_cutoff)
     code = segment_codes(table, ncfg, thresholds)[0] % (3 * len(names))  # group * 3 + segment
-    segments = []
-    for (g, name), cell in zip(itertools.product(names, SEGMENTS),
-                               cell_rows(code, 3 * len(names))):
-        ppr = float(np.mean(h[cell])) if cell.size else None
-        segments.append(["segment", name, g, cell.size, int(np.count_nonzero(table.target[cell])),
-                         None, None, None, None, ppr, None, None])
+    segments = [["segment", name, g, f.n, f.positives, None, None, None, None, f.ppr, None, None]
+                for (g, name), f in zip(itertools.product(names, SEGMENTS),
+                                        tally(h, table.target, code, 3 * len(names)))]
     xe = table.column(ncfg.effort_column)
     lo, hi = float(np.min(xe)), float(np.max(xe))
     span = (hi - lo) or 1.0
     edges = [lo + span * i / BIN_COUNT for i in range(BIN_COUNT)] + [hi if hi > lo else lo + 1.0]
     in_bin = np.searchsorted(edges[1:-1], xe, side="right")
-    cells = cell_rows((in_bin * len(names) + code // 3) * 2 + (code % 3 > 0),
-                      2 * BIN_COUNT * len(names))
+    frames = tally(h, table.target, (in_bin * len(names) + code // 3) * 2 + (code % 3 > 0),
+                   2 * BIN_COUNT * len(names))
     bins = []
-    for (b, g, flag), cell in zip(itertools.product(range(BIN_COUNT), names, (1, 0)), cells):
+    for (b, g, flag), f in zip(itertools.product(range(BIN_COUNT), names, (1, 0)), frames):
         label = f"[{edges[b]:g},{edges[b + 1]:g}{')' if b < BIN_COUNT - 1 else ']'}"
-        bins.append([g, flag, label, edges[b], edges[b + 1], cell.size,
-                     float(np.mean(h[cell])) if cell.size else None])
+        bins.append([g, flag, label, edges[b], edges[b + 1], f.n, f.ppr])
     return segments, bins
 
 

@@ -801,6 +801,8 @@ def stratified_split(table: Table, test_fraction: float, seed: int) -> tuple[np.
     """Boolean (train, test) masks stratified by (protected group, target)."""
     if not 0 < test_fraction < 1:
         raise ValueError("test_fraction must lie in (0, 1)")
+    if not table.rows:
+        raise DegenerateThresholdError("empty table")
     prot = table.schema.protected
     y = table.target
     if prot is not None:

@@ -112,6 +112,7 @@ KINDS = {
     "a finite number >= 0": (lambda v: _finite(v) and v >= 0, None),
     "a finite number > 0": (lambda v: _finite(v) and v > 0, None),
     "an integer": (_integer, None),
+    "an integer >= 0": (lambda v: _integer(v) and v >= 0, None),
     "an integer >= 1": (lambda v: _integer(v) and v >= 1, None),
     "a boolean": (lambda v: isinstance(v, bool), None),
     "a string": (lambda v: isinstance(v, str), None),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +25,8 @@ def mask(table: Table, selection: tuple = ()) -> np.ndarray:
     return out
 
 
-@dataclass
-class SubgroupFrame:
-    """Confusion counts and rates over a row subset.
+class SubgroupFrame(NamedTuple):
+    """Confusion counts and rates over a row subset, in ``stats.csv`` column order.
 
     A rate with an empty denominator is None; in expected mode the counts are
     fractional (sums of scores).  ``positives`` is the number of rows with
@@ -35,6 +34,7 @@ class SubgroupFrame:
     """
 
     n: int
+    positives: int
     tp: float
     fp: float
     tn: float
@@ -42,7 +42,6 @@ class SubgroupFrame:
     ppr: float | None
     tpr: float | None
     fpr: float | None
-    positives: int = 0
 
 
 def positive_scores(predictions: np.ndarray, table: Table, mode: str = "hard",
@@ -71,21 +70,26 @@ def positive_scores(predictions: np.ndarray, table: Table, mode: str = "hard",
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def tally(h: np.ndarray, target: np.ndarray, key: np.ndarray, size: int) -> list[SubgroupFrame]:
+    """Confusion statistics of decisions ``h`` (from ``positive_scores``) against the
+    target for each value 0..size-1 of the integer ``key``: three ``np.bincount`` over
+    key * 2 + target, of the rows, of h and of 1 - h."""
+    code = np.asarray(key, dtype=np.intp) * 2
+    code += target
+    count = np.bincount(code, minlength=2 * size).reshape(size, 2).tolist()
+    hit = np.bincount(code, weights=h, minlength=2 * size).reshape(size, 2).tolist()
+    miss = np.bincount(code, weights=1.0 - h, minlength=2 * size).reshape(size, 2).tolist()
+    frames = []
+    for (neg, pos), (fp, tp), (tn, fn) in zip(count, hit, miss):
+        n = neg + pos
+        frames.append(SubgroupFrame(n, pos, tp, fp, tn, fn, (tp + fp) / n if n else None,
+                                    tp / (tp + fn) if pos else None,
+                                    fp / (fp + tn) if neg else None))
+    return frames
+
+
 def stats(h: np.ndarray, target: np.ndarray, rows: np.ndarray | None = None) -> SubgroupFrame:
-    """Confusion statistics of decisions ``h`` (from ``positive_scores``) against
-    the target, over a boolean row mask or an ascending row index (default all)."""
-    m = slice(None) if rows is None else rows
-    y = target[m]
-    hm = h[m]
-    n = y.size
-    if n == 0:
-        return SubgroupFrame(0, 0.0, 0.0, 0.0, 0.0, None, None, None)
-    pos = y == 1
-    tp = float(np.sum(hm[pos]))
-    fn = float(np.sum(1.0 - hm[pos]))
-    fp = float(np.sum(hm[~pos]))
-    tn = float(np.sum(1.0 - hm[~pos]))
-    tpr = tp / (tp + fn) if pos.any() else None
-    fpr = fp / (fp + tn) if (~pos).any() else None
-    return SubgroupFrame(n, tp, fp, tn, fn, (tp + fp) / n, tpr, fpr,
-                         positives=int(np.count_nonzero(pos)))
+    """The ``tally`` of a boolean row mask or a row index (default all rows)."""
+    key = np.zeros(target.size, dtype=np.intp)
+    key[slice(None) if rows is None else rows] = 1
+    return tally(h, target, key, 2)[1]

@@ -102,6 +102,8 @@ class NotionConfig:
         checked({k: v for k, v in vars(self).items() if k in NOTION}, NOTION, "notion key")
         if self.kind not in NOTIONS:
             raise ConfigError(f"unknown notion {self.kind!r}")
+        if self.groups is not None and len(set(self.groups)) < len(self.groups):
+            raise ConfigError(f"notion 'groups' repeats a group: {list(self.groups)}")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ConfigError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         if not 0 < self.p < 100:

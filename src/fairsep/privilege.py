@@ -216,6 +216,8 @@ def select_p(
     column = table.schema.tagged_name("privilege", column)
     if table.schema[column].kind not in NUMERIC_KINDS:
         raise ConfigError(f"column {column!r} is not ordinal/numerical")
+    if not table.rows:
+        raise DegenerateThresholdError("empty table")
 
     y, x, names = table.target, table.column(column), table.levels(prot.name)
     ranked = {}  # per group: its values ascending, and its positives from each position on

@@ -181,20 +181,20 @@ def test_audit_writes_expected_artifacts(tmp_path):
 
 def test_stats_rows_build_each_subgroup_mask_once(tmp_path, monkeypatch):
     # one mask per group row and none per category_group row: those rows are
-    # the parts of one cell_rows sort of (category, group) per _stats_rows
+    # the one tally of (category, group) per _stats_rows
     import fairsep.cli as cli
     import fairsep.groupstats as groupstats
 
-    masks, sorts, tables = [], [], []
-    real_mask, real_rows, real_stats_rows = groupstats.mask, cli.cell_rows, cli._stats_rows
+    masks, passes, tables = [], [], []
+    real_mask, real_tally, real_stats_rows = groupstats.mask, cli.tally, cli._stats_rows
 
     def counted(table, pred):
         masks.append(pred)
         return real_mask(table, pred)
 
-    def counted_rows(key, size):
-        sorts.append(size)
-        return real_rows(key, size)
+    def counted_tally(h, target, key, size):
+        passes.append(size)
+        return real_tally(h, target, key, size)
 
     def counted_stats_rows(table, *args):
         tables.append(table)
@@ -202,7 +202,7 @@ def test_stats_rows_build_each_subgroup_mask_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(groupstats, "mask", counted)
     monkeypatch.setattr(cli, "subgroup_mask", counted)
-    monkeypatch.setattr(cli, "cell_rows", counted_rows)
+    monkeypatch.setattr(cli, "tally", counted_tally)
     monkeypatch.setattr(cli, "_stats_rows", counted_stats_rows)
     preds = write_predictions(tmp_path / "preds.csv", HPRED)
     out = tmp_path / "run"
@@ -212,7 +212,7 @@ def test_stats_rows_build_each_subgroup_mask_once(tmp_path, monkeypatch):
     groups = [r for r in rows if r["scope"] == "group"]
     cells = [r for r in rows if r["scope"] == "category_group"]
     assert masks == [(("sex", r["group"]),) for r in groups] == [(("sex", "F"),), (("sex", "M"),)]
-    assert len(tables) == 1 and sorts == [len(cells)] == [4]
+    assert len(tables) == 1 and passes == [len(cells)] == [4]
     assert [r["positives"] for r in groups] == ["1", "1"]
 
 
@@ -509,9 +509,11 @@ def test_degenerate_privilege_cutoff_is_runtime_error(tmp_path):
                                      ["audit", "--notion", "SEP", "--p", "25"],
                                      ["audit", "--notion", "CSEP", "--conditional", "occ"],
                                      ["audit", "--notion", "SEP_relaxed"],
-                                     ["train", "--notion", "DP"]])
+                                     ["train", "--notion", "DP"],
+                                     ["sweep-p", "--grid", "30"]])
 def test_a_table_with_no_rows_is_a_runtime_error(tmp_path, capsys, caplog, command):
-    # every notion refuses toy8's header line alone before it divides by a count
+    # every notion refuses toy8's header line alone before it divides by a count,
+    # and train refuses it before its split logs warnings about the empty columns
     data = tmp_path / "empty.csv"
     data.write_text(Path(TOY8_DATA).read_text(encoding="utf-8").splitlines()[0] + "\n",
                     encoding="utf-8")
@@ -520,6 +522,7 @@ def test_a_table_with_no_rows_is_a_runtime_error(tmp_path, capsys, caplog, comma
                                    "--out", str(tmp_path / "run")])
     assert code == 3 and capsys.readouterr().err.endswith("error: empty table\n")
     assert "unhandled error" not in caplog.text and not (tmp_path / "run").exists()
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 def test_wrong_length_predictions_is_runtime_error(tmp_path):
@@ -616,6 +619,7 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, caplog, argv):
     {"cutoff": "0.5"},
     {"test_fraction": "0.3"},
     {"train": {"test_fraction": "0.3"}},
+    {"seed": -1},
 ])
 def test_bad_trainer_hyperparameters_are_usage_errors(tmp_path, capsys, caplog, config):
     cfg_path = tmp_path / "train.json"
@@ -883,6 +887,7 @@ def test_sweep_column_and_extract_group_are_checked(tmp_path, capsys, caplog,
     ({"kind": "DP", "protected": "occ"}, "'protected'"),
     ({"kind": "DP", "protected": "cap"}, "'protected'"),
     ({"kind": "DP", "protected": ["sex"]}, "'protected'"),
+    ({"kind": "DP", "groups": ["F", "F"]}, "'groups'"),
 ])
 def test_notion_column_keys_are_checked_when_read(tmp_path, capsys, caplog, notion, key):
     cfg_path = tmp_path / "run.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairsep.errors import AlignmentError, PredicateError, SchemaError
-from fairsep.groupstats import mask, positive_scores, stats
+from fairsep.groupstats import mask, positive_scores, stats, tally
 
 # Fixed prediction vector used for the hand-tabulated counts below.
 HPRED = np.array([1, 0, 1, 0, 0, 1, 0, 1], dtype=np.float64)
@@ -167,6 +167,38 @@ def test_stats_counts_positives(toy8):
               stats(positive_scores(np.ones(8) * 0.3, toy8, "expected"), toy8.target,
                     toy8.target == 1)]
     assert [f.positives for f in frames] == [2, 1, 0, 2]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tally_matches_a_sum_over_each_keys_rows(seed):
+    # keys past the first half have no rows, key 0 holds only negatives and
+    # key 1 only positives; the others draw both targets
+    rng = np.random.default_rng(seed)
+    n, size = int(rng.integers(1, 400)), int(rng.integers(4, 12))
+    key = rng.integers(0, size // 2, n)
+    target = np.where(key == 1, 1, np.where(key == 0, 0, rng.integers(0, 2, n))).astype(np.int8)
+    scores = rng.random(n)
+    for mode in ("hard", "expected"):
+        h = (scores >= 0.5).astype(np.float64) if mode == "hard" else scores
+        frames = tally(h, target, key, size)
+        assert len(frames) == size
+        for k, f in enumerate(frames):
+            rows, pos = key == k, target == 1
+            counts = (int(rows.sum()), int((rows & pos).sum()))
+            sums = [np.sum(h[rows & pos]), np.sum(h[rows & ~pos]),
+                    np.sum(1.0 - h[rows & ~pos]), np.sum(1.0 - h[rows & pos])]
+            assert (f.n, f.positives) == counts
+            if mode == "hard":
+                assert [f.tp, f.fp, f.tn, f.fn] == sums
+            else:
+                np.testing.assert_allclose([f.tp, f.fp, f.tn, f.fn], sums, rtol=1e-12, atol=0)
+            tp, fp, tn, fn = sums
+            negatives = counts[0] - counts[1]
+            rates = [(tp + fp) / counts[0] if counts[0] else None,
+                     tp / (tp + fn) if counts[1] else None, fp / (fp + tn) if negatives else None]
+            assert [f.ppr, f.tpr, f.fpr] == pytest.approx(rates, rel=1e-12, abs=0)
+        assert [frames[k].n for k in range(size // 2, size)] == [0] * (size - size // 2)
+        assert frames[0].tpr is None and frames[1].fpr is None
 
 
 def test_integer_labels_pass_through_hard_mode(toy8):
