@@ -13,6 +13,7 @@ error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import functools
 import hashlib
@@ -33,7 +34,7 @@ from .dataset import (Schema, Table, effort_threshold, encode_features, load_csv
 from .errors import (P_GRID, REQUIRED, ConfigError, FairsepError, ParseError, SchemaError,
                      checked, json_text, read_json, utf8_lines)
 from .groupstats import mask as subgroup_mask, positive_scores, stats, tally
-from .learner import EXPGRAD, ExpGradHP, exponentiated_gradient, load_model
+from .learner import EXPGRAD, ExpGradHP, LearnerHP, exponentiated_gradient, load_model
 from .notions import SEGMENTS, SEP_FAMILY, NotionConfig, segment_codes, violation
 from .privilege import extract_privilege_attribute, select_p
 
@@ -191,25 +192,27 @@ def _resolve_predictions(cfg: dict, table: Table) -> tuple[np.ndarray, str]:
     """The scores to audit and their source.  A predictions file's lines, blank and
     ``prediction`` ones skipped, go through numpy's C reader, which takes a subset of
     what ``float`` takes; unless it reads one column without error or warning, the
-    exact fallback reads each line with ``float`` and names the first bad one."""
+    exact fallback reads each line with ``float`` and names the first bad one.  A
+    UTF-8 byte-order mark at the start of the file is not part of its first line."""
     spec = cfg["predictions"]
     if spec == "ground_truth":
         return table.target.astype(np.float64), "ground_truth"
     if spec:
         with open(spec, "rb") as fh:
-            header = fh.readline().strip() == b"prediction"
+            header = fh.readline().removeprefix(codecs.BOM_UTF8).strip() == b"prediction"
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 values = np.loadtxt(spec, np.float64, delimiter=",", comments=None,
-                                    encoding="utf-8", ndmin=2, skiprows=int(header))
+                                    encoding="utf-8-sig", ndmin=2, skiprows=int(header))
             if values.shape[1] == 1:
                 return values[:, 0], f"file:{spec}"
         except (ValueError, Warning):
             pass
         scores = []
         for number, line in utf8_lines(spec):
-            if (line := line.strip()) and line != "prediction":
+            line = (line.removeprefix("\ufeff") if number == 1 else line).strip()
+            if line and line != "prediction":
                 try:
                     scores.append(float(line))
                 except ValueError:
@@ -301,6 +304,8 @@ def _audit(table: Table, predictions, ncfg: NotionConfig, mode: str, cutoff: flo
 
 def cmd_audit(args) -> int:
     cfg = _merged_config(args)
+    if cfg["predictions"] and cfg["model"]:
+        raise ConfigError("config keys 'predictions' and 'model' are both set; give one")
     mode, cutoff = _run_options(cfg)
     schema = _schema(cfg)
     ncfg = NotionConfig.from_dict(cfg["notion"], schema)
@@ -331,6 +336,9 @@ def cmd_train(args) -> int:
     seed = cfg["seed"]
 
     train_mask, test_mask = stratified_split(table, test_fraction, seed)
+    for side, rows in (("training", train_mask), ("test", test_mask)):
+        if not rows.any():
+            raise FairsepError(f"test_fraction {test_fraction} leaves the {side} split empty")
     train_table, test_table = table.take(train_mask), table.take(test_mask)
     del table  # the fits read only the split tables
     X_train, encoder = encode_features(train_table,
@@ -364,9 +372,10 @@ def cmd_extract_privilege(args) -> int:
     cfg = _merged_config(args)
     if not cfg["group"]:
         raise ConfigError("extract-privilege needs --group")
+    hp = LearnerHP.from_dict(cfg["learner"] or {})
     # no name holds the table, so that extraction can drop it before its fit
     result = extract_privilege_attribute(load_csv(cfg["data"], _schema(cfg)), cfg["group"],
-                                         repeats=cfg["repeats"], seed=cfg["seed"])
+                                         hp, repeats=cfg["repeats"], seed=cfg["seed"])
     rows = [[i + 1, r["attribute"], r["importance"], r["sd"],
              r["attribute"] == result.chosen]
             for i, r in enumerate(result.rows)]

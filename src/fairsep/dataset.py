@@ -21,6 +21,7 @@ more for the Gram matrix), and do all their categorical work over the tuples.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gc
 import itertools
@@ -257,7 +258,8 @@ def load_csv(path: str | Path, schema: Schema, columns=None) -> Table:
     strings are parsed once per file.  The first faulty kept row or short/long
     row raises ``ParseError`` naming the physical line the row starts on; a
     record the ``csv`` module cannot read, or a line that is not UTF-8, raises
-    it first, naming the line.  ``columns`` (default: all) names the columns to
+    it first, naming the line.  A UTF-8 byte-order mark before the header is
+    not part of its first name.  ``columns`` (default: all) names the columns to
     keep, of any kind, and the target is always kept; the Table's schema lists
     only what it holds.  Every schema column is still checked: its missing
     markers drop rows, and an unkept numeric column is parsed, not stored.  A
@@ -341,7 +343,7 @@ def _header_columns(path: Path, header: list[str], schema: Schema) -> list[int]:
 
 def _read_records(path: Path, schema: Schema, fold: _Fold) -> _Fold:
     """``fold`` fed what csv reads, with the first short/long row as its fault."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         collecting = gc.isenabled()
         gc.disable()  # the loop's many acyclic row lists would only trigger collector passes
@@ -401,7 +403,7 @@ def _read_plain(path: Path, schema: Schema, fold: _Fold | None = None) -> _Fold 
                 defaultdict(itertools.count().__next__) for c in schema.columns]
     with open(path, "rb") as fh:
         try:
-            line = fh.readline()
+            line = fh.readline().removeprefix(codecs.BOM_UTF8)
             header = line.removesuffix(b"\n").decode().split(delim)
             if not line or len(line) > limit + 1 or any(map(line.__contains__, not_plain)):
                 return None
@@ -787,13 +789,9 @@ class FeatureEncoder:
         return Design(block, np.array(numeric, np.intp), coded, combo, (n, self.width))
 
 
-def encode_features(
-    table: Table,
-    train_mask: np.ndarray | None = None,
-    include_protected: bool = False,
-) -> tuple[Design, FeatureEncoder]:
-    """Encode the whole table; statistics come from train_mask rows only."""
-    enc = FeatureEncoder.fit(table, train_mask, include_protected)
+def encode_features(table: Table, include_protected: bool = False) -> tuple[Design, FeatureEncoder]:
+    """The whole table encoded by an encoder fitted on all of its rows, and that encoder."""
+    enc = FeatureEncoder.fit(table, include_protected=include_protected)
     return enc.transform(table), enc
 
 

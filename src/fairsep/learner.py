@@ -90,7 +90,6 @@ class BaseLearner:
 
     weights: np.ndarray
     intercept: float
-    hp: LearnerHP
     converged: bool = True
     epochs_run: int = 0
     final_loss: float = 0.0
@@ -114,9 +113,9 @@ class BaseLearner:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict, hp: LearnerHP) -> "BaseLearner":
+    def from_dict(cls, doc: dict) -> "BaseLearner":
         doc = checked(doc, MEMBER, "model member key")
-        return cls(weights=np.asarray(doc.pop("weights"), dtype=np.float64), hp=hp, **doc)
+        return cls(weights=np.asarray(doc.pop("weights"), dtype=np.float64), **doc)
 
 
 def fit_base(
@@ -206,9 +205,8 @@ def fit_base(
 
     if not converged:
         log.warning("base learner stopped at epoch cap %d (loss %.6g)", hp.epochs, loss)
-    return BaseLearner(weights=w[:d], intercept=float(w[d]), hp=hp,
-                       converged=converged, epochs_run=epochs_run,
-                       final_loss=loss)
+    return BaseLearner(weights=w[:d], intercept=float(w[d]), converged=converged,
+                       epochs_run=epochs_run, final_loss=loss)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +331,7 @@ class ReducedModel:
         if len(mixture) != len(members):
             raise ConfigError(f"model has {len(members)} members, {len(mixture)} mixture_weights")
         encoder = doc.pop("encoder")
-        return cls(members=[BaseLearner.from_dict(m, hp.base) for m in members],
+        return cls(members=[BaseLearner.from_dict(m) for m in members],
                    mixture_weights=np.asarray(mixture, dtype=np.float64), hp=hp,
                    constraint_names=list(doc.pop("constraints")),
                    encoder=None if encoder is None else _encoder(encoder), **doc)

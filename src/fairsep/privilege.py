@@ -26,6 +26,8 @@ from .learner import BaseLearner, LearnerHP, fit_base
 
 log = logging.getLogger(__name__)
 
+HOLDOUT_FRACTION = 0.25  # of the group's rows of each outcome, held out for the importance
+
 
 @dataclass
 class ImportanceTable:
@@ -81,16 +83,13 @@ def extract_privilege_attribute(
     hp: LearnerHP | None = None,
     repeats: int = 10,
     seed: int = 0,
-    holdout_fraction: float = 0.25,
-    candidates: list[str] | None = None,
-    exclude_effort: bool = False,
 ) -> ImportanceTable:
-    """Rank numeric columns by their pull on the given group's outcome model.
+    """Rank the ordinal and numerical columns by their pull on the group's outcome model.
 
     A learner is fitted on the group's rows alone; importance is measured on a
-    held-out slice of those rows, stratified by outcome.  Ties at the top are
-    broken by the larger importance-minus-one-sd, then lexicographically, and
-    the result is flagged.
+    held-out ``HOLDOUT_FRACTION`` of those rows, stratified by outcome.  Ties at the
+    top are broken by the larger importance-minus-one-sd, then lexicographically,
+    and the result is flagged.
     """
     prot = table.schema.protected
     if prot is None:
@@ -102,14 +101,7 @@ def extract_privilege_attribute(
     if not in_group.any():
         raise ExtractionError(f"group {group!r} has no rows")
 
-    if candidates is None:
-        candidates = [c.name for c in table.schema.columns
-                      if c.kind in NUMERIC_KINDS
-                      and not (exclude_effort and "effort" in c.tags)]
-    else:
-        for name in candidates:
-            if table.schema[name].kind not in NUMERIC_KINDS:
-                raise ConfigError(f"candidate {name!r} is not ordinal/numerical")
+    candidates = [c.name for c in table.schema.columns if c.kind in NUMERIC_KINDS]
     if len(candidates) < 2:
         raise ExtractionError(
             f"need >= 2 ordinal/numerical candidate columns, found {len(candidates)}"
@@ -122,7 +114,7 @@ def extract_privilege_attribute(
     for label in (0, 1):
         idx = idx_g[y[idx_g] == label]
         rng.shuffle(idx)
-        n_ho = int(round(len(idx) * holdout_fraction))
+        n_ho = int(round(len(idx) * HOLDOUT_FRACTION))
         holdout[idx[:n_ho]] = True
     train = in_group & ~holdout
     if not holdout.any() or not train.any():
@@ -159,7 +151,7 @@ def extract_privilege_attribute(
             for n in ordered]
     return ImportanceTable(
         group=group, repeats=repeats, seed=seed,
-        holdout_fraction=holdout_fraction, baseline_accuracy=baseline,
+        holdout_fraction=HOLDOUT_FRACTION, baseline_accuracy=baseline,
         rows=rows, chosen=ordered[0], tie_flagged=tie_flagged,
     )
 

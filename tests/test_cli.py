@@ -460,6 +460,24 @@ def test_missing_predictions_is_usage_error(tmp_path):
     )
 
 
+@pytest.mark.parametrize("config, flags", [
+    ({}, ["--predictions", "ground_truth", "--model", "model.json"]),
+    ({"predictions": "ground_truth"}, ["--model", "model.json"]),
+    ({"model": "model.json"}, ["--predictions", "preds.csv"]),
+])
+def test_two_prediction_sources_are_a_usage_error(tmp_path, capsys, caplog, config, flags):
+    # refused before any file is read: data, model and predictions do not exist
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(["audit", "--config", str(cfg_path), "--data", str(tmp_path / "absent.csv"),
+                 "--schema", TOY8_SCHEMA, "--notion", "DP", "--out", str(out)] + flags)
+    err = capsys.readouterr().err
+    assert code == 2 and "'predictions'" in err and "'model'" in err, err
+    assert "absent.csv" not in err and "unhandled error" not in caplog.text
+    assert not out.exists()
+
+
 def test_nonexistent_data_file_is_usage_error(tmp_path):
     preds = write_predictions(tmp_path / "preds.csv", HPRED)
     code = main(
@@ -488,7 +506,7 @@ def test_a_path_of_the_wrong_kind_is_a_usage_error_naming_it(tmp_path, capsys, c
     bad.write_text("", encoding="utf-8") if flag == "--out" else bad.mkdir()
     args = {"--data": TOY8_DATA, "--schema": TOY8_SCHEMA, "--out": str(tmp_path / "run"),
             "--predictions": "ground_truth", flag: str(bad)}
-    if flag == "--model":  # predictions take precedence over a model
+    if flag == "--model":  # audit refuses predictions and a model together
         del args["--predictions"]
     code = main(["audit", "--notion", "DP"] + [v for item in args.items() for v in item])
     err = capsys.readouterr().err
@@ -856,6 +874,19 @@ def test_model_without_an_encoder_is_a_usage_error(tmp_path, capsys, caplog):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("fraction, side", [("0.9", "training"), ("0.1", "test")])
+def test_a_split_with_an_empty_side_is_a_runtime_error(tmp_path, capsys, caplog, fraction, side):
+    # toy8's four (group, target) strata hold two rows each: 0.9 draws both of each
+    # into the test split, 0.1 draws none; refused before encoding warns or a fit runs
+    out = tmp_path / "run"
+    code = main(["train", "--data", TOY8_DATA, "--schema", TOY8_SCHEMA, "--notion", "DP",
+                 "--test-fraction", fraction, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and "test_fraction" in err and f"{side} split" in err, err
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, config, code, words", [
     (["sweep-p"], {"column": ["cap"]}, 2, "'column'"),
     (["sweep-p", "--column", "occ"], {}, 2, "'occ' is not ordinal/numerical"),
@@ -1032,9 +1063,10 @@ PREDICTION_LINES = ["0.5", " 0.25 ", "1", "-0.0", "1e-3", "+.5", "nan", "-NaN", 
 
 
 def reference_predictions(path: Path) -> np.ndarray:
-    """One physical line at a time: the first that is not UTF-8, or that is
-    not blank, not ``prediction`` and not a number to ``float``, raises."""
-    pieces = re.split(rb"\r\n|\r|\n", path.read_bytes())
+    """One physical line at a time, after a byte-order mark at the file's start: the first
+    that is not UTF-8, or that is not blank, not ``prediction`` and not a number to
+    ``float``, raises."""
+    pieces = re.split(rb"\r\n|\r|\n", path.read_bytes().removeprefix(b"\xef\xbb\xbf"))
     scores = []
     for number, raw in enumerate(pieces[:-1] if pieces[-1] == b"" else pieces, 1):
         try:
@@ -1091,6 +1123,25 @@ def test_predictions_reader_matches_float_per_line_on_edge_files(tmp_path, text)
     path = tmp_path / "preds.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))  # '\udcff' is the byte 0xff
     assert_predictions_match_reference(path)
+
+
+@pytest.mark.parametrize("reader", ["plain", "csv"])
+def test_a_byte_order_mark_is_not_part_of_the_first_name_or_value(tmp_path, monkeypatch,
+                                                                  reader):
+    # the same paths hold the plain files, then the same files after a UTF-8 BOM
+    if reader == "csv":
+        monkeypatch.setattr(fairsep.dataset, "_read_plain", lambda *args: None)
+    data, preds = tmp_path / "toy8.csv", tmp_path / "preds.csv"
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        data.write_bytes(bom + Path(TOY8_DATA).read_bytes())
+        for header in ("prediction\n", ""):
+            preds.write_bytes(bom + (header + "\n".join(map(str, HPRED)) + "\n").encode())
+            out = tmp_path / f"run{len(outputs)}"
+            assert main(["audit", "--data", str(data), "--schema", TOY8_SCHEMA, "--notion",
+                         "SEP", "--p", "25", "--predictions", str(preds), "--out", str(out)]) == 1
+            outputs.append([(out / name).read_bytes() for name in ("report.json", "stats.csv")])
+    assert outputs[1:] == outputs[:1] * 3
 
 
 if given is not None:
@@ -1655,6 +1706,23 @@ def test_extract_privilege_checks_group_before_reading_data(tmp_path, capsys):
     assert code == 2 and "--group" in err and "absent.csv" not in err, err
 
 
+@pytest.mark.parametrize("learner, code, words", [({"epochs": 0}, 2, "'epochs'"),
+                                                   ({"epochs": 1}, 0, "epoch cap 1")])
+def test_extract_privilege_fits_with_the_learner_block(privilege_csv, tmp_path, capsys, caplog,
+                                                       learner, code, words):
+    # the block is checked before --data is read: epochs 0 names 'epochs', not absent.csv
+    data, schema = privilege_csv
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"learner": learner}), encoding="utf-8")
+    out = tmp_path / "imp"
+    got = main(["extract-privilege", "--config", str(cfg_path), "--data",
+                data if code == 0 else str(tmp_path / "absent.csv"), "--schema", schema,
+                "--group", "M", "--repeats", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert got == code and words in (err if code else caplog.text), (err, caplog.text)
+    assert "absent.csv" not in err and (out / "importance.json").exists() == (code == 0)
+
+
 # ---------------------------------------------------------------------------
 # sweep-p
 # ---------------------------------------------------------------------------
@@ -1717,6 +1785,18 @@ def test_sweep_p_comma_grid(privilege_csv, tmp_path):
     doc = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
     assert doc["grid"] == [10, 20, 30]
     assert len(doc["entries"]) == 3
+
+
+def test_sweep_p_json_list_grid(privilege_csv, tmp_path):
+    data, schema = privilege_csv
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"grid": [1, 2, 5]}), encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert main(["sweep-p", "--config", str(cfg_path), "--data", data, "--schema", schema,
+                 "--column", "xp", "--out", str(out)]) == 0
+    doc = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
+    assert doc["grid"] == [1.0, 2.0, 5.0]
+    assert [e["p"] for e in doc["entries"]] == [1.0, 2.0, 5.0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from fairsep import Schema
 from fairsep.dataset import Table
 from fairsep.errors import ConfigError, ExtractionError
-from fairsep.learner import BaseLearner, LearnerHP
+from fairsep.learner import BaseLearner
 from fairsep.privilege import extract_privilege_attribute, permutation_importance, select_p
 from conftest import rows_to_table
 from synth import privilege_driven_table
@@ -55,8 +55,7 @@ def test_zero_weight_column_has_exactly_zero_importance():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(80, 2))
     y = (X[:, 0] > 0).astype(np.int64)
-    learner = BaseLearner(weights=np.array([3.0, 0.0]), intercept=0.0,
-                          hp=LearnerHP())
+    learner = BaseLearner(weights=np.array([3.0, 0.0]), intercept=0.0)
     scores = permutation_importance(learner, X, y,
                                     {"used": [0], "unused": [1]},
                                     repeats=5, rng=np.random.default_rng(1))
@@ -69,8 +68,7 @@ def test_identical_columns_get_bitwise_identical_importance():
     col = rng.normal(size=60)
     X = np.stack([col, col], axis=1)
     y = (col > 0).astype(np.int64)
-    learner = BaseLearner(weights=np.array([1.5, 1.5]), intercept=0.0,
-                          hp=LearnerHP())
+    learner = BaseLearner(weights=np.array([1.5, 1.5]), intercept=0.0)
     scores = permutation_importance(learner, X, y, {"a": [0], "b": [1]},
                                     repeats=6, rng=np.random.default_rng(3))
     assert scores["a"] == scores["b"]
@@ -80,8 +78,7 @@ def test_importance_uses_shared_permutations_for_determinism():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(50, 2))
     y = (X[:, 0] + 0.2 * X[:, 1] > 0).astype(np.int64)
-    learner = BaseLearner(weights=np.array([1.0, 0.3]), intercept=0.0,
-                          hp=LearnerHP())
+    learner = BaseLearner(weights=np.array([1.0, 0.3]), intercept=0.0)
     a = permutation_importance(learner, X, y, {"x0": [0], "x1": [1]},
                                repeats=4, rng=np.random.default_rng(7))
     b = permutation_importance(learner, X, y, {"x0": [0], "x1": [1]},
@@ -150,18 +147,8 @@ def test_extraction_argument_validation():
         extract_privilege_attribute(table, "F", repeats=2)
     with pytest.raises(ExtractionError, match="no rows"):
         extract_privilege_attribute(table, "X")
-    with pytest.raises(ExtractionError, match=">= 2"):
-        extract_privilege_attribute(table, "F", candidates=["xp"])
-    with pytest.raises(ConfigError, match="not ordinal/numerical"):
-        extract_privilege_attribute(table, "F", candidates=["xp", "cat"])
-
-
-def test_extraction_excluding_effort_candidates():
-    table = signal_table()
-    result = extract_privilege_attribute(table, "F", repeats=5, seed=0,
-                                         exclude_effort=True)
-    assert set(r["attribute"] for r in result.rows) == {"xp", "noise"}
-    assert result.chosen == "xp"
+    with pytest.raises(ExtractionError, match=">= 2 ordinal/numerical candidate columns, found 1"):
+        extract_privilege_attribute(table.project({"group", "xp", "cat"}), "F")
 
 
 def test_extraction_degenerate_group_outcomes():
