@@ -43,8 +43,9 @@ class ConfigError(FairsepError):
 
 
 def read_json(path, what: str, error=ConfigError) -> dict:
-    """The JSON object at ``path``; malformed JSON, bad UTF-8 or a non-object raise ``error``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The JSON object at ``path``, after any UTF-8 byte-order mark; malformed JSON, bad
+    UTF-8 or a non-object raise ``error``."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:

@@ -1,23 +1,21 @@
 """Base classifier and the reductions-style constrained trainer.
 
 The constrained trainer follows the exponentiated-gradient scheme: each
-fairness notion compiles to a list of linear moment constraints
-``g(h) = sum_j w_j * S_j(h) + c <= eps_train`` over prediction scores, each kept
-as its audit term's per-code coefficients w_j on the per-code sums S_j of h
-and of zeta * h (``notions.CodeTable``); training alternates a
-multiplicative multiplier update with a cost-sensitive best-response fit of
-the base learner, and returns a mixture over the iterates.
+fairness notion compiles to one ``Constraints`` record of K linear moment
+constraints ``g_k(h) = sum_j w_kj * S_j(h) + c_k <= eps_train`` over prediction
+scores, holding each audit term's per-code coefficients w_kj on the per-code
+sums S_j of h and of zeta * h (``notions.CodeTable``) stacked into one array;
+training alternates a multiplicative multiplier update with a cost-sensitive
+best-response fit of the base learner, and returns a mixture over the iterates.
 
 The base learner is a from-scratch l2-regularised logistic regression
 (intercept unpenalised) fitted by deterministic Armijo-damped Newton steps
 (IRLS) from zero until the loss stops changing, with optional per-row signed
 costs: a row with negative cost prefers the positive decision and enters the
 loss with weight |cost|.  ``LearnerHP.epochs`` caps the number of Newton
-steps; the retired options ``learning_rate`` and ``seed`` are accepted from
-config and model files with a warning and ignored.  Fits and predictions
-read features as a ``dataset.Design`` (a numeric block plus categorical
-codes) through its X @ w, X^T r and X^T diag(s) X products; a plain 2-D
-array is taken as a design with only a numeric block.
+steps.  Fits and predictions read features as a ``dataset.Design`` (a numeric
+block plus categorical codes) through its X @ w, X^T r and X^T diag(s) X
+products; a plain 2-D array is taken as a design with only a numeric block.
 """
 
 from __future__ import annotations
@@ -37,9 +35,6 @@ log = logging.getLogger(__name__)
 
 ARMIJO = 1e-4  # sufficient-decrease fraction of the predicted decrease
 MIN_STEP = 2.0 ** -40
-# options of the former gradient-descent learner, still read from old
-# configs and model files and ignored
-RETIRED_LEARNER_KEYS = ("learning_rate", "seed")
 # The kind of each option of LearnerHP and ExpGradHP; the dataclasses hold the defaults.
 LEARNER = {"epochs": "an integer >= 1", "l2": "a finite number >= 0", "tol": "a finite number >= 0"}
 EXPGRAD = {"max_iter": "an integer >= 1", "eta": "a finite number > 0",
@@ -73,11 +68,7 @@ class LearnerHP:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LearnerHP":
-        for key in RETIRED_LEARNER_KEYS:
-            if key in doc:
-                log.warning("learner option %r is retired and ignored", key)
-        return cls(**checked({k: v for k, v in doc.items() if k not in RETIRED_LEARNER_KEYS},
-                             LEARNER, "learner option"))
+        return cls(**checked(doc, LEARNER, "learner option"))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -210,55 +201,71 @@ def fit_base(
 
 
 # ---------------------------------------------------------------------------
-# Moment constraints
+# Constraints
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MomentConstraint:
-    """Linear constraint on scores: coef @ sums[codes] + offset <= ``ExpGradHP.eps_train``,
+@dataclass(frozen=True)
+class Constraints:
+    """The notion's K linear constraints on scores, constraint k being
+    ``sum(coef[i] * sums[codes[i]] for i with index[i] == k) + offsets[k] <= eps_train``,
     where ``sums`` is ``table``'s per-code sums of h (codes below ``table.counts.size``),
-    then of zeta * h."""
+    then of zeta * h; ``names[k]`` names constraint k."""
 
-    name: str
+    names: list[str]
     table: CodeTable
+    index: np.ndarray
     codes: np.ndarray
     coef: np.ndarray
-    offset: float = 0.0
+    offsets: np.ndarray
 
-    def value(self, scores: np.ndarray) -> float:
-        sums = np.concatenate((self.table.sum(scores), self.table.sum(self.table.zeta * scores)))
-        return float(np.dot(self.coef, sums[self.codes])) + self.offset
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def values(self, h: np.ndarray) -> np.ndarray:
+        """All K constraint values at scores h."""
+        sums = np.concatenate((self.table.sum(h), self.table.sum(self.table.zeta * h)))
+        return np.bincount(self.index, self.coef * sums[self.codes], len(self)) + self.offsets
+
+    def per_code(self, lam: np.ndarray) -> np.ndarray:
+        """Each code's multiplier-weighted coefficient: plain codes, then weighted ones."""
+        return np.bincount(self.codes, self.coef * lam[self.index], 2 * self.table.counts.size)
 
 
-def compile_constraints(table: Table, cfg: NotionConfig) -> list[MomentConstraint]:
-    """Turn the notion's audit terms into linear moment constraints on scores.
+def compile_constraints(table: Table, cfg: NotionConfig) -> Constraints:
+    """Turn the notion's audit terms into one record of linear constraints on scores.
 
     Each keeps its term's codes (a weighted side's shifted by the code count) with the
     coefficient left - right, a side's being 1/norm.  T1 becomes a two-sided ``/+`` ``/-``
     pair; T2 (``/effort``) and T3 (``/fpr_cap``), over 1 - h, each become one one-sided
     constraint with offset mass(right) - mass(left), a side's mass being its mean of 1:
-    0 but for T3 under literal B, B0/B - 1.  |value| equals the audited term."""
+    0 but for T3 under literal B, B0/B - 1.  |value| equals the audited term.  A notion
+    with no term compiles to no constraint."""
     found = cells(table, cfg, cfg.resolve_thresholds(table))
     mass = (found.counts, found.sum(found.zeta))
-    out: list[MomentConstraint] = []
+    names, codes, coef, offsets = [], [], [], []
     for cell in found.cells:
         for msg in cell.skipped:
             log.info("constraint compile: %s", msg)
         for term in cell.terms:
             sides = ((term.left, 1.0), (term.right, -1.0))
             shifted = [s.codes + found.counts.size * s.zeta for s, _ in sides]
-            codes, at = np.unique(np.concatenate(shifted), return_inverse=True)
-            coef = np.bincount(at, np.concatenate([np.full(s.codes.size, sign / s.norm)
-                                                   for s, sign in sides]), codes.size)
+            term_codes, at = np.unique(np.concatenate(shifted), return_inverse=True)
+            term_coef = np.bincount(at, np.concatenate([np.full(s.codes.size, sign / s.norm)
+                                                        for s, sign in sides]), term_codes.size)
             if term.key == "T1":
                 name = f"{cell.label}/parity" if cfg.kind in ("SEP", "CSEP") else cell.label
-                out.append(MomentConstraint(f"{name}/+", found, codes, coef))
-                out.append(MomentConstraint(f"{name}/-", found, codes, -coef))
+                names += [f"{name}/+", f"{name}/-"]
+                codes += [term_codes, term_codes]
+                coef += [term_coef, -term_coef]
+                offsets += [0.0, 0.0]
             else:
-                offset = term.right.mean(mass) - term.left.mean(mass)
-                suffix = "effort" if term.key == "T2" else "fpr_cap"
-                out.append(MomentConstraint(f"{cell.label}/{suffix}", found, codes, coef, offset))
-    return out
+                names.append(f"{cell.label}/{'effort' if term.key == 'T2' else 'fpr_cap'}")
+                codes.append(term_codes)
+                coef.append(term_coef)
+                offsets.append(term.right.mean(mass) - term.left.mean(mass))
+    index = np.repeat(np.arange(len(names)), np.array([c.size for c in codes], np.int64))
+    return Constraints(names, found, index, np.concatenate([np.empty(0, np.int64), *codes]),
+                       np.concatenate([np.empty(0), *coef]), np.array(offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +390,7 @@ def exponentiated_gradient(
     X = as_design(features)
     y = table.target.astype(np.float64)
     n = len(y)
-    constraints = [] if cfg is None else compile_constraints(table, cfg)
+    constraints = None if cfg is None else compile_constraints(table, cfg)
     base_costs = (1.0 - 2.0 * y) / n
     notion_doc = None if cfg is None else {"kind": cfg.kind, "protected": cfg.protected}
 
@@ -398,21 +405,8 @@ def exponentiated_gradient(
                          "mixture_error": err, "lambda": []}],
             best_iterate=0, max_violation=0.0, encoder=encoder, notion=notion_doc)
 
-    # the one copy the rounds read: (constraint, code, coefficient) triplets and their code table
-    K, codes_of = len(constraints), constraints[0].table
-    index = np.repeat(np.arange(K), [c.codes.size for c in constraints])
-    codes = np.concatenate([c.codes for c in constraints])
-    coef = np.concatenate([c.coef for c in constraints])
-    offsets = np.array([c.offset for c in constraints])
-    names = [c.name for c in constraints]
-    code, zeta, size = codes_of.code, codes_of.zeta, codes_of.counts.size
-    del table, constraints  # the fits read neither, only the stacked copy above
-
-    def moments(h: np.ndarray) -> np.ndarray:
-        sums = np.concatenate((codes_of.sum(h), codes_of.sum(zeta * h)))
-        return np.bincount(index, coef * sums[codes], K) + offsets
-
-    theta, mixture_scores = np.zeros(K), np.zeros(n)
+    code, zeta, size = constraints.table.code, constraints.table.zeta, constraints.table.counts.size
+    theta, mixture_scores = np.zeros(len(constraints)), np.zeros(n)
     members: list[BaseLearner] = []
     trajectory: list[dict] = []
     best_mix_violation, stall, early_stopped = np.inf, 0, False
@@ -422,15 +416,15 @@ def exponentiated_gradient(
         shift = max(0.0, float(np.max(theta)))
         expd = np.exp(theta - shift)
         lam = hp.lambda_bound * expd / (np.exp(-shift) + float(np.sum(expd)))
-        per_code = np.bincount(codes, coef * lam[index], 2 * size)  # plain, then weighted
+        per_code = constraints.per_code(lam)
         costs = base_costs + per_code[:size][code] + zeta * per_code[size:][code]
         member = fit_base(X, y, costs, hp.base)
         scores = member.predict_proba(X)
-        violations = moments(scores) - hp.eps_train
+        violations = constraints.values(scores) - hp.eps_train
         members.append(member)
         mixture_scores += (scores - mixture_scores) / it
         member_max = float(np.max(violations))
-        mix_max = float(np.max(moments(mixture_scores) - hp.eps_train))
+        mix_max = float(np.max(constraints.values(mixture_scores) - hp.eps_train))
         err = float(np.mean((scores >= 0.5) != (y == 1)))
         mix_err = float(np.mean((mixture_scores >= 0.5) != (y == 1)))
         trajectory.append({
@@ -456,8 +450,8 @@ def exponentiated_gradient(
         theta = theta + hp.eta * violations
 
     model = ReducedModel(members, np.full(len(members), 1.0 / len(members)), hp,
-                         constraint_names=names, trajectory=trajectory,
+                         constraint_names=constraints.names, trajectory=trajectory,
                          best_iterate=best_member[2], early_stopped=early_stopped,
                          encoder=encoder, notion=notion_doc)
-    model.max_violation = float(np.max(moments(model.predict_scores(X)) - hp.eps_train))
+    model.max_violation = float(np.max(constraints.values(model.predict_scores(X)) - hp.eps_train))
     return model

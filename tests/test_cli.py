@@ -638,6 +638,8 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, caplog, argv):
     {"test_fraction": "0.3"},
     {"train": {"test_fraction": "0.3"}},
     {"seed": -1},
+    {"learner": {"learning_rate": 0.5}},
+    {"learner": {"seed": 3}},
 ])
 def test_bad_trainer_hyperparameters_are_usage_errors(tmp_path, capsys, caplog, config):
     cfg_path = tmp_path / "train.json"
@@ -1128,18 +1130,22 @@ def test_predictions_reader_matches_float_per_line_on_edge_files(tmp_path, text)
 @pytest.mark.parametrize("reader", ["plain", "csv"])
 def test_a_byte_order_mark_is_not_part_of_the_first_name_or_value(tmp_path, monkeypatch,
                                                                   reader):
-    # the same paths hold the plain files, then the same files after a UTF-8 BOM
+    # the same paths hold the plain files, then the same files after a UTF-8 BOM: the
+    # data, the predictions, the schema and a config that holds the notion
     if reader == "csv":
         monkeypatch.setattr(fairsep.dataset, "_read_plain", lambda *args: None)
     data, preds = tmp_path / "toy8.csv", tmp_path / "preds.csv"
+    schema, config = tmp_path / "toy8.schema.json", tmp_path / "audit.json"
     outputs = []
     for bom in (b"", b"\xef\xbb\xbf"):
         data.write_bytes(bom + Path(TOY8_DATA).read_bytes())
+        schema.write_bytes(bom + Path(TOY8_SCHEMA).read_bytes())
+        config.write_bytes(bom + json.dumps({"notion": {"kind": "SEP", "p": 25}}).encode())
         for header in ("prediction\n", ""):
             preds.write_bytes(bom + (header + "\n".join(map(str, HPRED)) + "\n").encode())
             out = tmp_path / f"run{len(outputs)}"
-            assert main(["audit", "--data", str(data), "--schema", TOY8_SCHEMA, "--notion",
-                         "SEP", "--p", "25", "--predictions", str(preds), "--out", str(out)]) == 1
+            assert main(["audit", "--config", str(config), "--data", str(data), "--schema",
+                         str(schema), "--predictions", str(preds), "--out", str(out)]) == 1
             outputs.append([(out / name).read_bytes() for name in ("report.json", "stats.csv")])
     assert outputs[1:] == outputs[:1] * 3
 
@@ -1514,7 +1520,7 @@ def test_train_dp_writes_model_and_reports(planted_csv, tmp_path, capsys):
     out = tmp_path / "fit"
     cfg = {
         "train": {"max_iter": 12, "eps_train": 0.05},
-        "learner": {"epochs": 150, "seed": 0},
+        "learner": {"epochs": 150},
     }
     cfg_path = tmp_path / "train.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")

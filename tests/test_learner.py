@@ -15,9 +15,9 @@ from fairsep import NotionConfig, Schema, load_csv, violation
 from fairsep.dataset import ColumnSpec, FeatureEncoder, Table, encode_features
 from fairsep.errors import ConfigError, DegenerateThresholdError, EncodingError, json_text
 from fairsep.learner import (
+    Constraints,
     ExpGradHP,
     LearnerHP,
-    MomentConstraint,
     compile_constraints,
     exponentiated_gradient,
     fit_base,
@@ -358,11 +358,11 @@ def test_tuple_coded_design_matches_its_dense_reference(case):
     _assert_close(shuffled.matvec(w), dense @ w)
 
 
-def test_learner_hp_ignores_retired_keys_with_a_warning(caplog):
-    with caplog.at_level(logging.WARNING):
-        hp = LearnerHP.from_dict({"epochs": 10, "learning_rate": 0.5, "seed": 3})
-    assert hp == LearnerHP(epochs=10)
-    assert sum("retired" in m for m in caplog.messages) == 2
+def test_learner_hp_refuses_the_former_learners_keys():
+    # learning_rate and seed of the former gradient-descent learner are unknown options
+    with pytest.raises(ConfigError,
+                       match=r"unknown learner option\(s\): \['learning_rate', 'seed'\]"):
+        LearnerHP.from_dict({"epochs": 10, "learning_rate": 0.5, "seed": 3})
     with pytest.raises(ConfigError, match="unknown learner option"):
         LearnerHP.from_dict({"seed": 3, "momentum": 0.9})
 
@@ -382,13 +382,17 @@ def test_learner_hp_rejects_out_of_range_values(kw):
 
 def test_moment_constraint_value_and_violation():
     # codes 0 and 1 are plain, 2 and 3 their zeta-weighted sums; rows 0 and 1 hold
-    # codes 0 and 1, and row 1 weighs 2
+    # codes 0 and 1, and row 1 weighs 2; "demo" reads codes 0, 1 and 3 with an offset,
+    # "other" codes 1 and 2
     table = CodeTable(np.array([0, 1]), np.array([0.0, 2.0]), np.array([1, 1]),
                       np.array([0, 1]))
-    c = MomentConstraint("demo", table, np.array([0, 1, 3]), np.array([1.0, -1.0, 0.5]),
-                         offset=0.1)
-    scores = np.array([0.5, 0.2])
-    assert c.value(scores) == pytest.approx(0.6)
+    system = Constraints(["demo", "other"], table, np.array([0, 0, 0, 1, 1]),
+                         np.array([0, 1, 3, 1, 2]), np.array([1.0, -1.0, 0.5, 2.0, 4.0]),
+                         np.array([0.1, 0.0]))
+    scores = np.array([0.5, 0.2])  # per-code sums 0.5, 0.2, then 0.0, 0.4
+    assert len(system) == 2
+    assert system.values(scores) == pytest.approx([0.6, 0.4])
+    np.testing.assert_array_equal(system.per_code(np.array([1.0, 10.0])), [1.0, 19.0, 40.0, 0.5])
 
 
 def test_compile_counts_dp_ep_cdp(toy8):
@@ -399,7 +403,7 @@ def test_compile_counts_dp_ep_cdp(toy8):
     cdp = compile_constraints(
         toy8, NotionConfig(kind="CDP", protected="sex", conditional="occ"))
     assert len(cdp) == 8  # 2 categories x 2 groups x (+,-)
-    assert {c.name.rsplit("/", 1)[1] for c in dp} == {"+", "-"}
+    assert {name.rsplit("/", 1)[1] for name in dp.names} == {"+", "-"}
 
 
 def test_compile_counts_sep_family(toy8):
@@ -419,7 +423,7 @@ def test_compile_counts_sep_family(toy8):
                            p=25.0, weighting=EffortWeighting("unit")))
     # (A,F): all four; (A,M) and (B,F): parity only; (B,M): no FP cap
     assert len(csep) == 11
-    names = [c.name for c in csep]
+    names = csep.names
     assert "CSEP/(A,F)/effort" in names
     assert "CSEP/(A,F)/fpr_cap" in names
     assert "CSEP/(B,M)/effort" in names
@@ -430,14 +434,14 @@ def test_sep_constraint_weights_match_hand_built_masks(toy8):
     cfg = NotionConfig(kind="SEP", protected="sex", privilege_column="cap",
                        effort_column="hours", p=25.0,
                        weighting=EffortWeighting("unit"))
-    by_name = {c.name: c for c in compile_constraints(toy8, cfg)}
+    system = compile_constraints(toy8, cfg)
+    code, zeta, size = system.table.code, system.table.zeta, system.table.counts.size
 
-    def dense(c):
-        # each row's weight: its code's plain coefficient plus zeta times its weighted one
-        size = c.table.counts.size
-        per_code = np.zeros(2 * size)
-        per_code[c.codes] = c.coef
-        return per_code[:size][c.table.code] + c.table.zeta * per_code[size:][c.table.code]
+    def dense(name):
+        # each row's weight: its code's plain coefficient plus zeta times its weighted one,
+        # read as the per-code costs of a multiplier of 1 on that constraint alone
+        per_code = system.per_code(np.eye(len(system))[system.names.index(name)])
+        return per_code[:size][code] + zeta * per_code[size:][code]
 
     sex = toy8.column("sex")
     privileged = toy8.column("cap") >= 10000.0
@@ -446,18 +450,18 @@ def test_sep_constraint_weights_match_hand_built_masks(toy8):
     all_rows = np.ones(8)
 
     parity = under_f / under_f.sum() - all_rows / 8.0
-    np.testing.assert_array_equal(dense(by_name["SEP/F/parity/+"]), parity)
-    np.testing.assert_array_equal(dense(by_name["SEP/F/parity/-"]), -parity)
+    np.testing.assert_array_equal(dense("SEP/F/parity/+"), parity)
+    np.testing.assert_array_equal(dense("SEP/F/parity/-"), -parity)
 
     low = under_f & (hours < 40.0)
     high = under_f & (hours >= 40.0)
     effort = low / low.sum() - high / high.sum()
-    np.testing.assert_array_equal(dense(by_name["SEP/F/effort"]), effort)
+    np.testing.assert_array_equal(dense("SEP/F/effort"), effort)
 
     priv_neg = privileged & (toy8.target == 0)
     high_neg = high & (toy8.target == 0)
     cap = priv_neg / priv_neg.sum() - high_neg / high_neg.sum()
-    np.testing.assert_array_equal(dense(by_name["SEP/F/fpr_cap"]), cap)
+    np.testing.assert_array_equal(dense("SEP/F/fpr_cap"), cap)
 
 
 def _adultgen_table(directory, rows=12000):
@@ -486,8 +490,9 @@ def test_compile_memory_scales_with_non_zeros_not_constraints(tmp_path):
     occ, nat = systems["occupation"], systems["native-country"]
     assert len(nat) >= 1.6 * len(occ)
     for system in (occ, nat):
-        assert max(c.codes.size for c in system) <= 12
-        assert sum(c.codes.size for c in system) <= 12 * len(system) < table.rows / 4
+        per_constraint = np.bincount(system.index, minlength=len(system))
+        assert max(per_constraint) <= 12
+        assert sum(per_constraint) <= 12 * len(system) < table.rows / 4
 
 
 def test_training_memory_stays_below_the_dense_feature_matrix(tmp_path):
@@ -509,12 +514,12 @@ def test_training_memory_stays_below_the_dense_feature_matrix(tmp_path):
     assert peak < n * d * 8, (peak, n * d * 8)
 
 
-def test_train_fits_hold_neither_the_loaded_table_nor_the_compiled_constraints(tmp_path,
-                                                                              monkeypatch):
-    # the fits read the split tables, the design, one stacked copy of the constraints'
-    # per-code coefficients and the code table they share: at every best response the
-    # table load_csv returned and each coefficient array of the constraints
-    # compile_constraints returned are gone
+def test_train_fits_hold_neither_the_loaded_table_nor_a_copy_of_the_constraints(tmp_path,
+                                                                               monkeypatch):
+    # the fits read the split tables, the design and the record compile_constraints
+    # returned: at every best response the table load_csv returned is gone, the trainer
+    # holds that record, and none of its arrays is a copy of the record's stacked index,
+    # codes or coefficients
     data = adultgen_files(tmp_path / "data")
     config = tmp_path / "train.json"
     config.write_text(json.dumps({"train": {"max_iter": 3}, "learner": {"epochs": 100}}))
@@ -526,12 +531,16 @@ def test_train_fits_hold_neither_the_loaded_table_nor_the_compiled_constraints(t
         return table
 
     def compile_(*args, **kwargs):
-        constraints = compile_constraints(*args, **kwargs)
-        compiled.extend(weakref.ref(a) for c in constraints for a in (c.codes, c.coef))
-        return constraints
+        compiled.append(compile_constraints(*args, **kwargs))
+        return compiled[-1]
 
     def fit(*args, **kwargs):
-        fits.append([ref() is None for ref in loaded + compiled])
+        held = list(sys._getframe(1).f_locals.values())  # the trainer's names
+        record = compiled[-1]
+        fits.append([ref() is None for ref in loaded] + [any(v is record for v in held)] + [
+            not any(isinstance(v, np.ndarray) and v is not own and np.array_equal(v, own)
+                    for v in held)
+            for own in (record.index, record.codes, record.coef)])
         return fit_base(*args, **kwargs)
 
     monkeypatch.setattr(fairsep.cli, "load_csv", load)
@@ -540,7 +549,8 @@ def test_train_fits_hold_neither_the_loaded_table_nor_the_compiled_constraints(t
     assert fairsep.cli.main(["train", "--config", str(config), "--data", data["data"],
                              "--schema", data["schema"], "--notion", "CSEP",
                              "--conditional", "occupation", "--out", str(tmp_path / "run")]) == 0
-    assert len(loaded) == 1 and len(compiled) > 100 and len(fits) == 3
+    assert len(loaded) == 1 and len(compiled) == 1 and len(fits) == 3
+    assert len(compiled[0]) > 50
     assert all(all(dead) for dead in fits), fits
 
 
@@ -659,14 +669,14 @@ def test_sep_constraint_values_equal_measured_terms(toy8):
     cfg = NotionConfig(kind="SEP", protected="sex", privilege_column="cap",
                        effort_column="hours", p=25.0,
                        weighting=EffortWeighting("unit"))
-    by_name = {c.name: c for c in compile_constraints(toy8, cfg)}
+    system = compile_constraints(toy8, cfg)
+    by_name = dict(zip(system.names, system.values(HPRED)))
     rep = violation(toy8, HPRED, cfg)
     for s in ("F", "M"):
-        pair = max(by_name[f"SEP/{s}/parity/+"].value(HPRED),
-                   by_name[f"SEP/{s}/parity/-"].value(HPRED))
+        pair = max(by_name[f"SEP/{s}/parity/+"], by_name[f"SEP/{s}/parity/-"])
         assert pair == rep.groups[s].t1
-        assert abs(by_name[f"SEP/{s}/effort"].value(HPRED)) == rep.groups[s].t2
-        assert abs(by_name[f"SEP/{s}/fpr_cap"].value(HPRED)) == rep.groups[s].t3
+        assert abs(by_name[f"SEP/{s}/effort"]) == rep.groups[s].t2
+        assert abs(by_name[f"SEP/{s}/fpr_cap"]) == rep.groups[s].t3
 
     # every notion x weighting x T3 normalization on the oracle's random
     # tables: each compiled term reproduces its audit term, and nothing else
@@ -696,7 +706,7 @@ def test_sep_constraint_values_equal_measured_terms(toy8):
 
 
 def _assert_constraints_match_report(constraints, rep, h):
-    values = {c.name: c.value(h) for c in constraints}
+    values = dict(zip(constraints.names, constraints.values(h)))
     if rep.categories is None:
         cells = [(f"{rep.notion}/{s}", t) for s, t in rep.groups.items()]
     else:
@@ -754,9 +764,11 @@ def test_compile_ep_requires_positives():
         {"group": "F", "xp": 0, "xe": 10, "cat": "A", "y": 0},
         {"group": "M", "xp": 0, "xe": 20, "cat": "A", "y": 0},
     ]
-    out = compile_constraints(rows_to_table(rows),
-                              NotionConfig(kind="EP", protected="group"))
-    assert out == []
+    table, cfg = rows_to_table(rows), NotionConfig(kind="EP", protected="group")
+    out = compile_constraints(table, cfg)
+    assert len(out) == 0
+    assert out.index.dtype == out.codes.dtype == np.int64 and out.coef.size == 0
+    assert len(exponentiated_gradient(table, cfg).members) == 1  # the plain fit
 
 
 # ---------------------------------------------------------------------------
@@ -808,11 +820,10 @@ def test_constraint_values_are_linear_in_the_mixture():
                                    hp=ExpGradHP(max_iter=5, base=LearnerHP(epochs=80)))
     X = model.encoder.transform(table)
     mix = model.predict_scores(X)
-    for c in constraints:
-        direct = c.value(mix)
-        combined = sum(w * c.value(m.predict_proba(X))
-                       for w, m in zip(model.mixture_weights, model.members))
-        assert abs(direct - combined) <= 1e-12
+    direct = constraints.values(mix)
+    combined = sum(w * constraints.values(m.predict_proba(X))
+                   for w, m in zip(model.mixture_weights, model.members))
+    assert np.all(np.abs(direct - combined) <= 1e-12)
 
 
 def test_planted_disparity_is_reduced_by_training():
@@ -882,9 +893,9 @@ def test_infeasible_targets_stop_early_with_warning(caplog, monkeypatch):
     table = planted_dp_table(n=60, seed=13)
     n = table.rows
     every_row = CodeTable(np.zeros(n, np.int64), np.zeros(n), np.array([n]), np.arange(n))
-    impossible = MomentConstraint("impossible", every_row, np.array([0]), np.array([1.0 / n]),
-                                  offset=1.0)
-    monkeypatch.setattr(learner, "compile_constraints", lambda table, cfg: [impossible])
+    impossible = Constraints(["impossible"], every_row, np.array([0]), np.array([0]),
+                             np.array([1.0 / n]), np.array([1.0]))
+    monkeypatch.setattr(learner, "compile_constraints", lambda table, cfg: impossible)
     hp = ExpGradHP(max_iter=40, patience=5, base=LearnerHP(epochs=40))
     with caplog.at_level(logging.WARNING):
         model = exponentiated_gradient(table, dp_cfg(), hp=hp)

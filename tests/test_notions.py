@@ -313,14 +313,15 @@ def test_row_permutation_invariance():
                             assert (value == densb[key] if key not in ("B", "B0")
                                     else _close(value, densb[key])), (kind, cell, key)
                     ca, cb = compile_constraints(table, cfg), compile_constraints(shuffled, cfg)
-                    assert [c.name for c in ca] == [c.name for c in cb], kind
-                    for c, c2 in zip(ca, cb):
-                        np.testing.assert_array_equal(c.codes, c2.codes)
-                        plain = c.codes < c.table.counts.size
-                        np.testing.assert_array_equal(c.coef[plain], c2.coef[plain])
-                        np.testing.assert_allclose(c.coef, c2.coef, rtol=1e-12, atol=0)
-                        assert _close(c.offset, c2.offset)
-                        assert _close(c.value(h), c2.value(h2)), c.name
+                    assert ca.names == cb.names, kind
+                    np.testing.assert_array_equal(ca.index, cb.index)
+                    np.testing.assert_array_equal(ca.codes, cb.codes)
+                    plain = ca.codes < ca.table.counts.size
+                    np.testing.assert_array_equal(ca.coef[plain], cb.coef[plain])
+                    np.testing.assert_allclose(ca.coef, cb.coef, rtol=1e-12, atol=0)
+                    assert all(map(_close, ca.offsets, cb.offsets)), kind
+                    for name, a, b in zip(ca.names, ca.values(h), cb.values(h2)):
+                        assert _close(a, b), name
                     compared += 1
     assert compared >= 500
 
